@@ -1,8 +1,5 @@
 """Pure-Python hot kernel for the ordering prescription.
 
-Keep this file in lockstep with _kernel_cy.pyx: the two are twins, the .pyx
-only adds static types.  The reducer selects whichever is importable.
-
 Data layout (shared with the driver in reducer.py):
 
 * a word is a packed code ``(1 << n) | bits`` with I = 1, J = 0, leftmost

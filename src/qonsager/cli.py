@@ -22,12 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .coeffs import (
     CoefficientSystemError,
+    CrossCheckReport,
     PIPELINES,
     ShapeError,
-    c_closed,
-    c_from_polynomial,
-    c_recursive,
-    c_solve,
+    pipelines_agree,
 )
 from .repcheck import (
     CalibrationError,
@@ -36,7 +34,6 @@ from .repcheck import (
     matrix_point,
     spectral_polynomial_check,
 )
-from .reducer import kernel_backend
 from .verify import perturbed_table, verify_relation
 
 EXIT_PASS = 0
@@ -80,13 +77,13 @@ def _workers() -> int:
     return max(1, n)
 
 
-def _pmap(fn, items):
-    """Map preserving order, using a process pool when workers > 1."""
+def _pmap(fn, arg_tuples):
+    """fn(*args) for each tuple in order, using a process pool when workers > 1."""
     n = _workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if n <= 1 or len(arg_tuples) <= 1:
+        return [fn(*args) for args in arg_tuples]
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*arg_tuples)))
 
 
 def _emit(args, text: str) -> None:
@@ -189,42 +186,27 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cross_check_one(task) -> tuple[int, bool]:
-    r, with_solve = task
-    tables = [c_recursive(r), c_closed(r), c_from_polynomial(r)]
-    if with_solve:
-        tables.append(c_solve(r))
-    return r, all(t == tables[0] for t in tables[1:])
-
-
 def _cmd_cross_check(args) -> int:
     if not 1 <= args.max_r <= _BOUNDS["cross_check"]:
         return _usage(f"cross-check --max-r must be in 1..{_BOUNDS['cross_check']}")
     if not 0 <= args.solve_max_r <= _BOUNDS["cross_check_solve"]:
         return _usage(f"--solve-max-r must be in 0..{_BOUNDS['cross_check_solve']}")
     budget = _Budget(args.time_budget)
-    tasks = [(r, r <= args.solve_max_r) for r in range(1, args.max_r + 1)]
+    ranks = range(1, args.max_r + 1)
     try:
         budget.check()
-        pairs = _pmap(_cross_check_one, tasks)
+        agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks])
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded"}))
         return EXIT_RESOURCE
-    agreements = dict(sorted(pairs))
-    ok = all(agreements.values())
-    obj = {
-        "max_r": args.max_r,
-        "solve_max_r": args.solve_max_r,
-        "ok": ok,
-        "per_r": [{"r": r, "agree": v} for r, v in sorted(agreements.items())],
-    }
+    report = CrossCheckReport(args.max_r, args.solve_max_r, dict(zip(ranks, agree)))
     if args.format == "json":
-        _emit(args, _json_dump(obj))
+        _emit(args, _json_dump(report.to_json_obj()))
     else:
-        lines = [f"r={r} agree={v}" for r, v in sorted(agreements.items())]
-        lines.append(f"pipelines agree for all r <= {args.max_r}: {ok}")
+        lines = [f"r={r} agree={v}" for r, v in report.agreements.items()]
+        lines.append(f"pipelines agree for all r <= {args.max_r}: {report.ok}")
         _emit(args, "\n".join(lines))
-    return EXIT_PASS if ok else EXIT_FALSIFIED
+    return EXIT_PASS if report.ok else EXIT_FALSIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +214,25 @@ def _cmd_cross_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_point_task(task) -> dict:
-    r, pipeline, seed, index = task
-    table = PIPELINES[pipeline](r)
-    return matrix_point(r, table, seed, index).to_json_obj()
-
-
 def _cmd_repcheck(args) -> int:
     if not 1 <= args.r <= args.bound:
         return _usage(f"repcheck --r must be in 1..{args.bound} (see --bound)")
     if args.samples < 1:
         return _usage("--samples must be positive")
-    tasks = [(args.r, args.pipeline, args.seed, i) for i in range(args.samples)]
-    points = _pmap(_matrix_point_task, tasks)
-    ok = all(p["zero"] for p in points)
-    obj = {
-        "r": args.r,
-        "seed": args.seed,
-        "pair": [0, 1],
-        "samples": len(points),
-        "all_zero": ok,
-        "points": points,
-    }
+    table = PIPELINES[args.pipeline](args.r)
+    tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
+    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks))
     if args.format == "json":
-        _emit(args, _json_dump(obj))
+        _emit(args, _json_dump(report.to_json_obj()))
     else:
         lines = [
-            f"point {i}: zero={p['zero']} rho={p['calibration']['rho']} "
-            f"matches_c_cbar={p['calibration']['matches_product']}"
-            for i, p in enumerate(points)
+            f"point {i}: zero={p.zero} rho={p.calibration.rho} "
+            f"matches_c_cbar={p.calibration.matches_product}"
+            for i, p in enumerate(report.points)
         ]
-        lines.append(f"all {len(points)} points zero: {ok}")
+        lines.append(f"all {len(report.points)} points zero: {report.all_zero}")
         _emit(args, "\n".join(lines))
-    return EXIT_PASS if ok else EXIT_FALSIFIED
+    return EXIT_PASS if report.all_zero else EXIT_FALSIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qonsager",
         description="Exact computation and verification of higher-order "
-        "q-Onsager relations (kernel backend: %s)." % kernel_backend(),
+        "q-Onsager relations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -284,14 +284,6 @@ def m_table(base: CoeffTable) -> dict[tuple[int, int, int], LaurentScalar]:
     return em
 
 
-@dataclass(frozen=True)
-class RecursionTables:
-    """Bundle of the two auxiliary tables used by the recursive pipeline."""
-
-    eta: dict[tuple[int, int, int], LaurentScalar]
-    em: dict[tuple[int, int, int], LaurentScalar]
-
-
 # ---------------------------------------------------------------------------
 # pipeline 1: recursion family
 # ---------------------------------------------------------------------------
@@ -781,12 +773,17 @@ class CrossCheckReport:
         }
 
 
+def pipelines_agree(r: int, with_solve: bool) -> bool:
+    """Exact agreement at rank r of recursive/closed/polynomial (and solve if asked)."""
+    tables = [c_recursive(r), c_closed(r), c_from_polynomial(r)]
+    if with_solve:
+        tables.append(c_solve(r))
+    return all(t == tables[0] for t in tables[1:])
+
+
 def cross_check(max_r: int, solve_max_r: int = 0) -> CrossCheckReport:
     """Exact agreement of recursive/closed/polynomial (and solve up to solve_max_r)."""
     report = CrossCheckReport(max_r=max_r, solve_max_r=solve_max_r)
     for r in range(1, max_r + 1):
-        tables = [c_recursive(r), c_closed(r), c_from_polynomial(r)]
-        if r <= solve_max_r:
-            tables.append(c_solve(r))
-        report.agreements[r] = all(t == tables[0] for t in tables[1:])
+        report.agreements[r] = pipelines_agree(r, r <= solve_max_r)
     return report

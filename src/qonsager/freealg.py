@@ -232,11 +232,6 @@ AI = NCPolynomial._raw({Word.from_letters("I"): RHO_ONE})
 AJ = NCPolynomial._raw({Word.from_letters("J"): RHO_ONE})
 
 
-def nc_multiply(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
-    """Bilinear extension of word concatenation."""
-    return a * b
-
-
 def monomial(n_left: int, r_mid: int, n_right: int) -> NCPolynomial:
     """The single word I^n_left J^r_mid I^n_right with coefficient 1."""
     return NCPolynomial.from_word(Word.from_exponents(n_left, r_mid, n_right))

@@ -7,17 +7,14 @@ forms are unique; every replacement word is strictly below IIJ in graded lex
 with I > J, so the multiset of words strictly decreases and reduction
 terminates on every input.
 
-The hot loop lives in a kernel module selected at import time: the compiled
-extension ``_kernel_cy`` when built, else the pure-Python twin ``_kernel_py``.
-Set QONSAGER_KERNEL=python|cython to force a choice.  Both kernels work on
-packed words and packed (rho, q)-exponent coefficient dicts; this driver
-converts NCPolynomials in and out and clears denominators around the kernel
+The hot loop lives in the kernel module ``_kernel_py``, which works on packed
+words and packed (rho, q)-exponent coefficient dicts; this driver converts
+NCPolynomials in and out and clears denominators around the kernel
 (reduction is linear, so scaling by a common denominator is sound).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -26,24 +23,7 @@ from . import _kernel_py
 from .freealg import NCPolynomial, Word
 from .qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, exact_div, laurent_lcm, q_int
 
-_choice = os.environ.get("QONSAGER_KERNEL", "auto")
-if _choice == "python":
-    _kernel = _kernel_py
-elif _choice in ("auto", "cython"):
-    try:
-        from . import _kernel_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        if _choice == "cython":
-            raise ImportError(
-                "QONSAGER_KERNEL=cython but the compiled kernel is not built; "
-                "run 'python setup.py build_ext --inplace' or reinstall"
-            )
-        _kernel = _kernel_py
-else:
-    raise ValueError(f"QONSAGER_KERNEL must be auto, python or cython, not {_choice!r}")
-
-# Codes must fit the compiled kernel's fixed-width integers.
-_MAX_COMPILED_LEN = 60
+_kernel = _kernel_py
 
 Q_OFFSET = _kernel_py.Q_OFFSET
 RHO_SHIFT = _kernel_py.RHO_SHIFT
@@ -51,7 +31,7 @@ RHO_STEP = _kernel_py.RHO_STEP
 
 
 def kernel_backend() -> str:
-    """Name of the kernel selected at import ("python" or "cython")."""
+    """Name of the rewrite kernel."""
     return _kernel.BACKEND
 
 
@@ -129,12 +109,26 @@ def _denominator_lcm(x: NCPolynomial) -> LaurentScalar:
 
 
 def _pack(x: NCPolynomial) -> dict:
+    """Packed form of x for the kernel.
+
+    Each rewrite step removes at least one I-before-J inversion and moves a
+    q-exponent by at most one, so no exponent reachable from a length-n word
+    drifts further than n^2/4.  All of them must stay in [-Q_OFFSET, Q_OFFSET),
+    or the q field of a key would spill into its rho degree; anything else is
+    a ValueError, never a silently aliased result.
+    """
     packed: dict = {}
     for word, coeff in x.terms.items():
+        reach = len(word) ** 2 // 4
         entry: dict = {}
         for p, ls in enumerate(coeff.coeffs):
             if ls.is_zero:
                 continue
+            if min(ls.num) - reach < -Q_OFFSET or max(ls.num) + reach >= Q_OFFSET:
+                raise ValueError(
+                    f"q-exponents of {word.letters!r} may leave the packed range "
+                    f"[-{Q_OFFSET}, {Q_OFFSET}) during reduction"
+                )
             base = (p << RHO_SHIFT) + Q_OFFSET
             for e, c in ls.num.items():
                 entry[base + e] = c
@@ -170,17 +164,11 @@ def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolyno
     scale = _denominator_lcm(x)
     if not scale.is_one:
         x = x * scale
-    packed = _pack(x)
-    kern = _kernel
-    if kern.BACKEND != "python" and any(
-        (code.bit_length() - 1) > _MAX_COMPILED_LEN for code in packed
-    ):
-        kern = _kernel_py
-    out, peak, steps, passes = kern.reduce_packed(packed, rho_zero)
+    out, peak, steps, passes = _kernel.reduce_packed(_pack(x), rho_zero)
     result = _unpack(out)
     if not scale.is_one:
         result = result * exact_div(ONE, scale)
-    return result, ReduceStats(peak, steps, passes, kern.BACKEND)
+    return result, ReduceStats(peak, steps, passes, _kernel.BACKEND)
 
 
 def reduce(x: NCPolynomial, rho_zero: bool = False) -> NCPolynomial:
@@ -202,35 +190,42 @@ def reduce_randomized(
     directly on RhoScalar coefficients (rational q-coefficients included).
     """
     terms = dict(x.terms)
-    two_q = q_int(2)
-    while True:
-        reducible = sorted(
-            (w for w in terms if _kernel_py.find_redex(w.code) >= 0),
-            key=lambda w: w.code,
-        )
-        if not reducible:
-            break
+    # The live words with a redex, as a swap-remove list plus each word's slot
+    # in it, so a step costs time linear in the words it touches.
+    reducible: list[Word] = []
+    slot: dict[Word, int] = {}
+
+    def sync(word: Word) -> None:
+        wanted = word in terms and _kernel_py.find_redex(word.code) >= 0
+        if wanted and word not in slot:
+            slot[word] = len(reducible)
+            reducible.append(word)
+        elif not wanted and word in slot:
+            i = slot.pop(word)
+            last = reducible.pop()
+            if last != word:
+                reducible[i] = last
+                slot[last] = i
+
+    for word in terms:
+        sync(word)
+    factors = [q_int(2), -ONE]
+    if not rho_zero:
+        factors.append(RhoScalar((ZERO, ONE)))
+    while reducible:
         word = rng.choice(reducible)
         pos = rng.choice(redex_positions(word))
         coeff = terms.pop(word)
-        w_iji, w_jii, w_j = _kernel_py.rewrite_codes(word.code, pos)
-        produced = []
-        for target, factor in ((w_iji, two_q), (w_jii, -ONE)):
-            tw = Word(target)
-            produced.append(tw)
+        sync(word)
+        codes = _kernel_py.rewrite_codes(word.code, pos)
+        produced = [Word(code) for code in codes[: len(factors)]]
+        for tw, factor in zip(produced, factors):
             n = terms.get(tw, RhoScalar(())) + coeff * factor
             if n.is_zero:
                 terms.pop(tw, None)
             else:
                 terms[tw] = n
-        if not rho_zero:
-            tw = Word(w_j)
-            produced.append(tw)
-            n = terms.get(tw, RhoScalar(())) + coeff * RhoScalar((ZERO, ONE))
-            if n.is_zero:
-                terms.pop(tw, None)
-            else:
-                terms[tw] = n
+            sync(tw)
         if on_step is not None:
             on_step(word, produced)
     return NCPolynomial(terms)

@@ -123,21 +123,6 @@ def perturbed_table(table: CoeffTable, p: int, k: int) -> CoeffTable:
     return CoeffTable(table.r, entries, f"{table.pipeline}+perturbed({p},{k})")
 
 
-def unlinked_commutator_reduces(r: int) -> bool:
-    """The unlinked-pair relation at rank r: [A_i, A_j^r] = 0 on a commuting pair.
-
-    Unlinked generators commute, so monomials are classified by bidegree
-    alone and the commutator collapses immediately; no rewriting engine is
-    needed beyond this bookkeeping.
-    """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    collapsed: dict[tuple[int, int], int] = {}
-    for degree, coeff in (((1, r), 1), ((1, r), -1)):
-        collapsed[degree] = collapsed.get(degree, 0) + coeff
-    return all(v == 0 for v in collapsed.values())
-
-
 __all__ = [
     "RelationCertificate",
     "ReduceStats",
@@ -145,5 +130,4 @@ __all__ = [
     "verify_relation",
     "verify_qserre",
     "perturbed_table",
-    "unlinked_commutator_reduces",
 ]

@@ -150,17 +150,36 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == EXIT_USAGE
 
 
-def test_workers_env_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repcheck", "--r", "1", "--samples", "4", "--format", "json"],
+        ["repcheck", "--r", "1", "--samples", "4"],
+        ["cross-check", "--max-r", "6", "--solve-max-r", "3", "--format", "json"],
+        ["cross-check", "--max-r", "6", "--solve-max-r", "3"],
+    ],
+    ids=["repcheck-json", "repcheck-text", "cross-check-json", "cross-check-text"],
+)
+def test_workers_env_parallel_matches_serial(argv, tmp_path, capsys, monkeypatch):
+    serial = tmp_path / "serial.out"
+    parallel = tmp_path / "parallel.out"
     monkeypatch.setenv("QONSAGER_WORKERS", "1")
-    assert main(["repcheck", "--r", "1", "--samples", "4", "--format", "json",
-                 "--output", str(serial)]) == EXIT_PASS
+    assert main(argv + ["--output", str(serial)]) == EXIT_PASS
     monkeypatch.setenv("QONSAGER_WORKERS", "2")
-    assert main(["repcheck", "--r", "1", "--samples", "4", "--format", "json",
-                 "--output", str(parallel)]) == EXIT_PASS
+    assert main(argv + ["--output", str(parallel)]) == EXIT_PASS
     capsys.readouterr()
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_cross_check_falsified_exit(capsys, monkeypatch):
+    from qonsager import coeffs
+    from qonsager.verify import perturbed_table
+
+    honest = coeffs.c_recursive
+    monkeypatch.setattr(coeffs, "c_recursive", lambda r: perturbed_table(honest(r), 0, 1))
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "2")
+    assert code == EXIT_FALSIFIED
+    assert out == "r=1 agree=False\nr=2 agree=False\npipelines agree for all r <= 2: False\n"
 
 
 def test_module_entry_point_subprocess():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qonsager.freealg import AI, AJ, EMPTY_WORD, ONE, NCPolynomial, Word, monomial, nc_multiply
+from qonsager.freealg import AI, AJ, EMPTY_WORD, ONE, NCPolynomial, Word, monomial
 from qonsager.qcoeff import RHO, RhoScalar, q_int
 
 
@@ -42,10 +42,10 @@ def test_word_rejects_bad_letters():
 
 
 def test_nc_multiply_examples():
-    assert nc_multiply(AI, AJ) == NCPolynomial.from_word(W("IJ"))
+    assert AI * AJ == NCPolynomial.from_word(W("IJ"))
     x = monomial(2, 1, 1)
-    assert nc_multiply(ONE, x) == x
-    prod = nc_multiply(AI + AJ, AI - AJ)
+    assert ONE * x == x
+    prod = (AI + AJ) * (AI - AJ)
     expected = (
         NCPolynomial.from_word(W("II"))
         - NCPolynomial.from_word(W("IJ"))

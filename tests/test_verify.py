@@ -10,7 +10,6 @@ from qonsager.qcoeff import RHO, RhoScalar, q_binomial, q_int
 from qonsager.verify import (
     build_delta,
     perturbed_table,
-    unlinked_commutator_reduces,
     verify_qserre,
     verify_relation,
 )
@@ -93,10 +92,6 @@ def test_qserre_binomial_row():
         table = c_recursive(r)
         for k in range(0, r + 2):
             assert table.entry(0, k) == q_binomial(r + 1, k)
-
-
-def test_unlinked_pair_commutator():
-    assert all(unlinked_commutator_reduces(r) for r in range(1, 8))
 
 
 def test_certificate_json_schema():
