@@ -25,6 +25,7 @@ from .coeffs import (
     CrossCheckReport,
     PIPELINES,
     ShapeError,
+    cells,
     pipelines_agree,
 )
 from .repcheck import (
@@ -132,8 +133,7 @@ def _cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_one(task) -> dict:
-    r, pipeline, rho_zero, mutate = task
+def _verify_one(r: int, pipeline: str, rho_zero: bool, mutate: tuple[int, int] | None) -> dict:
     table = PIPELINES[pipeline](r)
     if mutate is not None:
         table = perturbed_table(table, *mutate)
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     if args.r is None and args.max_r is None:
         return _usage("verify needs --r or --max-r")
     ranks = [args.r] if args.r is not None else list(range(1, args.max_r + 1))
-    if any(not 1 <= r <= bound for r in ranks):
+    if not ranks or any(not 1 <= r <= bound for r in ranks):
         hint = "" if args.extended else " (use --extended for 7)"
         return _usage(f"verify ranks must be in 1..{bound}{hint}")
     mutate = None
@@ -158,12 +158,15 @@ def _cmd_verify(args) -> int:
             mutate = (p, k)
         except ValueError:
             return _usage("--mutate expects 'p,k' with integers")
+        for r in ranks:
+            if mutate not in cells(r):
+                return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")
     budget = _Budget(args.time_budget)
     results = []
     try:
         for r in ranks:
             budget.check()
-            results.append(_verify_one((r, args.pipeline, args.rho_zero, mutate)))
+            results.append(_verify_one(r, args.pipeline, args.rho_zero, mutate))
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded", "completed": results}))
         return EXIT_RESOURCE

@@ -4,7 +4,7 @@ A table at rank r holds one Laurent polynomial per admissible cell (p, k),
 0 <= p <= (r+1)//2 and 0 <= k <= r - 2p + 1.  The four routes to the same
 table are deliberately independent so they can cross-check each other:
 
-* ``c_recursive``   -- the even/odd recursion family driven by the eta and M
+* ``c_recursive``   -- the one-rule-per-cell recursion driven by the eta and M
                        auxiliary tables, seeded from the rank-1 relation;
 * ``c_closed``      -- the closed double-sum formula over index families;
 * ``c_from_polynomial`` -- expansion of the factorized two-variable
@@ -162,8 +162,15 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
 
     eta[m, p, j] is the coefficient of rho^p on the j-th normal shape in the
     expansion of I^m J: j = 0 selects the words I J I^..., j = 1 the words
-    J I^....  Built strictly from the initial values at m = 2 and the eight
-    recursion steps; the reducer provides the independent cross-check.
+    J I^....  Row m holds 0 <= p <= (m-1)//2 and follows from row m-1 by one
+    rule for both parities of m (entries outside row m-1 read as zero):
+
+        eta[m,p,0] = [2] eta[m-1,p,0] + eta[m-1,p,1]
+        eta[m,p,1] = eta[m-1,p-1,0] - eta[m-1,p,0]
+
+    except that the top entry eta[m,(m-1)/2,0] of an odd row is 1.  Built
+    strictly from the initial values at m = 2; the reducer provides the
+    independent cross-check.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -173,44 +180,31 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
         (2, 0, 1): -ONE,
     }
     for m in range(3, m_max + 1):
-        if m % 2:  # m = 2n + 1
-            n = (m - 1) // 2
-            for p in range(0, n):
-                eta[(m, p, 0)] = two * eta[(m - 1, p, 0)] + eta[(m - 1, p, 1)]
-            eta[(m, n, 0)] = ONE
-            for p in range(1, n):
-                eta[(m, p, 1)] = -eta[(m - 1, p, 0)] + eta[(m - 1, p - 1, 0)]
-            eta[(m, 0, 1)] = -eta[(m - 1, 0, 0)]
-            if n >= 1:
-                eta[(m, n, 1)] = eta[(m - 1, n - 1, 0)]
-        else:  # m = 2n + 2
-            n = (m - 2) // 2
-            for p in range(0, n + 1):
-                eta[(m, p, 0)] = two * eta[(m - 1, p, 0)] + eta[(m - 1, p, 1)]
-            for p in range(1, n + 1):
-                eta[(m, p, 1)] = eta[(m - 1, p - 1, 0)] - eta[(m - 1, p, 0)]
-            eta[(m, 0, 1)] = -eta[(m - 1, 0, 0)]
+        prev = lambda p, j: eta.get((m - 1, p, j), ZERO)  # noqa: E731
+        for p in range(0, (m - 1) // 2 + 1):
+            eta[(m, p, 0)] = two * prev(p, 0) + prev(p, 1)
+            eta[(m, p, 1)] = prev(p - 1, 0) - prev(p, 0)
+        if m % 2:
+            eta[(m, (m - 1) // 2, 0)] = ONE
     return eta
 
 
 def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
-    """The claimed normal form of I^m J assembled from the eta table."""
+    """The claimed normal form of I^m J assembled from the eta table:
+
+        sum_{p, j} rho^p eta[m,p,j] I^(1-j) J I^(m-1-2p+j)  (+ rho^(m/2) J for even m)
+    """
     if m < 2:
         raise ValueError("m must be >= 2")
     if eta is None:
         eta = eta_table(m)
     out = NCPolynomial.zero()
-    if m % 2:  # m = 2n + 1
-        n = (m - 1) // 2
-        for p in range(0, n + 1):
-            out = out + monomial(1, 1, 2 * n - 2 * p) * RhoScalar.rho_power(p, eta[(m, p, 0)])
-            out = out + monomial(0, 1, 2 * n - 2 * p + 1) * RhoScalar.rho_power(p, eta[(m, p, 1)])
-    else:  # m = 2n + 2
-        n = (m - 2) // 2
-        for p in range(0, n + 1):
-            out = out + monomial(1, 1, 2 * n + 1 - 2 * p) * RhoScalar.rho_power(p, eta[(m, p, 0)])
-            out = out + monomial(0, 1, 2 * n + 2 - 2 * p) * RhoScalar.rho_power(p, eta[(m, p, 1)])
-        out = out + monomial(0, 1, 0) * RhoScalar.rho_power(n + 1, ONE)
+    for p in range(0, (m - 1) // 2 + 1):
+        for j in (0, 1):
+            word = monomial(1 - j, 1, m - 1 - 2 * p + j)
+            out = out + word * RhoScalar.rho_power(p, eta[(m, p, j)])
+    if m % 2 == 0:
+        out = out + monomial(0, 1, 0) * RhoScalar.rho_power(m // 2, ONE)
     return out
 
 
@@ -298,123 +292,57 @@ def _rank_one_table() -> dict[tuple[int, int], LaurentScalar]:
     }
 
 
-def _next_table(r: int, prev: CoeffTable) -> dict[tuple[int, int], LaurentScalar]:
-    """One induction step: the rank-r entries from the rank-(r-1) table."""
-    eta = eta_table(r + 2)
+def _next_table(
+    r: int, prev: CoeffTable, eta: dict[tuple[int, int, int], LaurentScalar]
+) -> dict[tuple[int, int], LaurentScalar]:
+    """One induction step: the rank-r entries from the rank-(r-1) table.
+
+    One rule per cell (l, k) for both parities of r, with c1 = [r+1]_q,
+    M = m_table(prev), E1(m, p) = eta[m, p, 1], sign(n) = (-1)^n and
+    h = l + k//2 (sums run over p >= 0):
+
+        c[0,0] = 1,  c[0,1] = c1
+        c[l,0] = sum_{p <= min(l, r//2)} sign(p+l) M(p, 2(l-p))
+        c[0,k] = M(0,k) E1(k,0) [+ c1 prev(0,k-1) E1(k-1,0) if k >= 3]
+        k odd:  sum_{p <= min(l, h-1)} sign(p+l) M(p, 2(h-p)+1) E1(2(h-p)+1, l-p)
+                + c1 sum_{p <= l} sign(p+l) prev(p, 2(h-p)) [E1(2(h-p), l-p) if k > 1]
+        k even: sum_{p <= l} sign(p+l) M(p, 2(h-p)) E1(2(h-p), l-p)
+                + c1 sum_{p <= min(l, h-2)} sign(p+l) prev(p, 2(h-p)-1) E1(2(h-p)-1, l-p)
+
+    Every read of M, prev and eta is strict: an index outside its table raises.
+    """
     em = m_table(prev)
-    src = r - 1
+    M = lambda p, k: em[(r - 1, p, k)]  # noqa: E731
+    E1 = lambda m, p: eta[(m, p, 1)]  # noqa: E731
+    P = prev.entry
 
-    def M(p: int, k: int) -> LaurentScalar:
-        return em[(src, p, k)]
+    def alt(l: int, top: int, term) -> LaurentScalar:
+        """sum_{p <= top} sign(p+l) term(p)."""
+        return sum((term(p) if (p + l) % 2 == 0 else -term(p) for p in range(top + 1)), ZERO)
 
-    def E1(m: int, p: int) -> LaurentScalar:
-        return eta[(m, p, 1)]
-
-    sign = lambda n: ONE if n % 2 == 0 else -ONE  # noqa: E731
-
-    c: dict[tuple[int, int], LaurentScalar] = {}
-    c[(0, 0)] = ONE
-    c[(0, 1)] = q_int(r + 1)
-    c1 = c[(0, 1)]
-
-    if r % 2:  # target rank odd: r = 2t + 1, source even 2t
-        t = (r - 1) // 2
-        c[(0, 2)] = M(0, 2) * E1(2, 0)
-        for h in range(2, t + 2):
-            c[(0, 2 * h)] = M(0, 2 * h) * E1(2 * h, 0) + c1 * prev.get(0, 2 * h - 1) * E1(2 * h - 1, 0)
-        for h in range(1, t + 1):
-            c[(0, 2 * h + 1)] = M(0, 2 * h + 1) * E1(2 * h + 1, 0) + c1 * prev.get(0, 2 * h) * E1(2 * h, 0)
-
-        acc = ZERO
-        for p in range(0, t + 1):
-            acc = acc + sign(p + t + 1) * M(p, 2 * (t + 1 - p))
-        c[(t + 1, 0)] = acc
-
-        c[(1, 0)] = -M(0, 2) + M(1, 0)
-        for h in range(2, t + 1):
-            acc = ZERO
-            for p in range(0, h + 1):
-                acc = acc + sign(p + h) * M(p, 2 * (h - p))
-            c[(h, 0)] = acc
-
-        if (1, 1) in set(cells(r)):
-            c[(1, 1)] = -(M(0, 3) * E1(3, 1) - c1 * (-prev.get(0, 2) + prev.get(1, 0)))
-        for h in range(2, t + 1):
-            acc = ZERO
-            for p in range(0, h):
-                acc = acc + sign(p + h) * M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, h - p)
-            acc2 = ZERO
-            for p in range(0, h + 1):
-                acc2 = acc2 + sign(p + h) * prev.get(p, 2 * (h - p))
-            c[(h, 1)] = acc + c1 * acc2
-
-        if (1, 2) in set(cells(r)):
-            c[(1, 2)] = -M(0, 4) * E1(4, 1) + M(1, 2) * E1(2, 0) - c1 * prev.get(0, 3) * E1(3, 1)
-        for h in range(2, t + 1):
-            for l in range(1, h):
-                acc = ZERO
-                for p in range(0, l + 1):
-                    acc = acc + sign(p + l) * M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, l - p)
-                acc2 = ZERO
-                for p in range(0, l + 1):
-                    acc2 = acc2 + sign(p + l) * prev.get(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
-                c[(l, 2 * h - 2 * l + 1)] = acc + c1 * acc2
-        for h in range(3, t + 2):
-            for l in range(1, h):
-                acc = ZERO
-                for p in range(0, l + 1):
-                    acc = acc + sign(p + l) * M(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
-                acc2 = ZERO
-                for p in range(0, min(l, h - 2) + 1):
-                    acc2 = acc2 + sign(p + l) * prev.get(p, 2 * (h - p) - 1) * E1(2 * (h - p) - 1, l - p)
-                c[(l, 2 * h - 2 * l)] = acc + c1 * acc2
-
-    else:  # target rank even: r = 2t + 2, source odd 2t + 1
-        t = (r - 2) // 2
-        c[(0, 2)] = M(0, 2) * E1(2, 0)
-        for h in range(1, t + 2):
-            c[(0, 2 * h + 1)] = M(0, 2 * h + 1) * E1(2 * h + 1, 0) + c1 * prev.get(0, 2 * h) * E1(2 * h, 0)
-        for h in range(2, t + 2):
-            c[(0, 2 * h)] = M(0, 2 * h) * E1(2 * h, 0) + c1 * prev.get(0, 2 * h - 1) * E1(2 * h - 1, 0)
-
-        c[(1, 0)] = -M(0, 2) + M(1, 0)
-        for h in range(2, t + 2):
-            acc = ZERO
-            for p in range(0, h + 1):
-                acc = acc + sign(p + h) * M(p, 2 * (h - p))
-            c[(h, 0)] = acc
-
-        c[(1, 1)] = -M(0, 3) * E1(3, 1) + c1 * (-prev.get(0, 2) + prev.get(1, 0))
-        for h in range(2, t + 2):
-            acc = ZERO
-            for p in range(0, h):
-                acc = acc + sign(p + h) * M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, h - p)
-            acc2 = ZERO
-            for p in range(0, h + 1):
-                acc2 = acc2 + sign(p + h) * prev.get(p, 2 * (h - p))
-            c[(h, 1)] = acc + c1 * acc2
-
-        if (1, 2) in set(cells(r)):
-            c[(1, 2)] = -M(0, 4) * E1(4, 1) + M(1, 2) * E1(2, 0) - c1 * prev.get(0, 3) * E1(3, 1)
-        for h in range(3, t + 2):
-            for l in range(1, h):
-                acc = ZERO
-                for p in range(0, l + 1):
-                    acc = acc + sign(p + l) * M(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
-                acc2 = ZERO
-                for p in range(0, min(l, h - 2) + 1):
-                    acc2 = acc2 + sign(p + l) * prev.get(p, 2 * (h - p) - 1) * E1(2 * (h - p) - 1, l - p)
-                c[(l, 2 * h - 2 * l)] = acc + c1 * acc2
-        for h in range(2, t + 2):
-            for l in range(1, h):
-                acc = ZERO
-                for p in range(0, l + 1):
-                    acc = acc + sign(p + l) * M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, l - p)
-                acc2 = ZERO
-                for p in range(0, l + 1):
-                    acc2 = acc2 + sign(p + l) * prev.get(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
-                c[(l, 2 * h - 2 * l + 1)] = acc + c1 * acc2
-
+    c1 = q_int(r + 1)
+    c: dict[tuple[int, int], LaurentScalar] = {(0, 0): ONE, (0, 1): c1}
+    for (l, k) in cells(r):
+        h = l + k // 2
+        if l == 0:
+            if k >= 2:
+                c[(0, k)] = M(0, k) * E1(k, 0)
+            if k >= 3:
+                c[(0, k)] = c[(0, k)] + c1 * P(0, k - 1) * E1(k - 1, 0)
+        elif k == 0:
+            c[(l, 0)] = alt(l, min(l, r // 2), lambda p: M(p, 2 * (l - p)))
+        elif k % 2:
+            c[(l, k)] = alt(
+                l, min(l, h - 1), lambda p: M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, l - p)
+            ) + c1 * alt(
+                l, l, lambda p: P(p, 2 * (h - p)) * (E1(2 * (h - p), l - p) if k > 1 else ONE)
+            )
+        else:
+            c[(l, k)] = alt(
+                l, l, lambda p: M(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
+            ) + c1 * alt(
+                l, min(l, h - 2), lambda p: P(p, 2 * (h - p) - 1) * E1(2 * (h - p) - 1, l - p)
+            )
     return c
 
 
@@ -422,9 +350,10 @@ def c_recursive(r: int) -> CoeffTable:
     """The rank-r table built strictly bottom-up from the rank-1 seed."""
     if r < 1:
         raise ValueError("rank must be >= 1")
+    eta = eta_table(r + 1)  # the induction reads eta rows m <= r + 1 only
     table = CoeffTable(1, _rank_one_table(), "recursive")
     for target in range(2, r + 1):
-        table = CoeffTable(target, _next_table(target, table), "recursive")
+        table = CoeffTable(target, _next_table(target, table, eta), "recursive")
     return table
 
 
@@ -632,7 +561,7 @@ def _solve_unique(
     swell; back-substitution divides exactly at the end.  Raises
     CoefficientSystemError when rank is deficient or any equation fails.
     """
-    from .qcoeff import _padd, _pcontent, _pexact_div, _pmul, _pneg, _pscale, _psub  # local: internal helpers
+    from .qcoeff import _pcontent, _pmul, _psub  # local: internal helpers
 
     # Dense integer-exponent polynomial rows: columns 0..n_cols-1 then rhs.
     dense_rows = []
@@ -657,10 +586,7 @@ def _solve_unique(
                     _psub(_pmul(d, lead), _pmul(prow[j], mine))
                     for j, d in enumerate(row)
                 ]
-                content = 0
-                for d in row:
-                    for c in d.values():
-                        content = math.gcd(content, c)
+                content = math.gcd(*(_pcontent(d) for d in row))
                 if content > 1:
                     row = [{e: c // content for e, c in d.items()} for d in row]
         col = next((j for j in range(n_cols) if row[j]), None)

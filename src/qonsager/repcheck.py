@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffs import CoeffTable, delta_indices, generating_factors
-from .qcoeff import ONE, ZERO, LaurentScalar, exact_div, q_int
+from .qcoeff import LaurentScalar, _padd, _psub, exact_div, q_int
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -156,7 +156,6 @@ def _self_validate(params: RepParams, e, f, h) -> None:
     """Oracle for the construction: the defining relations of the quantum
     algebra must hold exactly on the module."""
     q = params.q
-    s = params.s
     two_q = q + 1 / q
 
     def K(i, power=1):
@@ -195,7 +194,6 @@ def _self_validate(params: RepParams, e, f, h) -> None:
             )
             if not mat_is_zero(serre):
                 raise RepConstructionError(f"q-Serre failed for the pair ({i},{j})")
-    del s
 
 
 def build_evaluation_rep(params: RepParams) -> tuple[Mat, Mat, Mat]:
@@ -474,17 +472,6 @@ def _xp_mul(a: _XPoly, b: _XPoly) -> _XPoly:
     return out
 
 
-def _xp_add(a: _XPoly, b: _XPoly) -> _XPoly:
-    out = dict(a)
-    for k, c in b.items():
-        n = out.get(k, 0) + c
-        if n:
-            out[k] = n
-        elif k in out:
-            del out[k]
-    return out
-
-
 def _xp_from_laurent(value: LaurentScalar, c_degree: int = 0) -> _XPoly:
     if not value.is_polynomial:
         raise ValueError("need a Laurent polynomial")
@@ -494,6 +481,16 @@ def _xp_from_laurent(value: LaurentScalar, c_degree: int = 0) -> _XPoly:
 def _theta(offset: int) -> _XPoly:
     """theta_(k+offset) = C (v q^(k+offset) + v^-1 q^-(k+offset)), k formal."""
     return {(1, 1, offset, 1): 1, (1, -1, -offset, -1): 1}
+
+
+def _quadratic(d: int, s: int) -> _XPoly:
+    """theta_k^2 + theta_(k+d)^2 - (q^s + q^-s) theta_k theta_(k+d), k formal."""
+    theta0, thetad = _theta(0), _theta(d)
+    mid = _xp_from_laurent(LaurentScalar.q_power(s) + LaurentScalar.q_power(-s))
+    return _psub(
+        _padd(_xp_mul(theta0, theta0), _xp_mul(thetad, thetad)),
+        _xp_mul(mid, _xp_mul(theta0, thetad)),
+    )
 
 
 def spectral_rho_constant() -> LaurentScalar:
@@ -567,14 +564,8 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     v_ok = True
     k_ok = True
     for d in offsets:
-        mid = _xp_from_laurent(LaurentScalar.q_power(d) + LaurentScalar.q_power(-d))
-        theta0, thetad = _theta(0), _theta(d)
-        expansion = _xp_add(
-            _xp_add(_xp_mul(theta0, theta0), _xp_mul(thetad, thetad)),
-            {k: -c for k, c in _xp_mul(mid, _xp_mul(theta0, thetad)).items()},
-        )
         laurent = {}
-        for (cdeg, vexp, qconst, qk), coeff in expansion.items():
+        for (cdeg, vexp, qconst, qk), coeff in _quadratic(d, d).items():
             if vexp != 0:
                 v_ok = False
             if qk != 0:
@@ -645,20 +636,14 @@ def spectral_polynomial_check(
     rho_xp = _xp_from_laurent(wired, c_degree=2)
     report = SpectralReport(r=r, oracle=oracle)
     for d in range(-(r + 2), r + 3):
-        theta0, thetad = _theta(0), _theta(d)
         value: _XPoly = {(0, 0, 0, 0): 1}
         for desc in generating_factors(r):
             if desc[0] == "diff":
-                factor = _xp_add(theta0, {k: -c for k, c in thetad.items()})
+                factor = _psub(_theta(0), _theta(d))
             else:
                 s = desc[1]
-                mid = _xp_from_laurent(LaurentScalar.q_power(s) + LaurentScalar.q_power(-s))
-                factor = _xp_add(
-                    _xp_add(_xp_mul(theta0, theta0), _xp_mul(thetad, thetad)),
-                    {k: -c for k, c in _xp_mul(mid, _xp_mul(theta0, thetad)).items()},
-                )
                 rho_term = _xp_mul(rho_xp, _xp_from_laurent(q_int(s) * q_int(s)))
-                factor = _xp_add(factor, {k: -c for k, c in rho_term.items()})
+                factor = _psub(_quadratic(d, s), rho_term)
             value = _xp_mul(value, factor)
         report.offsets.append((d, not value))
     return report

@@ -76,6 +76,27 @@ def test_verify_mutation_falsifies(capsys):
     assert obj["zero"] is False and obj["residual_terms"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, rank",
+    [(["--r", "3", "--mutate", "9,9"], 3), (["--max-r", "3", "--mutate", "2,0"], 1)],
+    ids=["single-rank", "first-of-range"],
+)
+def test_verify_mutate_outside_table_is_usage_error(capsys, argv, rank):
+    # a cell missing from any requested rank's table is a usage error, caught
+    # before any work, not a falsification
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("qonsager: error: --mutate cell")
+    assert f"rank-{rank} table" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_max_r_below_one_is_usage_error(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "--max-r", "0", "--format", fmt)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("qonsager: error: verify ranks must be in 1..")
+
+
 def test_verify_rho_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-r", "3", "--rho-zero")
     assert code == EXIT_PASS

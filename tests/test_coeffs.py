@@ -45,6 +45,13 @@ def test_displayed_block_all_pipelines(pipeline, r):
     assert pipeline(r) == fixture_table(r)
 
 
+@pytest.mark.parametrize("r", range(13, 17))
+def test_recursive_matches_polynomial_up_to_cross_check_bound(r):
+    # the acceptance suite compares pipelines up to rank 12; cross-check
+    # reaches 16, so the recursion is guarded there too
+    assert c_recursive(r) == c_from_polynomial(r)
+
+
 def test_rank_one_is_the_defining_relation():
     expected = CoeffTable(
         1, {(0, 0): ONE, (0, 1): TWO, (0, 2): ONE, (1, 0): ONE}, "fixture"
