@@ -58,6 +58,10 @@ class TimeBudgetExceeded(Exception):
     """Raised between work units when --time-budget has run out."""
 
 
+class UsageError(Exception):
+    """A setting that cannot be used, found after argument parsing; exit 2."""
+
+
 class _Budget:
     def __init__(self, seconds: float | None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
@@ -72,9 +76,7 @@ def _workers() -> int:
     try:
         n = int(raw)
     except ValueError as exc:
-        raise SystemExit(
-            f"qonsager: error: QONSAGER_WORKERS must be an integer, got {raw!r}"
-        ) from exc
+        raise UsageError(f"QONSAGER_WORKERS must be an integer, got {raw!r}") from exc
     return max(1, n)
 
 
@@ -91,8 +93,11 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -326,6 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        return _usage(str(exc))
     except (CoefficientSystemError, ShapeError, CalibrationError, RepConstructionError) as exc:
         report = {"falsified": True, "kind": type(exc).__name__, "detail": str(exc)}
         print(_json_dump(report), file=sys.stderr)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 from .freealg import NCPolynomial, Word, monomial
@@ -358,60 +357,7 @@ def c_recursive(r: int) -> CoeffTable:
 
 
 # ---------------------------------------------------------------------------
-# pipeline 2: closed formula
-# ---------------------------------------------------------------------------
-
-
-def _support(r: int) -> list[int]:
-    """The index set the closed formula draws from: {r-2*floor((r-1)/2), ..., r-2, r}."""
-    return list(range(r - 2 * ((r - 1) // 2), r + 1, 2))
-
-
-def c_closed(r: int) -> CoeffTable:
-    """The rank-r table from the closed double-sum formula.
-
-    The outer binomial factor is an ordinary integer binomial, read as zero
-    whenever its arguments leave 0 <= m <= n (the factorial form is undefined
-    there, and only that reading reproduces the expansion shape).
-    """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    alpha = 2 if r % 2 else 1
-    half = (r + 1) // 2
-    support = _support(r)
-    ratio = {s: exact_div(q_int(2 * s), q_int(s)) for s in support}
-    square = {s: q_int(s) * q_int(s) for s in support}
-
-    entries: dict[tuple[int, int], LaurentScalar] = {}
-    for (p, k) in cells(r):
-        total = ZERO
-        for l in range(0, k // alpha + 1):
-            n_bin = half - k + alpha * l - p
-            m_bin = (alpha * l) // 2
-            if not (0 <= m_bin <= n_bin):
-                continue
-            weight = math.comb(n_bin, m_bin)
-            picks = k - alpha * l
-            inner = ZERO
-            for rho_part in combinations(support, p):
-                rest = [s for s in support if s not in rho_part]
-                if picks > len(rest):
-                    continue
-                base = ONE
-                for s in rho_part:
-                    base = base * square[s]
-                for ratio_part in combinations(rest, picks):
-                    term = base
-                    for s in ratio_part:
-                        term = term * ratio[s]
-                    inner = inner + term
-            total = total + weight * inner
-        entries[(p, k)] = total
-    return CoeffTable(r, entries, "closed")
-
-
-# ---------------------------------------------------------------------------
-# pipeline 3: generating polynomial expansion
+# two-variable polynomials, shared by pipelines 2 and 3
 # ---------------------------------------------------------------------------
 
 
@@ -466,6 +412,59 @@ class BivariatePolynomial:
                 if not ls.is_zero:
                     out.add(x + y + 2 * p)
         return out
+
+
+# ---------------------------------------------------------------------------
+# pipeline 2: closed formula
+# ---------------------------------------------------------------------------
+
+
+def _support(r: int) -> list[int]:
+    """The index set the closed formula draws from: {r-2*floor((r-1)/2), ..., r-2, r}."""
+    return list(range(r - 2 * ((r - 1) // 2), r + 1, 2))
+
+
+def c_closed(r: int) -> CoeffTable:
+    """The rank-r table from the closed double-sum formula.
+
+        c[r,p,k] = sum_l binom(half-k+alpha*l-p, alpha*l//2) * inner(p, k-alpha*l)
+
+    with alpha = 2 (odd r) or 1 (even r) and half = (r+1)//2.  The inner sum
+    runs over disjoint families of the support, p indices weighted by [s]^2
+    and k-alpha*l by [2s]/[s], so with the product built once per rank,
+
+        inner sum = coefficient of x^p y^(k-alpha*l) in prod_s (1 + x[s]^2 + y[2s]/[s]).
+
+    The binomial is an ordinary integer binomial, read as zero whenever its
+    arguments leave 0 <= m <= n (the factorial form is undefined there, and
+    only that reading reproduces the expansion shape).
+    """
+    if r < 1:
+        raise ValueError("rank must be >= 1")
+    alpha = 2 if r % 2 else 1
+    half = (r + 1) // 2
+    families = BivariatePolynomial.one()
+    for s in _support(r):
+        families = families * BivariatePolynomial(
+            {(0, 0): ONE, (1, 0): q_int(s) * q_int(s), (0, 1): exact_div(q_int(2 * s), q_int(s))}
+        )
+
+    entries: dict[tuple[int, int], LaurentScalar] = {}
+    for (p, k) in cells(r):
+        total = ZERO
+        for l in range(0, k // alpha + 1):
+            n_bin = half - k + alpha * l - p
+            m_bin = (alpha * l) // 2
+            inner = families.terms.get((p, k - alpha * l))
+            if 0 <= m_bin <= n_bin and inner is not None:
+                total = total + math.comb(n_bin, m_bin) * inner.coefficient(0)
+        entries[(p, k)] = total
+    return CoeffTable(r, entries, "closed")
+
+
+# ---------------------------------------------------------------------------
+# pipeline 3: generating polynomial expansion
+# ---------------------------------------------------------------------------
 
 
 def generating_factors(r: int) -> list[tuple]:

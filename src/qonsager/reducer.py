@@ -36,25 +36,6 @@ def kernel_backend() -> str:
 
 
 @dataclass(frozen=True)
-class RewriteRule:
-    """The single rule of the system: pattern IIJ and its replacement."""
-
-    pattern: Word
-    replacement: NCPolynomial
-
-
-def rewrite_rule(rho_zero: bool = False) -> RewriteRule:
-    """The ordering rule IIJ -> [2]_q IJI - JII + rho J (rho dropped if asked)."""
-    terms = {
-        Word.from_letters("IJI"): RhoScalar((q_int(2),)),
-        Word.from_letters("JII"): RhoScalar((-ONE,)),
-    }
-    if not rho_zero:
-        terms[Word.from_letters("J")] = RhoScalar((ZERO, ONE))
-    return RewriteRule(Word.from_letters("IIJ"), NCPolynomial(terms))
-
-
-@dataclass(frozen=True)
 class ReduceStats:
     """Profile of one reduction run."""
 
@@ -62,12 +43,6 @@ class ReduceStats:
     steps: int
     passes: int
     backend: str
-
-
-def redex_position(word: Word) -> int | None:
-    """Index of the leftmost IIJ factor, or None for a normal word."""
-    pos = _kernel_py.find_redex(word.code)
-    return None if pos < 0 else pos
 
 
 def redex_positions(word: Word) -> list[int]:
@@ -89,14 +64,6 @@ def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
     if not rho_zero:
         terms[Word(w_j)] = RhoScalar((ZERO, ONE))
     return NCPolynomial(terms)
-
-
-def rewrite_leftmost(word: Word, rho_zero: bool = False) -> NCPolynomial | None:
-    """One step at the leftmost redex; None if the word is already normal."""
-    pos = redex_position(word)
-    if pos is None:
-        return None
-    return rewrite_at(word, pos, rho_zero)
 
 
 def _denominator_lcm(x: NCPolynomial) -> LaurentScalar:
@@ -229,10 +196,3 @@ def reduce_randomized(
         if on_step is not None:
             on_step(word, produced)
     return NCPolynomial(terms)
-
-
-def leading_word(x: NCPolynomial) -> Word:
-    """Maximal word of a nonzero polynomial under graded lex with I > J."""
-    if x.is_zero:
-        raise ValueError("the zero polynomial has no leading word")
-    return Word(max(w.code for w in x.terms))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .coeffs import CoeffTable, PIPELINES, delta_indices
 from .freealg import NCPolynomial, Word
 from .qcoeff import RhoScalar
-from .reducer import ReduceStats, reduce_with_stats
+from .reducer import reduce_with_stats
 
 
 @dataclass
@@ -125,7 +125,6 @@ def perturbed_table(table: CoeffTable, p: int, k: int) -> CoeffTable:
 
 __all__ = [
     "RelationCertificate",
-    "ReduceStats",
     "build_delta",
     "verify_relation",
     "verify_qserre",

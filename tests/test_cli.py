@@ -165,6 +165,25 @@ def test_output_file_written(tmp_path, capsys):
     assert path.read_text(encoding="utf-8").startswith("r,p,k,value")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "--r", "2"], ["verify", "--r", "3"]],
+    ids=["coeffs", "verify"],
+)
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"qonsager: error: cannot write --output {target}: No such file or directory\n"
+
+
+def test_non_integer_workers_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QONSAGER_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "cross-check", "--max-r", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "qonsager: error: QONSAGER_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nonsense"])

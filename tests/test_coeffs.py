@@ -45,11 +45,15 @@ def test_displayed_block_all_pipelines(pipeline, r):
     assert pipeline(r) == fixture_table(r)
 
 
-@pytest.mark.parametrize("r", range(13, 17))
-def test_recursive_matches_polynomial_up_to_cross_check_bound(r):
+@pytest.mark.parametrize(
+    "pipeline, r",
+    [pytest.param(c_recursive, r, id=str(r)) for r in range(13, 17)]
+    + [pytest.param(c_closed, r, id=f"closed-{r}") for r in range(13, 17)],
+)
+def test_recursive_matches_polynomial_up_to_cross_check_bound(pipeline, r):
     # the acceptance suite compares pipelines up to rank 12; cross-check
-    # reaches 16, so the recursion is guarded there too
-    assert c_recursive(r) == c_from_polynomial(r)
+    # reaches 16, so the recursion and the closed formula are guarded there too
+    assert pipeline(r) == c_from_polynomial(r)
 
 
 def test_rank_one_is_the_defining_relation():

@@ -8,15 +8,11 @@ from qonsager.freealg import AI, AJ, NCPolynomial, Word, monomial
 from qonsager.qcoeff import ONE, RHO, LaurentScalar, RhoScalar, q_int
 from qonsager.reducer import (
     Q_OFFSET,
-    leading_word,
-    redex_position,
     redex_positions,
     reduce,
     reduce_randomized,
     reduce_with_stats,
     rewrite_at,
-    rewrite_leftmost,
-    rewrite_rule,
 )
 
 
@@ -29,20 +25,17 @@ def word_poly(letters, coeff=1):
 
 
 TWO = q_int(2)
-
-
-def test_rule_shape():
-    rule = rewrite_rule()
-    assert rule.pattern == W("IIJ")
-    expected = word_poly("IJI", TWO) - word_poly("JII") + word_poly("J", RHO)
-    assert rule.replacement == expected
-    truncated = rewrite_rule(rho_zero=True)
-    assert truncated.replacement == word_poly("IJI", TWO) - word_poly("JII")
+# The ordering rule IIJ -> [2]_q IJI - JII + rho J, and its rho-zero truncation.
+RULE = word_poly("IJI", TWO) - word_poly("JII") + word_poly("J", RHO)
+RULE_RHO_ZERO = word_poly("IJI", TWO) - word_poly("JII")
 
 
 def test_reduce_iij_matches_rule():
-    got = reduce(word_poly("IIJ"))
-    assert got == rewrite_rule().replacement
+    assert reduce(word_poly("IIJ")) == RULE
+    assert rewrite_at(W("IIJ"), 0) == RULE
+    assert rewrite_at(W("IIJ"), 0, rho_zero=True) == RULE_RHO_ZERO
+    with pytest.raises(ValueError):
+        rewrite_at(W("JJII"), 0)  # a normal word has no redex to rewrite
 
 
 def test_reduce_iiij_matches_displayed_expansion():
@@ -65,14 +58,6 @@ def test_reduce_leaves_normal_words_alone():
     assert stats.steps == 0
 
 
-def test_leading_word():
-    assert leading_word(word_poly("IIJ") + word_poly("JII")) == W("IIJ")
-    assert leading_word(word_poly("IJJI")) == W("IJJI")
-    assert leading_word(word_poly("IJI", TWO) - word_poly("JII")) == W("IJI")
-    with pytest.raises(ValueError):
-        leading_word(NCPolynomial.zero())
-
-
 def test_soundness_at_r_one():
     # The left side of the defining relation reduces to zero.
     delta1 = (
@@ -85,8 +70,7 @@ def test_soundness_at_r_one():
 
 
 def test_rho_zero_mode_truncates_rule():
-    got = reduce(word_poly("IIJ"), rho_zero=True)
-    assert got == word_poly("IJI", TWO) - word_poly("JII")
+    assert reduce(word_poly("IIJ"), rho_zero=True) == RULE_RHO_ZERO
 
 
 def _random_word(rng, max_len=10):
@@ -118,7 +102,7 @@ def test_idempotence_and_shape():
         nf = reduce(p)
         assert reduce(nf) == nf
         for w in nf.terms:
-            assert redex_position(w) is None
+            assert redex_positions(w) == []
 
 
 def test_linearity():
@@ -159,17 +143,11 @@ def test_randomized_steps_decrease_measure():
     assert seen_steps > 0
 
 
-def test_rewrite_leftmost_none_for_normal():
-    assert rewrite_leftmost(W("JJII")) is None
-    out = rewrite_leftmost(W("IIJ"))
-    assert out == rewrite_rule().replacement
-
-
 def test_rational_coefficients_cleared_and_restored():
     half = RhoScalar((LaurentScalar({0: 1}, {1: 1, -1: 1}),))  # 1/[2]_q
     p = NCPolynomial({W("IIJ"): half})
     nf = reduce(p)
-    expected = rewrite_rule().replacement * half
+    expected = RULE * half
     assert nf == expected
 
 
@@ -210,4 +188,4 @@ def test_q_exponents_outside_the_packed_range_are_rejected():
     with pytest.raises(ValueError, match="packed range"):
         reduce(word_poly("IIJ", top))
     edge = LaurentScalar.q_power(Q_OFFSET - 3)
-    assert reduce(word_poly("IIJ", edge)) == rewrite_rule().replacement * RhoScalar((edge,))
+    assert reduce(word_poly("IIJ", edge)) == RULE * RhoScalar((edge,))
