@@ -30,12 +30,14 @@ RULE = word_poly("IJI", TWO) - word_poly("JII") + word_poly("J", RHO)
 RULE_RHO_ZERO = word_poly("IJI", TWO) - word_poly("JII")
 
 
-def test_reduce_iij_matches_rule():
-    assert reduce(word_poly("IIJ")) == RULE
+def test_rule_shape():
+    assert redex_positions(W("IIJ")) == [0]
     assert rewrite_at(W("IIJ"), 0) == RULE
     assert rewrite_at(W("IIJ"), 0, rho_zero=True) == RULE_RHO_ZERO
-    with pytest.raises(ValueError):
-        rewrite_at(W("JJII"), 0)  # a normal word has no redex to rewrite
+
+
+def test_reduce_iij_matches_rule():
+    assert reduce(word_poly("IIJ")) == RULE
 
 
 def test_reduce_iiij_matches_displayed_expansion():
@@ -141,6 +143,13 @@ def test_randomized_steps_decrease_measure():
         p = NCPolynomial({_random_word(rng, 10): RhoScalar((ONE,))})
         reduce_randomized(p, rng, on_step=check)
     assert seen_steps > 0
+
+
+def test_rewrite_leftmost_none_for_normal():
+    assert redex_positions(W("JJII")) == []
+    with pytest.raises(ValueError):
+        rewrite_at(W("JJII"), 0)  # a normal word has no redex to rewrite
+    assert rewrite_at(W("IIJ"), redex_positions(W("IIJ"))[0]) == RULE
 
 
 def test_rational_coefficients_cleared_and_restored():
