@@ -1,18 +1,53 @@
-"""Pure-Python hot kernel for the ordering prescription.
+"""Pure-Python rewrite kernel: one Kronecker-packed int per word.
 
-Data layout (shared with the driver in reducer.py):
-
-* a word is a packed code ``(1 << n) | bits`` with I = 1, J = 0, leftmost
-  letter in the highest bit;
-* a coefficient is a dict mapping ``(rho_degree << RHO_SHIFT) | (q_exponent
-  + Q_OFFSET)`` to a nonzero Python int.  Coefficients entering the kernel
-  are Laurent polynomials in q times powers of rho; the driver clears
-  denominators beforehand.
+Interface (shared with reducer.py): a word is a packed code
+``(1 << n) | bits`` with I = 1, J = 0, leftmost letter in the highest bit; a
+polynomial is a dict mapping each code to a dict from
+``(rho_degree << RHO_SHIFT) | (q_exponent + Q_OFFSET)`` to a nonzero int.
+reducer.py clears denominators beforehand.
 
 The single rewrite rule is: the factor IIJ becomes ``[2]_q IJI - JII + rho J``
 (the final term dropped in rho-zero mode).  One pass rewrites the leftmost
 redex of every reducible word once, merging coefficients as it goes, so
 cancellations between branches happen as early as possible.
+
+Inside the kernel the input is split into lanes, and each lane is reduced
+with every coefficient held as one Python int:
+
+* Weight.  The rule preserves ``len(word) + 2 * rho_degree``, so words of
+  one weight never meet words of another, and within a weight a word's rho
+  degree follows from its length.  A lane holds one weight and never stores
+  the rho degree.
+* Exponent cluster.  A step moves a q-exponent by at most one and removes
+  at least one I-before-J inversion, so an exponent drifts at most ``reach``
+  (the most inversions of any input word of the weight) from where it
+  started.  The sorted input exponents are cut wherever two neighbours are
+  more than ``2 * reach`` apart, since the two sides can never meet, and
+  each cluster is its own lane; the size of an int follows the spread of
+  the input's exponents, not their absolute values.
+* Layout.  With ``base = min_exponent - reach - 1``, the coefficient
+  ``sum a_e q^e`` of a word is the int ``v = sum a_e 2^(B * (e - base))``,
+  that is, ``P(2^B)`` for ``P = sum a_e X^(e - base)``, whose exponents stay
+  at least 1.  Then ``[2]_q c`` is ``(v << B) + (v >> B)`` (the right shift
+  is exact because ``2^B`` divides ``v``), ``-c`` is ``-v``, ``rho c`` is
+  ``v`` on the shorter word, and a merge is one int add.
+
+Exactness.  Python ints never wrap, so every ``v`` is exactly ``P(2^B)``
+for the word's true coefficient P; what can fail is reading P back.  Each
+word carries a bound, the sum of the bounds of its contributions (``2b``
+through ``[2]_q``, ``b`` otherwise; one more int add per merge), which is at
+least every ``|a_e|``.  If P is nonzero and ``P(2^B) = 0``, 2^B divides the
+lowest nonzero ``a_e``.  So the kernel checks three points: an input term
+whose ``v`` is 0 is a failure (B starts above every input bound, so only a
+narrower start can hit this); a word whose ``v`` is 0 is dropped only while
+its bound is below ``2^B``; and the final balanced-digit decode needs every
+bound below ``2^(B-1)``.  A lane that fails a check keeps its unconfirmed
+zeros, which only adds words and raises bounds, and runs to the end; it is
+then run again with B one more than the bit length of the largest bound
+that failed, and no check of that second run can fail.
+
+Lanes are run in lockstep so that ``steps``, ``passes`` and ``peak_words``
+count distinct words, exactly as a single dict of words would.
 """
 
 BACKEND = "python"
@@ -22,54 +57,196 @@ RHO_SHIFT = 26
 RHO_STEP = 1 << RHO_SHIFT
 
 
-def find_redex(code):
-    """Position of the leftmost IIJ factor, or -1 if the word is normal."""
-    n = code.bit_length() - 1
-    for i in range(n - 2):
-        if (code >> (n - 3 - i)) & 7 == 0b110:
-            return i
-    return -1
-
-
-def rewrite_codes(code, pos):
-    """Codes of the three replacement words for the redex at pos.
-
-    Returns (IJI-word, JII-word, J-word); the first two keep the length,
-    the last is shorter by two letters.
-    """
-    n = code.bit_length() - 1
-    tail = n - 3 - pos
-    bits = code ^ (1 << n)
-    suffix = bits & ((1 << tail) - 1)
-    head = (bits >> (tail + 3)) | (1 << pos)  # prefix with its own sentinel
-    w_iji = (((head << 3) | 0b101) << tail) | suffix
-    w_jii = (((head << 3) | 0b011) << tail) | suffix
-    w_j = ((head << 1) << tail) | suffix
-    return w_iji, w_jii, w_j
-
-
-def _merge(normal, nxt, code, items):
-    """Accumulate coefficient items onto a word, routing by redex status.
-
-    Produced words never merge into the pass snapshot being iterated; a
-    reducible word receiving contributions mid-pass is queued for the next
-    pass instead.
-    """
-    tgt = normal.get(code)
-    if tgt is None:
-        tgt = nxt.get(code)
-    if tgt is None:
-        tgt = {}
-        if find_redex(code) >= 0:
-            nxt[code] = tgt
+def _inversions(code):
+    """Number of I-before-J pairs in the word."""
+    count = ones = 0
+    for i in range(code.bit_length() - 2, -1, -1):
+        if (code >> i) & 1:
+            ones += 1
         else:
-            normal[code] = tgt
-    for k, v in items:
-        n = tgt.get(k, 0) + v
-        if n:
-            tgt[k] = n
-        else:
-            del tgt[k]
+            count += ones
+    return count
+
+
+def _reducible(w):
+    """Nonzero iff the word has an IIJ factor.
+
+    Bit i of ``(w >> 2) & (w >> 1) & ~w`` is set when bits i+2, i+1, i read
+    IIJ; the mask drops the match that would use the sentinel as an I.  The
+    top set bit is the leftmost redex.
+    """
+    n = w.bit_length()
+    return (w >> 2) & (w >> 1) & ~w & ((1 << (n - 3)) - 1) if n > 3 else 0
+
+
+def _lanes(terms):
+    """Split packed input into lanes ``(weight, base, width, {code: {slot: c}})``.
+
+    A lane's starting width B is the bit length of its largest input bound,
+    plus one bit per inversion of its most inverted word, plus two.  The
+    bound grows by less than that on the rank-r relations up to r = 9, so
+    they reduce in one run.
+    """
+    by_weight = {}
+    for code, coeff in terms.items():
+        n = code.bit_length() - 1
+        reach = _inversions(code)
+        for key, c in coeff.items():
+            if c:
+                p, e = divmod(key, RHO_STEP)
+                by_weight.setdefault(n + 2 * p, []).append((e - Q_OFFSET, code, c, reach))
+    lanes = []
+    for weight, items in sorted(by_weight.items()):
+        reach = max(item[3] for item in items)
+        items.sort()
+        start = 0
+        for i in range(1, len(items) + 1):
+            if i < len(items) and items[i][0] - items[i - 1][0] <= 2 * reach:
+                continue
+            base = items[start][0] - reach - 1
+            words = {}
+            for e, code, c, _ in items[start:i]:
+                words.setdefault(code, {})[e - base] = c
+            largest = max(sum(abs(c) for c in slots.values()) for slots in words.values())
+            lanes.append((weight, base, largest.bit_length() + reach + 2, words))
+            start = i
+    return lanes
+
+
+class _Lane:
+    """One lane's live words during a run: coefficient ints and their bounds."""
+
+    __slots__ = ("width", "normal", "normal_bound", "active", "active_bound", "bad")
+
+    def __init__(self, words, width):
+        self.width = width
+        self.normal = {}
+        self.normal_bound = {}
+        self.active = {}
+        self.active_bound = {}
+        self.bad = 0  # largest bound that failed a check; 0 while the run is exact
+        for code, slots in words.items():
+            v = sum(c << (width * s) for s, c in slots.items())
+            b = sum(abs(c) for c in slots.values())
+            if not v and b > self.bad:  # a nonzero term that encodes to 0
+                self.bad = b
+            if _reducible(code):
+                self.active[code] = v
+                self.active_bound[code] = b
+            else:
+                self.normal[code] = v
+                self.normal_bound[code] = b
+
+    def step(self, rho_zero):
+        """One pass: rewrite every active word once and route what it produces."""
+        width = self.width
+        nxt = {}
+        nxt_bound = {}
+        get = nxt.get
+        get_bound = nxt_bound.get
+        bounds = self.active_bound
+        for w, v in self.active.items():
+            b = bounds[w]
+            # _reducible inlined: i is the bit of the J of the leftmost IIJ.
+            i = ((w >> 2) & (w >> 1) & ~w & ((1 << (w.bit_length() - 3)) - 1)).bit_length() - 1
+            x = w ^ (3 << i)  # IIJ -> IJI
+            nxt[x] = get(x, 0) + (v << width) + (v >> width)
+            nxt_bound[x] = get_bound(x, 0) + (b << 1)
+            x = w ^ (5 << i)  # IIJ -> JII
+            nxt[x] = get(x, 0) - v
+            nxt_bound[x] = get_bound(x, 0) + b
+            if not rho_zero:
+                x = ((w >> (i + 3)) << (i + 1)) | (w & ((1 << i) - 1))  # IIJ -> J
+                nxt[x] = get(x, 0) + v
+                nxt_bound[x] = get_bound(x, 0) + b
+        active = {}
+        active_bound = {}
+        normal = self.normal
+        normal_bound = self.normal_bound
+        for w, v in nxt.items():
+            b = nxt_bound[w]
+            if _reducible(w):
+                into, into_bound = active, active_bound
+            else:
+                into, into_bound = normal, normal_bound
+                t = normal.get(w)
+                if t is not None:
+                    v += t
+                    b += normal_bound[w]
+            if v or b >> width:
+                into[w] = v
+                into_bound[w] = b
+                if not v and b > self.bad:  # a zero that may not be one
+                    self.bad = b
+            elif w in into:
+                del into[w]
+                del into_bound[w]
+        self.active = active
+        self.active_bound = active_bound
+
+    def decode(self, weight, base, out):
+        """Add the lane's normal words to out in packed form; False if inexact."""
+        width = self.width
+        half = 1 << (width - 1)
+        for b in self.normal_bound.values():
+            if b >= half and b > self.bad:
+                self.bad = b
+        if self.bad:
+            return False
+        mask = (1 << width) - 1
+        for w, v in self.normal.items():
+            p = (weight - w.bit_length() + 1) // 2
+            key = (p << RHO_SHIFT) + Q_OFFSET + base
+            entry = out.setdefault(w, {})
+            while v:
+                d = v & mask
+                if d >= half:
+                    d -= mask + 1
+                if d:
+                    entry[key] = d
+                v = (v - d) >> width
+                key += 1
+        return True
+
+
+def _run(lanes, rho_zero):
+    """Reduce all lanes in lockstep; returns (lane states, peak, steps, passes)."""
+    states = [_Lane(words, width) for _, _, width, words in lanes]
+
+    def distinct(dicts):
+        # One lane's normal and active words are disjoint; lanes share words.
+        return sum(map(len, dicts)) if len(states) == 1 else len(set().union(*dicts))
+
+    peak = distinct([d for s in states for d in (s.normal, s.active)])
+    steps = 0
+    passes = 0
+    running = [s for s in states if s.active]
+    while running:
+        passes += 1
+        steps += distinct([s.active for s in running])
+        for s in running:
+            s.step(rho_zero)
+        peak = max(peak, distinct([d for s in states for d in (s.normal, s.active)]))
+        running = [s for s in states if s.active]
+    return states, peak, steps, passes
+
+
+def _reduce_lanes(lanes, rho_zero):
+    """Reduce split input exactly, widening any lane whose check failed.
+
+    Returns (normal_terms, peak_words, steps, passes) as reduce_packed does.
+    """
+    lanes = list(lanes)
+    while True:
+        states, peak, steps, passes = _run(lanes, rho_zero)
+        normal = {}
+        exact = True
+        for i, ((weight, base, _, words), state) in enumerate(zip(lanes, states)):
+            if not state.decode(weight, base, normal):
+                lanes[i] = (weight, base, state.bad.bit_length() + 1, words)
+                exact = False
+        if exact:
+            return normal, peak, steps, passes
 
 
 def reduce_packed(terms, rho_zero):
@@ -79,43 +256,4 @@ def reduce_packed(terms, rho_zero):
     peak_words is the largest number of distinct words alive after any pass,
     steps counts individual rewrites.
     """
-    normal = {}
-    active = {}
-    for code, coeff in terms.items():
-        if coeff:
-            (active if find_redex(code) >= 0 else normal)[code] = dict(coeff)
-    peak = len(normal) + len(active)
-    steps = 0
-    passes = 0
-    while active:
-        passes += 1
-        nxt = {}
-        for code, coeff in active.items():
-            if not coeff:
-                continue
-            pos = find_redex(code)
-            w_iji, w_jii, w_j = rewrite_codes(code, pos)
-            steps += 1
-            # [2]_q * coeff: shift the q-exponent by +1 and -1.
-            two = {}
-            for k, v in coeff.items():
-                n = two.get(k + 1, 0) + v
-                if n:
-                    two[k + 1] = n
-                else:
-                    del two[k + 1]
-                n = two.get(k - 1, 0) + v
-                if n:
-                    two[k - 1] = n
-                else:
-                    del two[k - 1]
-            _merge(normal, nxt, w_iji, two.items())
-            _merge(normal, nxt, w_jii, [(k, -v) for k, v in coeff.items()])
-            if not rho_zero:
-                _merge(normal, nxt, w_j, [(k + RHO_STEP, v) for k, v in coeff.items()])
-        active = {c: t for c, t in nxt.items() if t}
-        normal = {c: t for c, t in normal.items() if t}
-        live = len(normal) + len(active)
-        if live > peak:
-            peak = live
-    return normal, peak, steps, passes
+    return _reduce_lanes(_lanes(terms), rho_zero)

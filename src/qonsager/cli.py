@@ -163,6 +163,8 @@ def _cmd_verify(args) -> int:
             mutate = (p, k)
         except ValueError:
             return _usage("--mutate expects 'p,k' with integers")
+        if args.rho_zero and p > 0:
+            return _usage(f"--mutate cell {mutate} has p > 0, which --rho-zero never reads")
         for r in ranks:
             if mutate not in cells(r):
                 return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")

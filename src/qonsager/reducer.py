@@ -7,10 +7,20 @@ forms are unique; every replacement word is strictly below IIJ in graded lex
 with I > J, so the multiset of words strictly decreases and reduction
 terminates on every input.
 
-The hot loop lives in the kernel module ``_kernel_py``, which works on packed
-words and packed (rho, q)-exponent coefficient dicts; this driver converts
-NCPolynomials in and out and clears denominators around the kernel
-(reduction is linear, so scaling by a common denominator is sound).
+This module converts NCPolynomials to and from the packed form the kernel
+module ``_kernel_py`` takes (word codes mapped to dicts keyed by packed
+(rho, q) exponents) and clears denominators around it (reduction is linear,
+so scaling by a common denominator is sound).  The kernel splits its input
+by weight ``len(word) + 2 * rho_degree``, which the rule preserves, and by
+clusters of q-exponents that can never meet, and reduces each part with a
+word's coefficient held as one int, the coefficient polynomial evaluated at
+``X = 2^B`` (Kronecker substitution).  Every word carries a bound on its
+coefficients; a zero is trusted, and a result decoded, only while the bound
+makes the evaluation injective, and a part that fails is run again with a
+wider B.  See ``_kernel_py`` for the layout and the exactness argument.
+
+``reduce_randomized`` is an independent slow engine on RhoScalar
+coefficients that the tests use as the oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -52,11 +62,28 @@ def redex_positions(word: Word) -> list[int]:
     return [i for i in range(n - 2) if (code >> (n - 3 - i)) & 7 == 0b110]
 
 
+def _rewrite_codes(code: int, pos: int) -> tuple[int, int, int]:
+    """Codes of the three replacement words for the redex at pos.
+
+    Returns (IJI-word, JII-word, J-word); the first two keep the length,
+    the last is shorter by two letters.
+    """
+    n = code.bit_length() - 1
+    tail = n - 3 - pos
+    bits = code ^ (1 << n)
+    suffix = bits & ((1 << tail) - 1)
+    head = (bits >> (tail + 3)) | (1 << pos)  # prefix with its own sentinel
+    w_iji = (((head << 3) | 0b101) << tail) | suffix
+    w_jii = (((head << 3) | 0b011) << tail) | suffix
+    w_j = ((head << 1) << tail) | suffix
+    return w_iji, w_jii, w_j
+
+
 def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
     """Apply the rule to the redex at the given position (one rewrite step)."""
     if pos not in redex_positions(word):
         raise ValueError(f"no IIJ factor at position {pos} of {word.letters!r}")
-    w_iji, w_jii, w_j = _kernel_py.rewrite_codes(word.code, pos)
+    w_iji, w_jii, w_j = _rewrite_codes(word.code, pos)
     terms = {
         Word(w_iji): RhoScalar((q_int(2),)),
         Word(w_jii): RhoScalar((-ONE,)),
@@ -163,7 +190,7 @@ def reduce_randomized(
     slot: dict[Word, int] = {}
 
     def sync(word: Word) -> None:
-        wanted = word in terms and _kernel_py.find_redex(word.code) >= 0
+        wanted = word in terms and bool(redex_positions(word))
         if wanted and word not in slot:
             slot[word] = len(reducible)
             reducible.append(word)
@@ -184,7 +211,7 @@ def reduce_randomized(
         pos = rng.choice(redex_positions(word))
         coeff = terms.pop(word)
         sync(word)
-        codes = _kernel_py.rewrite_codes(word.code, pos)
+        codes = _rewrite_codes(word.code, pos)
         produced = [Word(code) for code in codes[: len(factors)]]
         for tw, factor in zip(produced, factors):
             n = terms.get(tw, RhoScalar(())) + coeff * factor

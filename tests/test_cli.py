@@ -90,6 +90,16 @@ def test_verify_mutate_outside_table_is_usage_error(capsys, argv, rank):
     assert f"rank-{rank} table" in err
 
 
+def test_verify_rho_zero_mutate_unread_cell_is_usage_error(capsys):
+    # the rho-zero relation reads only the p = 0 cells, so perturbing a p > 0
+    # cell would "verify" an unchanged relation
+    code, out, err = run_cli(capsys, "verify", "--r", "3", "--rho-zero", "--mutate", "1,0")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("qonsager: error: --mutate cell (1, 0) has p > 0")
+    code, out, _ = run_cli(capsys, "verify", "--r", "3", "--rho-zero", "--mutate", "0,1")
+    assert code == EXIT_FALSIFIED and "verified: 0/1" in out
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_max_r_below_one_is_usage_error(capsys, fmt):
     code, out, err = run_cli(capsys, "verify", "--max-r", "0", "--format", fmt)

@@ -1,19 +1,25 @@
-"""Tests for the rewriting engine: examples, properties, strategy independence."""
+"""Tests for the rewriting engine: examples, properties, strategy independence,
+and the packed kernel against the randomized-order oracle and its exactness guard."""
 
 import random
+import time
 
 import pytest
 
+from qonsager import _kernel_py
+from qonsager.coeffs import c_recursive, cells
 from qonsager.freealg import AI, AJ, NCPolynomial, Word, monomial
-from qonsager.qcoeff import ONE, RHO, LaurentScalar, RhoScalar, q_int
+from qonsager.qcoeff import ONE, RHO, ZERO, LaurentScalar, RhoScalar, q_int
 from qonsager.reducer import (
     Q_OFFSET,
+    _pack,
     redex_positions,
     reduce,
     reduce_randomized,
     reduce_with_stats,
     rewrite_at,
 )
+from qonsager.verify import build_delta, perturbed_table
 
 
 def W(letters):
@@ -198,3 +204,135 @@ def test_q_exponents_outside_the_packed_range_are_rejected():
         reduce(word_poly("IIJ", top))
     edge = LaurentScalar.q_power(Q_OFFSET - 3)
     assert reduce(word_poly("IIJ", edge)) == RULE * RhoScalar((edge,))
+
+
+def _scalar(num):
+    return RhoScalar((LaurentScalar(num),))
+
+
+@pytest.mark.parametrize(
+    "num",
+    [{0: 1 << 64, 1: -(1 << 64)}, {0: 1 << 64, 1: -1}, {0: 1 << 70}],
+    ids=["2^64-2^64q", "2^64-q", "2^70"],
+)
+def test_large_coefficients_reduce_exactly(num):
+    # Coefficients wider than 64 bits; with 64 bits per exponent slot,
+    # 2^64 - q would encode to the int 0.
+    c = _scalar(num)
+    assert reduce(word_poly("J", c)) == word_poly("J", c)
+    assert reduce(word_poly("IIJ", c)) == RULE * c
+    assert reduce(word_poly("IIJ", c), rho_zero=True) == RULE_RHO_ZERO * c
+
+
+def _delta_plus_big_coefficients():
+    return build_delta(4, c_recursive(4)) + word_poly("IIIJ", _scalar({0: 1 << 70, 3: -5}))
+
+
+@pytest.mark.parametrize("width", [1, 4, 8])
+@pytest.mark.parametrize(
+    "make, rho_zero",
+    [
+        (lambda width: build_delta(4, c_recursive(4)), False),  # zeros whose bound reaches 2^B
+        (lambda width: build_delta(5, c_recursive(5), rho_zero=True), True),
+        (lambda width: word_poly("IIJ", _scalar({0: 1 << 70})), False),  # decode needs 2^(B-1)
+        (lambda width: word_poly("JIIJ", _scalar({0: 1 << width, 1: -1})), False),  # encodes to 0
+        (lambda width: _delta_plus_big_coefficients(), False),
+    ],
+    ids=["delta4", "delta5-rho-zero", "2^70-IIJ", "2^B-q", "delta4+2^70"],
+)
+def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_zero, width):
+    # Every lane starts at a width too narrow to hold its coefficients; the
+    # three checks (encode, drop of a zero, decode) must catch it and the
+    # widened rerun must give the kernel's usual result and counts.
+    packed = _pack(make(width))
+    expected = _kernel_py.reduce_packed(packed, rho_zero)
+    runs = []
+    real_run = _kernel_py._run
+
+    def counting_run(lanes, rz):
+        runs.append([w for _, _, w, _ in lanes])
+        return real_run(lanes, rz)
+
+    monkeypatch.setattr(_kernel_py, "_run", counting_run)
+    narrow = [(wt, base, width, words) for wt, base, _, words in _kernel_py._lanes(packed)]
+    assert _kernel_py._reduce_lanes(narrow, rho_zero) == expected
+    assert len(runs) == 2  # one failed run, one rerun sized from its bounds
+    assert max(runs[1]) > width
+
+
+def test_a_term_that_encodes_to_zero_is_caught():
+    # 2^16 - q is stored as 2^16 X^s - X^(s+1), which is 0 at X = 2^16.
+    (lane,) = _kernel_py._lanes(_pack(word_poly("JIIJ", _scalar({0: 1 << 16, 1: -1}))))
+    assert lane[2] > 16
+    assert _kernel_py._Lane(lane[3], 16).bad == (1 << 16) + 1
+    assert not _kernel_py._Lane(lane[3], lane[2]).bad
+
+
+def test_sparse_exponent_span_is_split_into_clusters():
+    # Two exponents 2^21 apart: one int spanning both would hold 2^21 slots.
+    c = RhoScalar((LaurentScalar({1 << 20: 1, -(1 << 20): 1}),))
+    start = time.perf_counter()
+    got = reduce(word_poly("IIJ", c))
+    assert time.perf_counter() - start < 1.0
+    assert got == RULE * c
+
+
+def test_mixed_weights_count_distinct_words():
+    # IIIJ sits in three lanes (two exponent clusters of weight 4, and
+    # weight 6); the counts are those of one dict of words, pinned from the
+    # dict-of-exponents kernel.
+    q40 = LaurentScalar.q_power(40)
+    x = (
+        word_poly("IIIJ", RhoScalar((ONE + q40, ONE)))
+        + word_poly("IIJ", RHO)
+        + word_poly("JIIJ", _scalar({-2: 3}))
+        + word_poly("IIJIJ", RhoScalar((LaurentScalar({1: -1}), LaurentScalar({0: 2}))))
+    )
+    for rho_zero, stats in ((False, (16, 8, 3)), (True, (10, 8, 3))):
+        _, got = reduce_with_stats(x, rho_zero=rho_zero)
+        assert (got.peak_terms, got.steps, got.passes) == stats
+
+
+def _fuzz_scalar(rng, rational):
+    """A RhoScalar mixing rho degrees, exponent clusters and big integers."""
+    coeffs = []
+    for _ in range(rng.randint(1, 3)):
+        center = rng.choice([0, 0, 0, 50, -200])
+        num = {}
+        for _ in range(rng.randint(1, 3)):
+            num[center + rng.randint(-3, 3)] = rng.choice([1, -1, 2, 7, -(1 << rng.randint(20, 90))])
+        den = {rng.randint(-1, 2): 1, 0: rng.randint(1, 3)} if rational else {0: 1}
+        coeffs.append(LaurentScalar(num, den) if rng.random() < 0.8 else ZERO)
+    return RhoScalar(coeffs)
+
+
+def _long_word(rng):
+    """A word of 61..90 letters with at most a few dozen inversions."""
+    middle = "".join(rng.choice("IJ") for _ in range(rng.randint(3, 8)))
+    n = rng.randint(61, 90) - len(middle)
+    head = rng.randint(0, n)
+    return W("J" * head + middle + "I" * (n - head))
+
+
+@pytest.mark.parametrize("kind", ["inhomogeneous", "rational", "long"])
+def test_kernel_matches_the_randomized_oracle(kind):
+    rng = random.Random(f"fuzz:{kind}")
+    for trial in range(25):
+        words = [_long_word(rng) if kind == "long" else _random_word(rng, 9) for _ in range(rng.randint(2, 5))]
+        x = NCPolynomial({w: _fuzz_scalar(rng, kind == "rational") for w in words})
+        for rho_zero in (False, True):
+            expected = reduce_randomized(x, random.Random(trial), rho_zero=rho_zero)
+            assert reduce(x, rho_zero=rho_zero) == expected, (kind, trial, rho_zero)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_mutated_tables_leave_the_oracle_residual(r):
+    rng = random.Random(f"mutate:{r}")
+    table = c_recursive(r)
+    chosen = list(cells(r)) if r < 5 else rng.sample(list(cells(r)), 4)
+    for p, k in chosen:
+        for rho_zero in (False, True) if p == 0 else (False,):
+            delta = build_delta(r, perturbed_table(table, p, k), rho_zero=rho_zero)
+            expected = reduce_randomized(delta, random.Random(p * 100 + k), rho_zero=rho_zero)
+            assert not expected.is_zero
+            assert reduce(delta, rho_zero=rho_zero) == expected, (p, k, rho_zero)

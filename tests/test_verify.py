@@ -7,6 +7,7 @@ import pytest
 from qonsager.coeffs import c_closed, c_recursive, cells
 from qonsager.freealg import NCPolynomial, Word, monomial
 from qonsager.qcoeff import RHO, RhoScalar, q_binomial, q_int
+from qonsager.reducer import reduce_with_stats
 from qonsager.verify import (
     build_delta,
     perturbed_table,
@@ -72,6 +73,20 @@ def test_verify_relation_rank_five_with_closed_table():
     assert cert.zero
     assert cert.table_source == "closed"
     assert cert.term_count_peak <= 2 * PEAK_BASELINE[5]
+
+
+@pytest.mark.parametrize(
+    "r, rho_zero, stats",
+    [(5, False, (225, 1736, 25)), (6, False, (609, 7126, 36)), (7, True, (837, 14301, 49))],
+    ids=["r5", "r6", "r7-rho-zero"],
+)
+def test_reduction_stats_are_pinned(r, rho_zero, stats):
+    # (peak_terms, steps, passes) as the dict-of-exponents kernel counted
+    # them: verify's JSON prints peak_terms, so it must not move with the kernel.
+    delta = build_delta(r, c_recursive(r), rho_zero=rho_zero)
+    nf, got = reduce_with_stats(delta, rho_zero=rho_zero)
+    assert nf.is_zero
+    assert (got.peak_terms, got.steps, got.passes) == stats
 
 
 def test_mutation_control_nonzero_residual():
