@@ -227,6 +227,8 @@ def _cmd_cross_check(args) -> int:
 def _cmd_repcheck(args) -> int:
     if not 1 <= args.r <= args.bound:
         return _usage(f"repcheck --r must be in 1..{args.bound} (see --bound)")
+    if args.pipeline == "solve" and args.r > _BOUNDS["coeffs_solve"]:
+        return _usage(f"repcheck --r must be in 1..{_BOUNDS['coeffs_solve']} for pipeline solve")
     if args.samples < 1:
         return _usage("--samples must be positive")
     table = PIPELINES[args.pipeline](args.r)

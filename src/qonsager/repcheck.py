@@ -5,7 +5,10 @@ Two independent kinds of evidence:
 * the coideal realization A_i -> c_i e_i q^(h_i/2) + cbar_i f_i q^(h_i/2)
   + w_i q^(h_i) inside the 3-dimensional evaluation representation of the
   rank-2 affine quantum algebra (nodes 0, 1, 2 pairwise linked): the rank-r
-  relation must evaluate to the exact zero matrix at random rational points;
+  relation must evaluate to the exact zero matrix at random rational points.
+  The module's defining relations are proved once per process as identities
+  over Z[q^±1, z^±1], and every point evaluates that checked module; the
+  zero test itself runs on the point's matrices scaled to integers;
 * the spectral band structure: with eigenvalues theta_k = C (v q^k +
   v^-1 q^-k), the generating polynomial vanishes at (theta_k, theta_l)
   exactly for parity-allowed offsets |k - l| <= r.
@@ -18,7 +21,9 @@ and the check refuses to run unless the wired constant matches the oracle.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,31 +47,6 @@ class CalibrationError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _zeros() -> Mat:
-    return _mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-
-
-def _eye() -> Mat:
-    return _mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def _elem(a: int, b: int, value=1) -> Mat:
-    rows = [[Fraction(0)] * 3 for _ in range(3)]
-    rows[a][b] = Fraction(value)
-    return _mat(rows)
-
-
-def _diag(values) -> Mat:
-    rows = [[Fraction(0)] * 3 for _ in range(3)]
-    for i, v in enumerate(values):
-        rows[i][i] = Fraction(v)
-    return _mat(rows)
-
-
 def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -85,18 +65,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
         for i in range(3)
     )
-
-
-def mat_is_zero(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def mat_pow_table(a: Mat, top: int) -> list[Mat]:
-    """[a^0, a^1, ..., a^top]."""
-    out = [_eye()]
-    for _ in range(top):
-        out.append(mat_mul(out[-1], a))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,80 +111,145 @@ class RepParams:
         }
 
 
-def _chevalley(params: RepParams):
-    """Generator matrices e_i, f_i and weight vectors h_i on the 3-dim module."""
-    z = params.z
-    e = {1: _elem(0, 1), 2: _elem(1, 2), 0: _elem(2, 0, z)}
-    f = {1: _elem(1, 0), 2: _elem(2, 1), 0: _elem(0, 2, 1 / z)}
+# The module over Z[q^±1, z^±1]: an entry is a Laurent polynomial
+# {(q_exponent, z_exponent): int}, a matrix is a 3x3 tuple of them.
+_QZ = dict
+_QZMat = tuple[tuple[_QZ, ...], ...]
+
+
+def _qz_mul(a: _QZ, b: _QZ) -> _QZ:
+    out: _QZ = {}
+    for (qa, za), ca in a.items():
+        for (qb, zb), cb in b.items():
+            key = (qa + qb, za + zb)
+            n = out.get(key, 0) + ca * cb
+            if n:
+                out[key] = n
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _qz_matrix(entries: dict[tuple[int, int], _QZ]) -> _QZMat:
+    return tuple(tuple(entries.get((a, b), {}) for b in range(3)) for a in range(3))
+
+
+def _qz_matmul(a: _QZMat, b: _QZMat) -> _QZMat:
+    out = {}
+    for i in range(3):
+        for j in range(3):
+            total: _QZ = {}
+            for k in range(3):
+                total = _padd(total, _qz_mul(a[i][k], b[k][j]))
+            out[(i, j)] = total
+    return _qz_matrix(out)
+
+
+def _qz_combine(*terms: tuple[_QZ, _QZMat]) -> _QZMat:
+    """sum of scalar * matrix over the given (scalar, matrix) pairs."""
+    out = {}
+    for i in range(3):
+        for j in range(3):
+            total: _QZ = {}
+            for scalar, m in terms:
+                total = _padd(total, _qz_mul(scalar, m[i][j]))
+            out[(i, j)] = total
+    return _qz_matrix(out)
+
+
+def _q(n: int) -> _QZ:
+    return {(n, 0): 1}
+
+
+def _chevalley():
+    """Generator matrices e_i, f_i over Z[q^±1, z^±1] and the weight vectors
+    h_i of the 3-dim evaluation module."""
+    one, z, z_inv = {(0, 0): 1}, {(0, 1): 1}, {(0, -1): 1}
+    e = {1: _qz_matrix({(0, 1): one}), 2: _qz_matrix({(1, 2): one}),
+         0: _qz_matrix({(2, 0): z})}
+    f = {1: _qz_matrix({(1, 0): one}), 2: _qz_matrix({(2, 1): one}),
+         0: _qz_matrix({(0, 2): z_inv})}
     h = {1: (1, -1, 0), 2: (0, 1, -1), 0: (-1, 0, 1)}
     return e, f, h
 
 
-def _self_validate(params: RepParams, e, f, h) -> None:
-    """Oracle for the construction: the defining relations of the quantum
-    algebra must hold exactly on the module."""
-    q = params.q
-    two_q = q + 1 / q
+def _check_module(e, f, h) -> None:
+    """The defining relations of the quantum algebra, as identities over
+    Z[q^±1, z^±1]: they then hold at every evaluation point."""
+    one, minus = _q(0), {(0, 0): -1}
+    q_diff = {(1, 0): 1, (-1, 0): -1}  # q - q^-1
+    minus_two_q = {(1, 0): -1, (-1, 0): -1}  # -(q + q^-1)
 
-    def K(i, power=1):
-        return _diag([(q ** hv) ** power for hv in h[i]])
+    def K(i, sign=1):
+        return _qz_matrix({(a, a): _q(sign * hv) for a, hv in enumerate(h[i])})
 
+    zero = _qz_matrix({})
     for i in _NODES:
+        if sum(h[i]) != 0:
+            raise RepConstructionError(f"h_{i} trace is not zero")
+        k_i, k_i_inv = K(i), K(i, -1)
         for j in _NODES:
             # weight relations: K_i x_j K_i^-1 = q^(+-a_ij) x_j
             a_ij = 2 if i == j else -1
-            lhs = mat_mul(mat_mul(K(i), e[j]), K(i, -1))
-            if lhs != mat_scale(e[j], q ** a_ij):
-                raise RepConstructionError(f"weight relation failed on e for ({i},{j})")
-            lhs = mat_mul(mat_mul(K(i), f[j]), K(i, -1))
-            if lhs != mat_scale(f[j], Fraction(1) / q ** a_ij):
-                raise RepConstructionError(f"weight relation failed on f for ({i},{j})")
-            # [e_i, f_j] = delta_ij (K_i - K_i^-1)/(q - q^-1)
-            comm = mat_sub(mat_mul(e[i], f[j]), mat_mul(f[j], e[i]))
-            if i == j:
-                expected = mat_scale(mat_sub(K(i), K(i, -1)), Fraction(1) / (q - 1 / q))
-            else:
-                expected = _zeros()
-            if comm != expected:
+            for x, sign, name in ((e, 1, "e"), (f, -1, "f")):
+                lhs = _qz_matmul(_qz_matmul(k_i, x[j]), k_i_inv)
+                if lhs != _qz_combine((_q(sign * a_ij), x[j])):
+                    raise RepConstructionError(
+                        f"weight relation failed on {name} for ({i},{j})"
+                    )
+            # (q - q^-1) [e_i, f_j] = delta_ij (K_i - K_i^-1)
+            comm = _qz_combine(
+                (one, _qz_matmul(e[i], f[j])), (minus, _qz_matmul(f[j], e[i]))
+            )
+            lhs = _qz_combine((q_diff, comm))
+            expected = _qz_combine((one, k_i), (minus, k_i_inv)) if i == j else zero
+            if lhs != expected:
                 raise RepConstructionError(f"e-f relation failed for ({i},{j})")
-        # h eigenvalue sanity: the module's weights are symmetric
-        if sum(h[i]) != 0:
-            raise RepConstructionError(f"h_{i} trace is not zero")
     for x in (e, f):
         for i, j in _LINKED:
             # rank-2 q-Serre relation for every linked pair
-            serre = mat_add(
-                mat_sub(
-                    mat_mul(mat_mul(x[i], x[i]), x[j]),
-                    mat_scale(mat_mul(mat_mul(x[i], x[j]), x[i]), two_q),
-                ),
-                mat_mul(x[j], mat_mul(x[i], x[i])),
+            xii = _qz_matmul(x[i], x[i])
+            serre = _qz_combine(
+                (one, _qz_matmul(xii, x[j])),
+                (minus_two_q, _qz_matmul(_qz_matmul(x[i], x[j]), x[i])),
+                (one, _qz_matmul(x[j], xii)),
             )
-            if not mat_is_zero(serre):
+            if serre != zero:
                 raise RepConstructionError(f"q-Serre failed for the pair ({i},{j})")
+
+
+@functools.cache
+def _checked_module():
+    """The Chevalley module, checked once per process on first use."""
+    e, f, h = _chevalley()
+    _check_module(e, f, h)
+    return e, f, h
+
+
+def _qz_eval(value: _QZ, s: Fraction, z: Fraction) -> Fraction:
+    """value at q = s^2 and the given z."""
+    return sum((c * s ** (2 * qe) * z ** ze for (qe, ze), c in value.items()), Fraction(0))
 
 
 def build_evaluation_rep(params: RepParams) -> tuple[Mat, Mat, Mat]:
     """The three coideal generator matrices, one per node.
 
-    The underlying Chevalley action is self-validated against the quantum
-    algebra's defining relations before assembly.
+    They are the checked Chevalley module evaluated at (s, z):
+    A_i = (c_i e_i + cbar_i f_i) q^(h_i/2) + w_i q^(h_i), with q^(h/2) = s^h.
     """
-    e, f, h = _chevalley(params)
-    _self_validate(params, e, f, h)
-    s = params.s
+    e, f, h = _checked_module()
+    s, z = params.s, params.z
     out = []
     for i in _NODES:
-        half = _diag([s ** hv for hv in h[i]])  # q^(h_i/2) via q = s^2
-        full = _diag([(s ** 2) ** hv for hv in h[i]])
-        a_i = mat_add(
-            mat_add(
-                mat_scale(mat_mul(e[i], half), params.c[i]),
-                mat_scale(mat_mul(f[i], half), params.cbar[i]),
-            ),
-            mat_scale(full, params.w[i]),
-        )
-        out.append(a_i)
+        rows = [[Fraction(0)] * 3 for _ in range(3)]
+        for a in range(3):
+            rows[a][a] += params.w[i] * s ** (2 * h[i][a])
+            for b in range(3):
+                if e[i][a][b]:
+                    rows[a][b] += params.c[i] * _qz_eval(e[i][a][b], s, z) * s ** h[i][b]
+                if f[i][a][b]:
+                    rows[a][b] += params.cbar[i] * _qz_eval(f[i][a][b], s, z) * s ** h[i][b]
+        out.append(tuple(tuple(row) for row in rows))
     return tuple(out)
 
 
@@ -386,17 +419,57 @@ class MatrixReport:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _delta_matrix(r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction) -> Mat:
-    ai_pow = mat_pow_table(ai, r + 1)
-    aj_r = mat_pow_table(aj, r)[r]
-    total = _zeros()
+IMat = tuple[tuple[int, ...], ...]
+
+
+def _integer_scaled(a: Mat) -> tuple[int, IMat]:
+    """(L, B) with a = B / L, where L is the lcm of the entry denominators."""
+    lcm = math.lcm(*(x.denominator for row in a for x in row))
+    return lcm, tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in a)
+
+
+def _imat_mul(a: IMat, b: IMat) -> IMat:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(x0 * y0 + x1 * y1 + x2 * y2 for y0, y1, y2 in cols) for x0, x1, x2 in a
+    )
+
+
+def _relation_vanishes(
+    r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
+) -> bool:
+    """Whether the rank-r relation is the zero matrix at A_i, A_j.
+
+    With A_i = B_i / L_i and A_j = B_j / L_j in integer matrices, the term
+    A_i^n A_j^r A_i^k (n + k = r - 2p + 1) times L_i^(r+1) L_j^r is
+    L_i^(2p) B_i^n B_j^r B_i^k.  Folding L_i^(2p) and one common denominator
+    into the scalar coefficients leaves a sum of integer matrices.
+    """
+    li, bi = _integer_scaled(ai)
+    _, bj = _integer_scaled(aj)
+    terms = []
     for (p, k, sign) in delta_indices(r):
-        coeff = table.entry(p, k).substitute(q) * (rho ** p) * sign
-        if coeff == 0:
-            continue
-        term = mat_mul(mat_mul(ai_pow[r - 2 * p + 1 - k], aj_r), ai_pow[k])
-        total = mat_add(total, mat_scale(term, coeff))
-    return total
+        coeff = table.entry(p, k).substitute(q) * (rho ** p) * sign * li ** (2 * p)
+        if coeff:
+            terms.append((r - 2 * p + 1 - k, k, coeff))
+    common = math.lcm(*(coeff.denominator for *_, coeff in terms))
+    powers = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for _ in range(r + 1):
+        powers.append(_imat_mul(powers[-1], bi))
+    bj_r = powers[0]
+    for _ in range(r):
+        bj_r = _imat_mul(bj_r, bj)
+    left: dict[int, IMat] = {}
+    total = [[0] * 3 for _ in range(3)]
+    for n, k, coeff in terms:
+        if n not in left:
+            left[n] = _imat_mul(powers[n], bj_r)
+        term = _imat_mul(left[n], powers[k])
+        scale = coeff.numerator * (common // coeff.denominator)
+        for row, term_row in zip(total, term):
+            for b in range(3):
+                row[b] += scale * term_row[b]
+    return not any(any(row) for row in total)
 
 
 def matrix_point(
@@ -416,10 +489,10 @@ def matrix_point(
     params = point_factory(random.Random(f"{seed}:{index}"))
     matrices = build_evaluation_rep(params)
     calibration = calibrate_rho(matrices, params, pair)
-    delta = _delta_matrix(
+    zero = _relation_vanishes(
         r, table, matrices[pair[0]], matrices[pair[1]], params.q, calibration.rho
     )
-    return PointResult(params=params, calibration=calibration, zero=mat_is_zero(delta))
+    return PointResult(params=params, calibration=calibration, zero=zero)
 
 
 def check_relation_matrix(

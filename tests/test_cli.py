@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qonsager.cli import EXIT_FALSIFIED, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
+from qonsager.coeffs import PIPELINES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -144,6 +145,19 @@ def test_repcheck_json(capsys):
 def test_repcheck_bound(capsys):
     code, _, err = run_cli(capsys, "repcheck", "--r", "6")
     assert code == EXIT_USAGE and "--bound" in err
+
+
+def test_repcheck_solve_pipeline_keeps_the_solve_rank_cap(capsys, monkeypatch):
+    # --bound lifts only the repcheck cap; the solve pipeline must still
+    # refuse a rank that coeffs --pipeline solve refuses, before it starts.
+    def refuse(r):
+        raise AssertionError(f"c_solve({r}) started")
+
+    monkeypatch.setitem(PIPELINES, "solve", refuse)
+    code, _, err = run_cli(capsys, "repcheck", "--r", "8", "--bound", "8", "--pipeline", "solve")
+    assert code == EXIT_USAGE and "pipeline solve" in err
+    code, _, err = run_cli(capsys, "coeffs", "--r", "8", "--pipeline", "solve")
+    assert code == EXIT_USAGE and "pipeline solve" in err
 
 
 def test_spectral(capsys):

@@ -6,15 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from qonsager.coeffs import c_closed, c_recursive
+from qonsager import repcheck
+from qonsager.coeffs import c_closed, c_recursive, cells, delta_indices
 from qonsager.qcoeff import LaurentScalar
 from qonsager.repcheck import (
     CalibrationError,
+    RepConstructionError,
     RepParams,
     build_evaluation_rep,
     calibrate_rho,
     check_relation_matrix,
-    mat_is_zero,
+    mat_add,
+    mat_mul,
+    mat_scale,
     rho_calibration_oracle,
     sample_params,
     sample_params_with_w,
@@ -44,6 +48,94 @@ def test_build_passes_self_validation():
     mats = build_evaluation_rep(generic_params())
     assert len(mats) == 3
     assert all(len(m) == 3 for m in mats)
+
+
+def _evaluate(m, s, z):
+    """A matrix over Z[q^±1, z^±1] at q = s^2 and the given z."""
+    return tuple(
+        tuple(
+            sum((c * s ** (2 * qe) * z ** ze for (qe, ze), c in entry.items()), Fraction(0))
+            for entry in row
+        )
+        for row in m
+    )
+
+
+def _diag(values):
+    return tuple(
+        tuple(Fraction(v) if a == b else Fraction(0) for b in range(3))
+        for a, v in enumerate(values)
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        generic_params(),
+        generic_params(z=Fraction(-2, 7), s=Fraction(-3, 5)),
+        sample_params(random.Random(3)),
+        sample_params_with_w(random.Random(17)),
+    ],
+    ids=["generic", "negative", "sampled", "w-branch"],
+)
+def test_numeric_matrices_are_the_symbolic_module_evaluated(params):
+    e, f, h = repcheck._checked_module()
+    s, z = params.s, params.z
+    for i, a_i in enumerate(build_evaluation_rep(params)):
+        half = _diag([s ** hv for hv in h[i]])
+        full = _diag([s ** (2 * hv) for hv in h[i]])
+        expected = mat_add(
+            mat_add(
+                mat_scale(mat_mul(_evaluate(e[i], s, z), half), params.c[i]),
+                mat_scale(mat_mul(_evaluate(f[i], s, z), half), params.cbar[i]),
+            ),
+            mat_scale(full, params.w[i]),
+        )
+        assert a_i == expected, i
+
+
+def _scaled(m, scalar):
+    return repcheck._qz_combine((scalar, m))
+
+
+def _break_e0(e, f, h):
+    # e_0 scaled by z^2: invisible at z = 1, wrong as an identity in z
+    return {**e, 0: _scaled(e[0], {(0, 2): 1})}, f, h
+
+
+def _break_f1(e, f, h):
+    return e, {**f, 1: _scaled(f[1], {(1, 0): 1})}, h
+
+
+def _break_h1(e, f, h):
+    return e, f, {**h, 1: (2, -1, -1)}
+
+
+def _break_trace(e, f, h):
+    return e, f, {**h, 2: (0, 1, 0)}
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_break_e0, r"e-f relation failed for \(0,0\)"),
+        (_break_f1, r"e-f relation failed for \(1,1\)"),
+        (_break_h1, r"weight relation failed on e for \(1,0\)"),
+        (_break_trace, "h_2 trace is not zero"),
+    ],
+    ids=["e0-times-z2", "f1-times-q", "h1-shifted", "h2-trace"],
+)
+def test_broken_construction_raises(monkeypatch, breakage, message):
+    good = repcheck._chevalley
+    monkeypatch.setattr(repcheck, "_chevalley", lambda: breakage(*good()))
+    repcheck._checked_module.cache_clear()
+    try:
+        with pytest.raises(RepConstructionError, match=message):
+            build_evaluation_rep(generic_params(z=Fraction(1)))
+    finally:
+        repcheck._checked_module.cache_clear()
+    monkeypatch.undo()
+    assert len(build_evaluation_rep(generic_params(z=Fraction(1)))) == 3
 
 
 def test_rep_params_validation():
@@ -149,6 +241,68 @@ def test_matrix_report_json():
     point = obj["points"][0]
     assert set(point) == {"params", "calibration", "zero"}
     assert point["calibration"]["matches_product"] is True
+
+
+def _delta_matrix_oracle(r, table, ai, aj, q, rho):
+    """The rank-r relation at (A_i, A_j), summed term by term in Fraction."""
+
+    def power(m, n):
+        out = _diag([1, 1, 1])
+        for _ in range(n):
+            out = mat_mul(out, m)
+        return out
+
+    aj_r = power(aj, r)
+    total = _diag([0, 0, 0])
+    for (p, k, sign) in delta_indices(r):
+        coeff = table.entry(p, k).substitute(q) * (rho ** p) * sign
+        term = mat_mul(mat_mul(power(ai, r - 2 * p + 1 - k), aj_r), power(ai, k))
+        total = mat_add(total, mat_scale(term, coeff))
+    return total
+
+
+def _zero_both_ways(r, table, params, pair=(0, 1)):
+    """(integer zero test, Fraction oracle) at one point."""
+    mats = build_evaluation_rep(params)
+    rho = calibrate_rho(mats, params, pair).rho
+    ai, aj = mats[pair[0]], mats[pair[1]]
+    fast = repcheck._relation_vanishes(r, table, ai, aj, params.q, rho)
+    slow = _delta_matrix_oracle(r, table, ai, aj, params.q, rho)
+    return fast, all(x == 0 for row in slow for x in row)
+
+
+# Cells whose q-multiplied mutation the pair (0, 1) cannot see on the w = 0
+# branch: the relation still vanishes there.  Even ranks see every cell.
+_BLIND_CELLS = {1: {(0, 1)}, 2: set(), 3: {(0, 1), (0, 2), (0, 3), (1, 1)}, 4: set()}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_integer_zero_test_matches_oracle_on_mutations(r):
+    for cell in cells(r):
+        table = perturbed_table(c_recursive(r), *cell)
+        for index in range(2):
+            params = sample_params(random.Random(f"{r}:{cell}:{index}"))
+            fast, slow = _zero_both_ways(r, table, params)
+            assert fast == slow, (cell, index)
+            assert fast == (cell in _BLIND_CELLS[r]), (cell, index)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_integer_zero_test_matches_oracle_unmutated(r):
+    table = c_recursive(r)
+    for index in range(3):
+        params = sample_params(random.Random(f"unmutated:{r}:{index}"))
+        assert _zero_both_ways(r, table, params) == (True, True)
+    params = generic_params(s=Fraction(-7, 3), z=Fraction(5, 4))
+    assert _zero_both_ways(r, table, params, pair=(1, 2)) == (True, True)
+
+
+def test_integer_zero_test_matches_oracle_on_the_w_branch():
+    params = sample_params_with_w(random.Random(17))
+    assert any(w != 0 for w in params.w)
+    for r in range(1, 6):
+        assert _zero_both_ways(r, c_recursive(r), params) == (True, True)
+    assert _zero_both_ways(2, perturbed_table(c_recursive(2), 0, 0), params) == (False, False)
 
 
 def test_sampler_reproducible_and_valid():
