@@ -25,9 +25,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-LOWER_IS_BETTER = {"setup_s", "wall_ref", "cpu_ref", "peak_rss_mb"}
-
-
 def git_commit(root: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -47,13 +44,12 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> dict:
-    names = sorted(pairs[0][0]["metrics"])
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     out = {}
-    for name in names:
+    for name in sorted(pairs[0][0]["metrics"]):
         base = [b["metrics"][name] for b, _ in pairs]
         head = [h["metrics"][name] for _, h in pairs]
-        if name in LOWER_IS_BETTER:
+        if better[name] == "lower":
             wins = sum(h < b for b, h in zip(base, head))
         else:
             wins = sum(h > b for b, h in zip(base, head))
@@ -74,6 +70,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     record = {
         "command": "perfbench/run.py --workload W --seed S --seconds "
@@ -85,8 +83,8 @@ def main(argv=None) -> int:
         "head_commit": git_commit(args.head),
         "workloads": {},
     }
-    for spec in args.workload:
-        name, _, n = spec.partition(":")
+    for workload in args.workload:
+        name, _, n = workload.partition(":")
         pairs = []
         for seed in range(1, int(n or 5) + 1):
             order = (args.base, args.head) if seed % 2 else (args.head, args.base)
@@ -96,7 +94,7 @@ def main(argv=None) -> int:
                   f"{runs[args.base]['metrics']['wall_ref']:.2f} -> "
                   f"{runs[args.head]['metrics']['wall_ref']:.2f}", flush=True)
         record["workloads"][name] = {
-            "medians": summarize(pairs),
+            "medians": summarize(pairs, better),
             "runs": [{"base": b, "head": h} for b, h in pairs],
         }
     args.out.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n", encoding="utf-8")
