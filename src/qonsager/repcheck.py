@@ -111,17 +111,18 @@ class RepParams:
         }
 
 
-# The module over Z[q^±1, z^±1]: an entry is a Laurent polynomial
-# {(q_exponent, z_exponent): int}, a matrix is a 3x3 tuple of them.
-_QZ = dict
-_QZMat = tuple[tuple[_QZ, ...], ...]
+# Exponent-tuple Laurent polynomial over Z: {(a, b, c, d): int}, the product
+# adds keys slot by slot.  The spectral check reads a key as (C_degree,
+# v_exponent, q_constant, q_k_coefficient); the Chevalley module's entries
+# live in Z[q^±1, z^±1] and use keys (0, z_exponent, q_exponent, 0).
+_XPoly = dict
 
 
-def _qz_mul(a: _QZ, b: _QZ) -> _QZ:
-    out: _QZ = {}
-    for (qa, za), ca in a.items():
-        for (qb, zb), cb in b.items():
-            key = (qa + qb, za + zb)
+def _xp_mul(a: _XPoly, b: _XPoly) -> _XPoly:
+    out: _XPoly = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
             n = out.get(key, 0) + ca * cb
             if n:
                 out[key] = n
@@ -130,7 +131,11 @@ def _qz_mul(a: _QZ, b: _QZ) -> _QZ:
     return out
 
 
-def _qz_matrix(entries: dict[tuple[int, int], _QZ]) -> _QZMat:
+# A matrix of the module is a 3x3 tuple of such polynomials.
+_QZMat = tuple[tuple[_XPoly, ...], ...]
+
+
+def _qz_matrix(entries: dict[tuple[int, int], _XPoly]) -> _QZMat:
     return tuple(tuple(entries.get((a, b), {}) for b in range(3)) for a in range(3))
 
 
@@ -138,33 +143,33 @@ def _qz_matmul(a: _QZMat, b: _QZMat) -> _QZMat:
     out = {}
     for i in range(3):
         for j in range(3):
-            total: _QZ = {}
+            total: _XPoly = {}
             for k in range(3):
-                total = _padd(total, _qz_mul(a[i][k], b[k][j]))
+                total = _padd(total, _xp_mul(a[i][k], b[k][j]))
             out[(i, j)] = total
     return _qz_matrix(out)
 
 
-def _qz_combine(*terms: tuple[_QZ, _QZMat]) -> _QZMat:
+def _qz_combine(*terms: tuple[_XPoly, _QZMat]) -> _QZMat:
     """sum of scalar * matrix over the given (scalar, matrix) pairs."""
     out = {}
     for i in range(3):
         for j in range(3):
-            total: _QZ = {}
+            total: _XPoly = {}
             for scalar, m in terms:
-                total = _padd(total, _qz_mul(scalar, m[i][j]))
+                total = _padd(total, _xp_mul(scalar, m[i][j]))
             out[(i, j)] = total
     return _qz_matrix(out)
 
 
-def _q(n: int) -> _QZ:
-    return {(n, 0): 1}
+def _q(n: int) -> _XPoly:
+    return {(0, 0, n, 0): 1}
 
 
 def _chevalley():
     """Generator matrices e_i, f_i over Z[q^±1, z^±1] and the weight vectors
     h_i of the 3-dim evaluation module."""
-    one, z, z_inv = {(0, 0): 1}, {(0, 1): 1}, {(0, -1): 1}
+    one, z, z_inv = _q(0), {(0, 1, 0, 0): 1}, {(0, -1, 0, 0): 1}
     e = {1: _qz_matrix({(0, 1): one}), 2: _qz_matrix({(1, 2): one}),
          0: _qz_matrix({(2, 0): z})}
     f = {1: _qz_matrix({(1, 0): one}), 2: _qz_matrix({(2, 1): one}),
@@ -176,9 +181,9 @@ def _chevalley():
 def _check_module(e, f, h) -> None:
     """The defining relations of the quantum algebra, as identities over
     Z[q^±1, z^±1]: they then hold at every evaluation point."""
-    one, minus = _q(0), {(0, 0): -1}
-    q_diff = {(1, 0): 1, (-1, 0): -1}  # q - q^-1
-    minus_two_q = {(1, 0): -1, (-1, 0): -1}  # -(q + q^-1)
+    one, minus = _q(0), {(0, 0, 0, 0): -1}
+    q_diff = {(0, 0, 1, 0): 1, (0, 0, -1, 0): -1}  # q - q^-1
+    minus_two_q = {(0, 0, 1, 0): -1, (0, 0, -1, 0): -1}  # -(q + q^-1)
 
     def K(i, sign=1):
         return _qz_matrix({(a, a): _q(sign * hv) for a, hv in enumerate(h[i])})
@@ -226,9 +231,11 @@ def _checked_module():
     return e, f, h
 
 
-def _qz_eval(value: _QZ, s: Fraction, z: Fraction) -> Fraction:
-    """value at q = s^2 and the given z."""
-    return sum((c * s ** (2 * qe) * z ** ze for (qe, ze), c in value.items()), Fraction(0))
+def _qz_eval(value: _XPoly, s: Fraction, z: Fraction) -> Fraction:
+    """A module entry at q = s^2 and the given z."""
+    return sum(
+        (c * s ** (2 * qe) * z ** ze for (_, ze, qe, _), c in value.items()), Fraction(0)
+    )
 
 
 def build_evaluation_rep(params: RepParams) -> tuple[Mat, Mat, Mat]:
@@ -526,23 +533,8 @@ def check_relation_matrix(
 # spectral band structure
 # ---------------------------------------------------------------------------
 
-# Exponent-tuple polynomial over Z in the formal symbols C, v and q, with the
-# q-exponent kept linear in a formal base index k: key =
-# (C_degree, v_exponent, q_constant, q_k_coefficient).
-_XPoly = dict
-
-
-def _xp_mul(a: _XPoly, b: _XPoly) -> _XPoly:
-    out: _XPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-            n = out.get(key, 0) + ca * cb
-            if n:
-                out[key] = n
-            elif key in out:
-                del out[key]
-    return out
+# The spectral polynomials are _XPoly in the formal symbols C, v and q, with
+# the q-exponent kept linear in a formal base index k.
 
 
 def _xp_from_laurent(value: LaurentScalar, c_degree: int = 0) -> _XPoly:

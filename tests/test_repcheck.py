@@ -54,7 +54,7 @@ def _evaluate(m, s, z):
     """A matrix over Z[q^±1, z^±1] at q = s^2 and the given z."""
     return tuple(
         tuple(
-            sum((c * s ** (2 * qe) * z ** ze for (qe, ze), c in entry.items()), Fraction(0))
+            sum((c * s ** (2 * qe) * z ** ze for (_, ze, qe, _), c in entry.items()), Fraction(0))
             for entry in row
         )
         for row in m
@@ -100,11 +100,11 @@ def _scaled(m, scalar):
 
 def _break_e0(e, f, h):
     # e_0 scaled by z^2: invisible at z = 1, wrong as an identity in z
-    return {**e, 0: _scaled(e[0], {(0, 2): 1})}, f, h
+    return {**e, 0: _scaled(e[0], {(0, 2, 0, 0): 1})}, f, h
 
 
 def _break_f1(e, f, h):
-    return e, {**f, 1: _scaled(f[1], {(1, 0): 1})}, h
+    return e, {**f, 1: _scaled(f[1], {(0, 0, 1, 0): 1})}, h
 
 
 def _break_h1(e, f, h):

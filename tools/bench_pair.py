@@ -3,10 +3,11 @@
 Usage, from anywhere:
 
     python3 tools/bench_pair.py --base ../parent --head . --out BENCH_<n>.json \
-        --workload evidence:10 --workload verify:5 --workload crosscheck:5
+        --workload evidence:10 --workload verify:10 --workload crosscheck:10
 
 Each ``--workload name:n`` runs ``perfbench/run.py --workload name --seed s
 --seconds S --trace 0`` for seeds 1..n in both checkouts, one pair per seed,
+where S is the ``run_seconds`` that the parent's BENCHMARK.json fixes,
 alternating which side goes first so that a drift of the host's speed during
 the pair does not favour one side.  Each checkout runs its own copy of
 perfbench on its own ``src``.  The file records every run's end-to-end
@@ -30,7 +31,7 @@ def git_commit(root: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
@@ -67,15 +68,20 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--head", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True, metavar="NAME:SEEDS")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    workloads = []
+    for workload in args.workload:
+        name, _, n = workload.partition(":")
+        if not n.isdigit() or int(n) < 1:
+            ap.error(f"--workload {workload!r} is not NAME:SEEDS with SEEDS >= 1")
+        workloads.append((name, int(n)))
 
     record = {
-        "command": "perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(),
                     "kernel_release": platform.release()},
@@ -83,12 +89,11 @@ def main(argv=None) -> int:
         "head_commit": git_commit(args.head),
         "workloads": {},
     }
-    for workload in args.workload:
-        name, _, n = workload.partition(":")
+    for name, n in workloads:
         pairs = []
-        for seed in range(1, int(n or 5) + 1):
+        for seed in range(1, n + 1):
             order = (args.base, args.head) if seed % 2 else (args.head, args.base)
-            runs = {root: run_once(root, name, seed, args.seconds) for root in order}
+            runs = {root: run_once(root, name, seed, seconds) for root in order}
             pairs.append((runs[args.base], runs[args.head]))
             print(f"{name} seed {seed}: wall_ref "
                   f"{runs[args.base]['metrics']['wall_ref']:.2f} -> "
