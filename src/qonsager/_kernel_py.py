@@ -4,7 +4,6 @@ Interface (shared with reducer.py): a word is a packed code
 ``(1 << n) | bits`` with I = 1, J = 0, leftmost letter in the highest bit; a
 polynomial is a dict mapping each code to a dict from
 ``(rho_degree << RHO_SHIFT) | (q_exponent + Q_OFFSET)`` to a nonzero int.
-reducer.py clears denominators beforehand.
 
 The single rewrite rule is: the factor IIJ becomes ``[2]_q IJI - JII + rho J``
 (the final term dropped in rho-zero mode).  One pass rewrites the leftmost

@@ -28,7 +28,6 @@ from .qcoeff import (
     ZERO,
     LaurentScalar,
     RhoScalar,
-    exact_div,
     parse_laurent,
     q_binomial,
     q_int,
@@ -119,10 +118,6 @@ class CoeffTable:
     def bar_invariant_ok(self) -> bool:
         """Every entry is invariant under q -> q^-1."""
         return all(v.bar() == v for v in self.entries.values())
-
-    def polynomial_ok(self) -> bool:
-        """Every entry is a Laurent polynomial (no residual denominator)."""
-        return all(v.is_polynomial for v in self.entries.values())
 
     # -- serialization -----------------------------------------------------
 
@@ -446,7 +441,8 @@ def c_closed(r: int) -> CoeffTable:
     families = BivariatePolynomial.one()
     for s in _support(r):
         families = families * BivariatePolynomial(
-            {(0, 0): ONE, (1, 0): q_int(s) * q_int(s), (0, 1): exact_div(q_int(2 * s), q_int(s))}
+            {(0, 0): ONE, (1, 0): q_int(s) * q_int(s),
+             (0, 1): LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)}
         )
 
     entries: dict[tuple[int, int], LaurentScalar] = {}
@@ -484,7 +480,7 @@ def _factor_poly(desc: tuple) -> BivariatePolynomial:
     if desc[0] == "diff":
         return BivariatePolynomial({(1, 0): RhoScalar((ONE,)), (0, 1): RhoScalar((-ONE,))})
     s = desc[1]
-    mid = exact_div(q_int(2 * s), q_int(s))  # always q^s + q^-s, exactly
+    mid = LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)
     return BivariatePolynomial(
         {
             (2, 0): RhoScalar((ONE,)),
@@ -558,7 +554,8 @@ def _solve_unique(
     fraction-free (division-deferred): each combination step stays in the
     polynomial ring and rows are reduced by their integer content to control
     swell; back-substitution divides exactly at the end.  Raises
-    CoefficientSystemError when rank is deficient or any equation fails.
+    CoefficientSystemError when rank is deficient, when the solution is not
+    a Laurent polynomial, or when any equation fails.
     """
     from .qcoeff import _pcontent, _pmul, _psub  # local: internal helpers
 
@@ -601,14 +598,20 @@ def _solve_unique(
             f"under-determined system: rank {len(pivots)} < {n_cols} unknowns"
         )
 
-    # Back-substitution over the fraction field.
+    # Back-substitution by exact division: the table lives in Z[q, q^-1],
+    # so a pivot that does not divide means no Laurent-polynomial solution.
     solution: list[LaurentScalar | None] = [None] * n_cols
     for col, row in reversed(pivots):
         acc = LaurentScalar(row[n_cols])
         for j in range(col + 1, n_cols):
             if row[j]:
                 acc = acc - LaurentScalar(row[j]) * solution[j]
-        solution[col] = acc / LaurentScalar(row[col])
+        try:
+            solution[col] = acc / LaurentScalar(row[col])
+        except ArithmeticError as exc:
+            raise CoefficientSystemError(
+                f"unknown {col} has no Laurent-polynomial solution"
+            ) from exc
 
     # The unique solution must satisfy every row, including those never
     # touched by the elimination.

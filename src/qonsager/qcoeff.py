@@ -2,18 +2,16 @@
 
 Two scalar types live here:
 
-* ``LaurentScalar``: an exact rational function of q with arbitrary-precision
-  integer coefficients, kept in a canonical reduced form so that equal values
-  have identical representations.  Laurent polynomials are the common case
-  (denominator 1) and take fast paths throughout.
+* ``LaurentScalar``: an exact Laurent polynomial in q, an element of
+  Z[q, q^-1] with arbitrary-precision integer coefficients.  Division is
+  exact division in that ring and raises ArithmeticError when the divisor
+  does not divide.
 * ``RhoScalar``: a polynomial in the formal scalar rho with LaurentScalar
   coefficients.
 
 Representation: a "poly dict" maps an integer q-exponent to a nonzero integer
-coefficient; the empty dict is zero.  A LaurentScalar stores a numerator poly
-dict (any exponents) and a denominator poly dict normalized so that its lowest
-exponent is 0 and its leading integer coefficient is positive, with numerator
-and denominator sharing no common factor over Z[q].
+coefficient; the empty dict is zero.  A LaurentScalar stores one poly dict,
+so equal values have identical representations.
 
 Everything is exact; no floats appear anywhere.  Values are immutable after
 construction and all operations are pure, so they are safe to share between
@@ -80,12 +78,6 @@ def _pshift(a: dict, k: int) -> dict:
     return {e + k: c for e, c in a.items()}
 
 
-def _pscale(a: dict, s: int) -> dict:
-    if s == 0:
-        return {}
-    return {e: c * s for e, c in a.items()}
-
-
 def _pval(a: dict) -> int:
     return min(a)
 
@@ -99,14 +91,6 @@ def _pcontent(a: dict) -> int:
     for c in a.values():
         g = math.gcd(g, c)
     return g
-
-
-def _pprim(a: dict) -> dict:
-    """Divide out the integer content (result has content 1, same sign)."""
-    g = _pcontent(a)
-    if g <= 1:
-        return dict(a)
-    return {e: c // g for e, c in a.items()}
 
 
 def _pexact_div(a: dict, b: dict) -> dict:
@@ -138,116 +122,41 @@ def _pexact_div(a: dict, b: dict) -> dict:
     return out
 
 
-def _pprem(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of a by b (both nonzero, deg a >= deg b allowed not)."""
-    db = _pdeg(b)
-    lb = b[db]
-    r = dict(a)
-    while r and _pdeg(r) >= db:
-        dr = _pdeg(r)
-        lr = r[dr]
-        # r <- lb*r - lr*q^(dr-db)*b
-        r = _psub(_pscale(r, lb), _pshift(_pscale(b, lr), dr - db))
-    return r
-
-
-def _pgcd(a: dict, b: dict) -> dict:
-    """GCD over Z[q] (content times primitive part), positive leading coeff.
-
-    Inputs are plain poly dicts with nonnegative exponents; either may be
-    empty.  Uses a primitive pseudo-remainder sequence, which is plenty for
-    the degrees arising here.
-    """
-    if not a:
-        g = dict(b)
-    elif not b:
-        g = dict(a)
-    else:
-        ca, cb = abs(_pcontent(a)), abs(_pcontent(b))
-        c = math.gcd(ca, cb)
-        pa, pb = _pprim(a), _pprim(b)
-        if _pdeg(pa) < _pdeg(pb):
-            pa, pb = pb, pa
-        while pb:
-            r = _pprem(pa, pb)
-            pa, pb = pb, (_pprim(r) if r else {})
-        g = _pscale(_pprim(pa), c) if c != 1 else _pprim(pa)
-    if g and g[_pdeg(g)] < 0:
-        g = _pneg(g)
-    return g
-
-
-_ONE_POLY = {0: 1}
-
-
-def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
-    """Canonical form of the fraction num/den.
-
-    Denominator gets lowest exponent 0 and positive leading coefficient;
-    the gcd over Z[q] (including integer content) is divided out.
-    """
-    if not den:
-        raise ZeroDivisionError("LaurentScalar with zero denominator")
-    if not num:
-        return {}, dict(_ONE_POLY)
-    if den == _ONE_POLY:
-        return dict(num), dict(_ONE_POLY)
-    vn, vd = _pval(num), _pval(den)
-    n = _pshift(num, -vn)
-    d = _pshift(den, -vd)
-    shift = vn - vd
-    g = _pgcd(n, d)
-    if g != _ONE_POLY:
-        n = _pexact_div(n, g)
-        d = _pexact_div(d, g)
-    if d[_pdeg(d)] < 0:
-        n = _pneg(n)
-        d = _pneg(d)
-    return _pshift(n, shift), d
-
-
 # ---------------------------------------------------------------------------
 # LaurentScalar
 # ---------------------------------------------------------------------------
 
 
 class LaurentScalar:
-    """An exact rational function of q over the integers, canonically reduced.
+    """An exact Laurent polynomial in q with integer coefficients.
 
     >>> str(q_int(3))
     'q^2 + 1 + q^-2'
-    >>> str(exact_div(q_int(2), q_int(4)))
-    '(q^2)/(q^4 + 1)'
+    >>> str(exact_div(q_int(6), q_int(3)))
+    'q^3 + q^-3'
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "_hash")
 
-    def __init__(self, num: dict | int = 0, den: dict | int = 1):
+    def __init__(self, num: dict | int = 0):
         if isinstance(num, int):
             num = {0: num} if num else {}
         else:
             num = {e: c for e, c in num.items() if c}
-        if isinstance(den, int):
-            den = {0: den} if den else {}
-        else:
-            den = {e: c for e, c in den.items() if c}
-        n, d = _normalize(num, den)
-        self.num = n
-        self.den = d
+        self.num = num
         self._hash = None
 
     @classmethod
-    def _raw(cls, num: dict, den: dict) -> "LaurentScalar":
-        """Internal constructor for values already in canonical form."""
+    def _raw(cls, num: dict) -> "LaurentScalar":
+        """Internal constructor for a poly dict without zero coefficients."""
         self = object.__new__(cls)
         self.num = num
-        self.den = den
         self._hash = None
         return self
 
     @classmethod
     def q_power(cls, e: int) -> "LaurentScalar":
-        return cls._raw({e: 1}, dict(_ONE_POLY))
+        return cls._raw({e: 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -255,32 +164,20 @@ class LaurentScalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == _ONE_POLY and self.den == _ONE_POLY
-
-    @property
-    def is_polynomial(self) -> bool:
-        """True when the canonical denominator is 1 (a Laurent polynomial)."""
-        return self.den == _ONE_POLY
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, LaurentScalar):
             return other
         if isinstance(other, int):
-            return LaurentScalar._raw({0: other} if other else {}, dict(_ONE_POLY))
+            return LaurentScalar._raw({0: other} if other else {})
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == _ONE_POLY and o.den == _ONE_POLY:
-            return LaurentScalar._raw(_padd(self.num, o.num), dict(_ONE_POLY))
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return LaurentScalar(num, _pmul(self.den, o.den))
+        return LaurentScalar._raw(_padd(self.num, o.num))
 
     __radd__ = __add__
 
@@ -288,34 +185,38 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == _ONE_POLY and o.den == _ONE_POLY:
-            return LaurentScalar._raw(_psub(self.num, o.num), dict(_ONE_POLY))
-        num = _psub(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return LaurentScalar(num, _pmul(self.den, o.den))
+        return LaurentScalar._raw(_psub(self.num, o.num))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return LaurentScalar._raw(_pneg(self.num), dict(self.den))
+        return LaurentScalar._raw(_pneg(self.num))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == _ONE_POLY and o.den == _ONE_POLY:
-            return LaurentScalar._raw(_pmul(self.num, o.num), dict(_ONE_POLY))
-        return LaurentScalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return LaurentScalar._raw(_pmul(self.num, o.num))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Exact division in Z[q, q^-1]; ArithmeticError when it does not divide.
+
+        Both operands are shifted to lowest exponent 0, where a Laurent
+        quotient is an ordinary polynomial quotient over Z.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division of LaurentScalar by zero")
-        return LaurentScalar(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        if self.is_zero:
+            return self
+        va, vb = _pval(self.num), _pval(o.num)
+        quotient = _pexact_div(_pshift(self.num, -va), _pshift(o.num, -vb))
+        return LaurentScalar._raw(_pshift(quotient, va - vb))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -328,7 +229,7 @@ class LaurentScalar:
             return NotImplemented
         if n < 0:
             return ONE / (self ** (-n))
-        result = LaurentScalar._raw(dict(_ONE_POLY), dict(_ONE_POLY))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -341,30 +242,24 @@ class LaurentScalar:
 
     def bar(self) -> "LaurentScalar":
         """The image under q -> q^-1."""
-        return LaurentScalar({-e: c for e, c in self.num.items()},
-                             {-e: c for e, c in self.den.items()})
+        return LaurentScalar._raw({-e: c for e, c in self.num.items()})
 
     def substitute(self, value: Fraction) -> Fraction:
         """Evaluate at an exact rational point q = value (value != 0)."""
         value = Fraction(value)
         if value == 0:
             raise ZeroDivisionError("cannot evaluate at q = 0")
-        num = sum((c * value ** e for e, c in self.num.items()), Fraction(0))
-        den = sum((c * value ** e for e, c in self.den.items()), Fraction(0))
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the given point")
-        return num / den
+        return sum((c * value ** e for e, c in self.num.items()), Fraction(0))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((tuple(sorted(self.num.items())),
-                               tuple(sorted(self.den.items()))))
+            self._hash = hash(tuple(sorted(self.num.items())))
         return self._hash
 
     def __bool__(self):
@@ -373,11 +268,7 @@ class LaurentScalar:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.num:
-            return "0"
-        if self.den == _ONE_POLY:
-            return _poly_str(self.num)
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
+        return _poly_str(self.num) if self.num else "0"
 
     def __repr__(self):
         return f"LaurentScalar({str(self)!r})"
@@ -431,15 +322,11 @@ def _parse_poly(text: str) -> dict:
 
 def parse_laurent(text: str) -> LaurentScalar:
     """Parse the canonical rendering back into a LaurentScalar."""
-    text = text.strip()
-    if text.startswith("(") and ")/(" in text and text.endswith(")"):
-        num_s, den_s = text[1:-1].split(")/(", 1)
-        return LaurentScalar(_parse_poly(num_s), _parse_poly(den_s))
     return LaurentScalar(_parse_poly(text))
 
 
-ZERO = LaurentScalar._raw({}, dict(_ONE_POLY))
-ONE = LaurentScalar._raw(dict(_ONE_POLY), dict(_ONE_POLY))
+ZERO = LaurentScalar._raw({})
+ONE = LaurentScalar._raw({0: 1})
 Q = LaurentScalar.q_power(1)
 
 
@@ -456,7 +343,7 @@ def q_int(n: int) -> LaurentScalar:
     """
     if n < 0:
         raise ValueError("q_int requires n >= 0")
-    return LaurentScalar._raw({n - 1 - 2 * i: 1 for i in range(n)}, dict(_ONE_POLY))
+    return LaurentScalar._raw({n - 1 - 2 * i: 1 for i in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -477,17 +364,13 @@ def q_binomial(n: int, m: int) -> LaurentScalar:
     """
     if m < 0 or m > n:
         raise ValueError(f"q_binomial requires 0 <= m <= n, got ({n}, {m})")
-    result = exact_div(q_factorial(n), q_factorial(m) * q_factorial(n - m))
-    if not result.is_polynomial:
-        raise ArithmeticError("q-binomial failed to reduce to a Laurent polynomial")
-    return result
+    return exact_div(q_factorial(n), q_factorial(m) * q_factorial(n - m))
 
 
 def exact_div(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
-    """a/b in canonical form; b must be nonzero.
+    """The Laurent polynomial a/b; b must be nonzero and divide a.
 
-    The result's ``is_polynomial`` flag tells whether the quotient reduced to
-    a Laurent polynomial (denominator 1).
+    Raises ArithmeticError when b does not divide a in Z[q, q^-1].
     """
     return a / b
 
@@ -635,21 +518,3 @@ class RhoScalar:
 RHO_ZERO = RhoScalar(())
 RHO_ONE = RhoScalar((ONE,))
 RHO = RhoScalar((ZERO, ONE))
-
-
-def laurent_lcm(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
-    """Least common multiple of two nonzero Laurent polynomials.
-
-    Defined up to a unit +-q^k; the representative returned has lowest
-    exponent 0 and positive leading coefficient.
-    """
-    if not (a.is_polynomial and b.is_polynomial):
-        raise ValueError("laurent_lcm expects Laurent polynomials")
-    if a.is_zero or b.is_zero:
-        raise ZeroDivisionError("laurent_lcm of zero")
-    g = LaurentScalar(_pgcd(_pshift(a.num, -_pval(a.num)), _pshift(b.num, -_pval(b.num))))
-    m = exact_div(a * b, g)
-    out = _pshift(m.num, -_pval(m.num))
-    if out[_pdeg(out)] < 0:
-        out = _pneg(out)
-    return LaurentScalar._raw(out, dict(_ONE_POLY))

@@ -9,10 +9,9 @@ terminates on every input.
 
 This module converts NCPolynomials to and from the packed form the kernel
 module ``_kernel_py`` takes (word codes mapped to dicts keyed by packed
-(rho, q) exponents) and clears denominators around it (reduction is linear,
-so scaling by a common denominator is sound).  The kernel splits its input
-by weight ``len(word) + 2 * rho_degree``, which the rule preserves, and by
-clusters of q-exponents that can never meet, and reduces each part with a
+(rho, q) exponents).  The kernel splits its input by weight
+``len(word) + 2 * rho_degree``, which the rule preserves, and by clusters of
+q-exponents that can never meet, and reduces each part with a
 word's coefficient held as one int, the coefficient polynomial evaluated at
 ``X = 2^B`` (Kronecker substitution).  Every word carries a bound on its
 coefficients; a zero is trusted, and a result decoded, only while the bound
@@ -31,7 +30,7 @@ from typing import Callable
 
 from . import _kernel_py
 from .freealg import NCPolynomial, Word
-from .qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, exact_div, laurent_lcm, q_int
+from .qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, q_int
 
 _kernel = _kernel_py
 
@@ -93,15 +92,6 @@ def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
     return NCPolynomial(terms)
 
 
-def _denominator_lcm(x: NCPolynomial) -> LaurentScalar:
-    lcm = ONE
-    for coeff in x.terms.values():
-        for ls in coeff.coeffs:
-            if not ls.is_zero and not ls.is_polynomial:
-                lcm = laurent_lcm(lcm, LaurentScalar(ls.den))
-    return lcm
-
-
 def _pack(x: NCPolynomial) -> dict:
     """Packed form of x for the kernel.
 
@@ -155,14 +145,8 @@ def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolyno
     """
     if x.is_zero:
         return x, ReduceStats(0, 0, 0, _kernel.BACKEND)
-    scale = _denominator_lcm(x)
-    if not scale.is_one:
-        x = x * scale
     out, peak, steps, passes = _kernel.reduce_packed(_pack(x), rho_zero)
-    result = _unpack(out)
-    if not scale.is_one:
-        result = result * exact_div(ONE, scale)
-    return result, ReduceStats(peak, steps, passes, _kernel.BACKEND)
+    return _unpack(out), ReduceStats(peak, steps, passes, _kernel.BACKEND)
 
 
 def reduce(x: NCPolynomial, rho_zero: bool = False) -> NCPolynomial:
@@ -181,7 +165,7 @@ def reduce_randomized(
     Confluence makes the strategy semantically irrelevant; this engine exists
     so tests can compare arbitrary strategies against the kernel and inspect
     individual steps via ``on_step(redex_word, produced_words)``.  Works
-    directly on RhoScalar coefficients (rational q-coefficients included).
+    directly on RhoScalar coefficients.
     """
     terms = dict(x.terms)
     # The live words with a redex, as a swap-remove list plus each word's slot

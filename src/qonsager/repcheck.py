@@ -357,12 +357,11 @@ def sample_params(rng: random.Random) -> RepParams:
     return RepParams(s=s, z=z, c=c, cbar=cbar)
 
 
-def sample_params_with_w(rng: random.Random) -> RepParams | None:
+def sample_params_with_w(rng: random.Random) -> RepParams:
     """A point on the w != 0 branch, where every node needs
     w_j^2 = -c_j cbar_j / (q + q^-1 - 2).
 
-    Arranged by picking c_j cbar_j = -t_j^2 so the square root is rational;
-    returns None when the drawn point degenerates.
+    Arranged by picking c_j cbar_j = -t_j^2 so the square root is rational.
     """
     while True:
         s = _random_fraction(rng)
@@ -538,8 +537,6 @@ def check_relation_matrix(
 
 
 def _xp_from_laurent(value: LaurentScalar, c_degree: int = 0) -> _XPoly:
-    if not value.is_polynomial:
-        raise ValueError("need a Laurent polynomial")
     return {(c_degree, 0, e, 0): c for e, c in value.num.items()}
 
 
@@ -622,7 +619,8 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     For each offset d, expand theta_k^2 + theta_(k+d)^2 - (q^d + q^-d)
     theta_k theta_(k+d) with C, v and k all formal.  The expansion must be
     free of v and of k, carry C-degree 2, and equal rho_d [d]_q^2 for a
-    d-independent rho_d; that common value (divided by C^2) is returned.
+    d-independent Laurent polynomial rho_d; that common value (divided by
+    C^2) is returned.
     """
     offsets = list(range(1, max_offset + 1))
     values: list[LaurentScalar] = []
@@ -640,8 +638,10 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
             laurent[qconst] = laurent.get(qconst, 0) + coeff
         if not (v_ok and k_ok):
             return OracleResult(offsets, v_ok, k_ok, None)
-        rho_d = exact_div(LaurentScalar(laurent), q_int(d) * q_int(d))
-        values.append(rho_d)
+        try:
+            values.append(exact_div(LaurentScalar(laurent), q_int(d) * q_int(d)))
+        except ArithmeticError:  # [d]^2 does not divide the expansion
+            return OracleResult(offsets, v_ok, k_ok, None)
     if not values or any(v != values[0] for v in values):
         return OracleResult(offsets, v_ok, k_ok, None)
     return OracleResult(offsets, v_ok, k_ok, values[0])

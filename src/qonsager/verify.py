@@ -105,11 +105,6 @@ def verify_relation(
     )
 
 
-def verify_qserre(r: int, pipeline: str = "recursive") -> RelationCertificate:
-    """The rho = 0 degeneration: reduce the higher-order q-Serre relation."""
-    return verify_relation(r, rho_zero=True, pipeline=pipeline)
-
-
 def perturbed_table(table: CoeffTable, p: int, k: int) -> CoeffTable:
     """A copy of the table with one entry multiplied by q.
 
@@ -127,6 +122,5 @@ __all__ = [
     "RelationCertificate",
     "build_delta",
     "verify_relation",
-    "verify_qserre",
     "perturbed_table",
 ]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qonsager import repcheck
 from qonsager.cli import EXIT_FALSIFIED, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from qonsager.coeffs import PIPELINES
 
@@ -166,6 +167,14 @@ def test_spectral(capsys):
     obj = json.loads(out)
     assert obj["ok"] is True
     assert obj["oracle"]["rho_over_c2"] == "-q^2 + 2 - q^-2"
+
+
+def test_spectral_oracle_without_a_laurent_rho_is_falsified(monkeypatch, capsys):
+    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0, 0): 1})
+    code, out, err = run_cli(capsys, "spectral", "--r", "2")
+    assert code == EXIT_FALSIFIED
+    assert out.startswith("oracle ok: False (rho/C^2 = None)")
+    assert "Traceback" not in out + err
 
 
 def test_byte_identical_outputs(tmp_path, capsys):

@@ -326,6 +326,15 @@ def test_oracle_derives_the_calibration_constant():
     assert result.rho_over_c2 == LaurentScalar({2: -1, 0: 2, -2: -1})
 
 
+def test_oracle_rejects_an_expansion_without_a_laurent_rho(monkeypatch):
+    # C^2 alone: rho_d [d]^2 = 1 has a Laurent-polynomial rho_d only at d = 1.
+    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0, 0): 1})
+    result = rho_calibration_oracle(4)
+    assert result.ok is False
+    assert result.rho_over_c2 is None
+    assert result.v_independent and result.k_independent
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_spectral_band_structure_small(r):
     report = spectral_polynomial_check(r)

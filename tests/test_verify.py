@@ -11,7 +11,6 @@ from qonsager.reducer import reduce_with_stats
 from qonsager.verify import (
     build_delta,
     perturbed_table,
-    verify_qserre,
     verify_relation,
 )
 
@@ -97,7 +96,7 @@ def test_mutation_control_nonzero_residual():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_verify_qserre_zero(r):
-    cert = verify_qserre(r)
+    cert = verify_relation(r, rho_zero=True)
     assert cert.zero
     assert cert.rho_zero
 
