@@ -1,9 +1,8 @@
 """Pure-Python rewrite kernel: one Kronecker-packed int per word.
 
-Interface (shared with reducer.py): a word is a packed code
-``(1 << n) | bits`` with I = 1, J = 0, leftmost letter in the highest bit; a
-polynomial is a dict mapping each code to a dict from
-``(rho_degree << RHO_SHIFT) | (q_exponent + Q_OFFSET)`` to a nonzero int.
+Interface: a word is a code ``(1 << n) | bits`` with I = 1, J = 0, leftmost
+letter in the highest bit; a polynomial is ``{code: {rho_degree:
+{q_exponent: c}}}`` with nonzero int c.  The input dicts are only read.
 
 The single rewrite rule is: the factor IIJ becomes ``[2]_q IJI - JII + rho J``
 (the final term dropped in rho-zero mode).  One pass rewrites the leftmost
@@ -51,10 +50,6 @@ count distinct words, exactly as a single dict of words would.
 
 BACKEND = "python"
 
-Q_OFFSET = 1 << 24
-RHO_SHIFT = 26
-RHO_STEP = 1 << RHO_SHIFT
-
 
 def _inversions(code):
     """Number of I-before-J pairs in the word."""
@@ -79,7 +74,7 @@ def _reducible(w):
 
 
 def _lanes(terms):
-    """Split packed input into lanes ``(weight, base, width, {code: {slot: c}})``.
+    """Split the input into lanes ``(weight, base, width, {code: {slot: c}})``.
 
     A lane's starting width B is the bit length of its largest input bound,
     plus one bit per inversion of its most inverted word, plus two.  The
@@ -90,10 +85,9 @@ def _lanes(terms):
     for code, coeff in terms.items():
         n = code.bit_length() - 1
         reach = _inversions(code)
-        for key, c in coeff.items():
-            if c:
-                p, e = divmod(key, RHO_STEP)
-                by_weight.setdefault(n + 2 * p, []).append((e - Q_OFFSET, code, c, reach))
+        for p, poly in coeff.items():
+            for e, c in poly.items():
+                by_weight.setdefault(n + 2 * p, []).append((e, code, c, reach))
     lanes = []
     for weight, items in sorted(by_weight.items()):
         reach = max(item[3] for item in items)
@@ -184,7 +178,7 @@ class _Lane:
         self.active_bound = active_bound
 
     def decode(self, weight, base, out):
-        """Add the lane's normal words to out in packed form; False if inexact."""
+        """Add the lane's normal words to out; False if inexact."""
         width = self.width
         half = 1 << (width - 1)
         for b in self.normal_bound.values():
@@ -195,16 +189,16 @@ class _Lane:
         mask = (1 << width) - 1
         for w, v in self.normal.items():
             p = (weight - w.bit_length() + 1) // 2
-            key = (p << RHO_SHIFT) + Q_OFFSET + base
-            entry = out.setdefault(w, {})
+            poly = out.setdefault(w, {}).setdefault(p, {})
+            e = base
             while v:
                 d = v & mask
                 if d >= half:
                     d -= mask + 1
                 if d:
-                    entry[key] = d
+                    poly[e] = d
                 v = (v - d) >> width
-                key += 1
+                e += 1
         return True
 
 
@@ -249,7 +243,7 @@ def _reduce_lanes(lanes, rho_zero):
 
 
 def reduce_packed(terms, rho_zero):
-    """Reduce a packed polynomial to normal form.
+    """Reduce a polynomial to normal form.
 
     Returns (normal_terms, peak_words, steps, passes):
     peak_words is the largest number of distinct words alive after any pass,

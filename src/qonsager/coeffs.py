@@ -19,7 +19,7 @@ Exact agreement of all pipelines is the core evidence this package produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .freealg import NCPolynomial, Word, monomial
@@ -33,8 +33,6 @@ from .qcoeff import (
     q_int,
 )
 from .reducer import reduce
-
-PIPELINE_NAMES = ("recursive", "closed", "polynomial", "solve")
 
 
 class CoefficientSystemError(Exception):
@@ -200,54 +198,6 @@ def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
     if m % 2 == 0:
         out = out + monomial(0, 1, 0) * RhoScalar.rho_power(m // 2, ONE)
     return out
-
-
-@dataclass
-class EtaReport:
-    """Outcome of checking the eta expansions against the reducer."""
-
-    n_max: int
-    checked: list[int] = field(default_factory=list)
-    ok: bool = True
-    first_mismatch: tuple[int, str, str] | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "checked_m": self.checked,
-            "ok": self.ok,
-            "first_mismatch": (
-                None
-                if self.first_mismatch is None
-                else {
-                    "m": self.first_mismatch[0],
-                    "expected": self.first_mismatch[1],
-                    "actual": self.first_mismatch[2],
-                }
-            ),
-        }
-
-
-def verify_eta_against_reducer(n_max: int) -> EtaReport:
-    """Check reduce(I^m J) against the eta expansion for every m <= 2n_max+2.
-
-    A mismatch is a reported outcome, not an exception: the report carries
-    the first offending m with both sides rendered.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    report = EtaReport(n_max=n_max)
-    m_top = 2 * n_max + 2
-    eta = eta_table(m_top)
-    for m in range(2, m_top + 1):
-        expected = eta_expansion(m, eta)
-        actual = reduce(monomial(m, 1, 0))
-        report.checked.append(m)
-        if expected != actual:
-            report.ok = False
-            report.first_mismatch = (m, str(expected), str(actual))
-            break
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +636,7 @@ class CrossCheckReport:
 
     max_r: int
     solve_max_r: int
-    agreements: dict[int, bool] = field(default_factory=dict)
+    agreements: dict[int, bool]
 
     @property
     def ok(self) -> bool:
@@ -707,11 +657,3 @@ def pipelines_agree(r: int, with_solve: bool) -> bool:
     if with_solve:
         tables.append(c_solve(r))
     return all(t == tables[0] for t in tables[1:])
-
-
-def cross_check(max_r: int, solve_max_r: int = 0) -> CrossCheckReport:
-    """Exact agreement of recursive/closed/polynomial (and solve up to solve_max_r)."""
-    report = CrossCheckReport(max_r=max_r, solve_max_r=solve_max_r)
-    for r in range(1, max_r + 1):
-        report.agreements[r] = pipelines_agree(r, r <= solve_max_r)
-    return report

@@ -397,10 +397,6 @@ class RhoScalar:
         self._hash = None
 
     @classmethod
-    def from_laurent(cls, s: LaurentScalar) -> "RhoScalar":
-        return cls((s,))
-
-    @classmethod
     def rho_power(cls, p: int, coeff: LaurentScalar | int = 1) -> "RhoScalar":
         if p < 0:
             raise ValueError("rho_power requires p >= 0")

@@ -7,16 +7,12 @@ forms are unique; every replacement word is strictly below IIJ in graded lex
 with I > J, so the multiset of words strictly decreases and reduction
 terminates on every input.
 
-This module converts NCPolynomials to and from the packed form the kernel
-module ``_kernel_py`` takes (word codes mapped to dicts keyed by packed
-(rho, q) exponents).  The kernel splits its input by weight
-``len(word) + 2 * rho_degree``, which the rule preserves, and by clusters of
-q-exponents that can never meet, and reduces each part with a
-word's coefficient held as one int, the coefficient polynomial evaluated at
-``X = 2^B`` (Kronecker substitution).  Every word carries a bound on its
-coefficients; a zero is trusted, and a result decoded, only while the bound
-makes the evaluation injective, and a part that fails is run again with a
-wider B.  See ``_kernel_py`` for the layout and the exactness argument.
+The kernel module ``_kernel_py`` does the reduction.  It takes and returns
+``{word.code: {rho_degree: {q_exponent: c}}}`` with nonzero int c; the
+inner dicts ``_pack`` hands it are the coefficients' own LaurentScalar poly
+dicts, which the kernel only reads.  It holds each coefficient as one int
+and keeps the result exact for any integer exponents and coefficients; see
+``_kernel_py`` for how.
 
 ``reduce_randomized`` is an independent slow engine on RhoScalar
 coefficients that the tests use as the oracle for the kernel.
@@ -34,10 +30,6 @@ from .qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, q_int
 
 _kernel = _kernel_py
 
-Q_OFFSET = _kernel_py.Q_OFFSET
-RHO_SHIFT = _kernel_py.RHO_SHIFT
-RHO_STEP = _kernel_py.RHO_STEP
-
 
 def kernel_backend() -> str:
     """Name of the rewrite kernel."""
@@ -51,7 +43,6 @@ class ReduceStats:
     peak_terms: int
     steps: int
     passes: int
-    backend: str
 
 
 def redex_positions(word: Word) -> list[int]:
@@ -93,45 +84,17 @@ def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
 
 
 def _pack(x: NCPolynomial) -> dict:
-    """Packed form of x for the kernel.
-
-    Each rewrite step removes at least one I-before-J inversion and moves a
-    q-exponent by at most one, so no exponent reachable from a length-n word
-    drifts further than n^2/4.  All of them must stay in [-Q_OFFSET, Q_OFFSET),
-    or the q field of a key would spill into its rho degree; anything else is
-    a ValueError, never a silently aliased result.
-    """
-    packed: dict = {}
-    for word, coeff in x.terms.items():
-        reach = len(word) ** 2 // 4
-        entry: dict = {}
-        for p, ls in enumerate(coeff.coeffs):
-            if ls.is_zero:
-                continue
-            if min(ls.num) - reach < -Q_OFFSET or max(ls.num) + reach >= Q_OFFSET:
-                raise ValueError(
-                    f"q-exponents of {word.letters!r} may leave the packed range "
-                    f"[-{Q_OFFSET}, {Q_OFFSET}) during reduction"
-                )
-            base = (p << RHO_SHIFT) + Q_OFFSET
-            for e, c in ls.num.items():
-                entry[base + e] = c
-        if entry:
-            packed[word.code] = entry
-    return packed
+    """x in the kernel's form ``{word.code: {rho_degree: {q_exponent: c}}}``."""
+    return {
+        word.code: {p: ls.num for p, ls in enumerate(coeff.coeffs) if ls.num}
+        for word, coeff in x.terms.items()
+    }
 
 
 def _unpack(packed: dict) -> NCPolynomial:
     terms: dict[Word, RhoScalar] = {}
-    for code, entry in packed.items():
-        if not entry:
-            continue
-        by_rho: dict[int, dict] = {}
-        for key, c in entry.items():
-            p, e = divmod(key, RHO_STEP)
-            by_rho.setdefault(p, {})[e - Q_OFFSET] = c
-        top = max(by_rho)
-        coeffs = [LaurentScalar(by_rho.get(p, {})) for p in range(top + 1)]
+    for code, by_rho in packed.items():
+        coeffs = [LaurentScalar._raw(by_rho.get(p, {})) for p in range(max(by_rho) + 1)]
         terms[Word(code)] = RhoScalar(coeffs)
     return NCPolynomial(terms)
 
@@ -144,9 +107,9 @@ def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolyno
     rho-zero mode).
     """
     if x.is_zero:
-        return x, ReduceStats(0, 0, 0, _kernel.BACKEND)
+        return x, ReduceStats(0, 0, 0)
     out, peak, steps, passes = _kernel.reduce_packed(_pack(x), rho_zero)
-    return _unpack(out), ReduceStats(peak, steps, passes, _kernel.BACKEND)
+    return _unpack(out), ReduceStats(peak, steps, passes)
 
 
 def reduce(x: NCPolynomial, rho_zero: bool = False) -> NCPolynomial:

@@ -316,13 +316,7 @@ def calibrate_rho(
         ),
         mat_mul(aj, mat_mul(ai, ai)),
     )
-    rho = None
-    for a in range(3):
-        for b in range(3):
-            if aj[a][b] != 0:
-                candidate = lhs[a][b] / aj[a][b]
-                if rho is None:
-                    rho = candidate
+    rho = next((lhs[a][b] / aj[a][b] for a in range(3) for b in range(3) if aj[a][b]), None)
     if rho is None:
         raise CalibrationError("A_j is the zero matrix; cannot calibrate")
     if lhs != mat_scale(aj, rho):
@@ -405,7 +399,7 @@ class MatrixReport:
     r: int
     seed: int
     pair: tuple[int, int]
-    points: list[PointResult] = field(default_factory=list)
+    points: list[PointResult]
 
     @property
     def all_zero(self) -> bool:
@@ -484,7 +478,6 @@ def matrix_point(
     seed: int,
     index: int,
     pair: tuple[int, int] = (0, 1),
-    point_factory=sample_params,
 ) -> PointResult:
     """One sample point of the matrix evidence check.
 
@@ -492,40 +485,13 @@ def matrix_point(
     independent of each other and of scheduling: they can be evaluated in any
     order or in parallel and merged by index.
     """
-    params = point_factory(random.Random(f"{seed}:{index}"))
+    params = sample_params(random.Random(f"{seed}:{index}"))
     matrices = build_evaluation_rep(params)
     calibration = calibrate_rho(matrices, params, pair)
     zero = _relation_vanishes(
         r, table, matrices[pair[0]], matrices[pair[1]], params.q, calibration.rho
     )
     return PointResult(params=params, calibration=calibration, zero=zero)
-
-
-def check_relation_matrix(
-    r: int,
-    table: CoeffTable,
-    samples: int = 20,
-    seed: int = 0,
-    pair: tuple[int, int] = (0, 1),
-    bound: int = 5,
-    point_factory=sample_params,
-) -> MatrixReport:
-    """Evaluate the rank-r relation on the coideal matrices at random points.
-
-    rho is always the calibrated scalar of the pair, never assumed; a nonzero
-    result at any exact rational point is a hard falsification and shows up
-    as zero=False in the report.
-    """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    if r > bound:
-        raise ValueError(f"rank {r} above the configured bound {bound}")
-    if table.r != r:
-        raise ValueError(f"table is for rank {table.r}, not {r}")
-    report = MatrixReport(r=r, seed=seed, pair=pair)
-    for index in range(samples):
-        report.points.append(matrix_point(r, table, seed, index, pair, point_factory))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -559,32 +525,6 @@ def spectral_rho_constant() -> LaurentScalar:
     """The wired spectral calibration constant rho / C^2 = -(q - q^-1)^2."""
     diff = LaurentScalar.q_power(1) - LaurentScalar.q_power(-1)
     return -(diff * diff)
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """One numeric configuration of the eigenvalue family
-    theta_k = C (v q^k + v^-1 q^-k).
-
-    The band-structure check keeps C and v formal; this type exists for
-    rational spot checks of the same substitution.  rho is not free: it is
-    tied to C and q through the oracle-derived calibration constant.
-    """
-
-    C: Fraction
-    v: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        if self.v == 0 or self.q == 0:
-            raise ValueError("v and q must be nonzero")
-
-    def theta(self, k: int) -> Fraction:
-        return self.C * (self.v * self.q ** k + self.q ** (-k) / self.v)
-
-    @property
-    def rho(self) -> Fraction:
-        return self.C ** 2 * spectral_rho_constant().substitute(self.q)
 
 
 @dataclass

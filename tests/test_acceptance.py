@@ -19,9 +19,10 @@ from qonsager.coeffs import (
     c_from_polynomial,
     c_recursive,
     c_solve,
-    verify_eta_against_reducer,
+    eta_expansion,
+    eta_table,
 )
-from qonsager.freealg import NCPolynomial, Word
+from qonsager.freealg import NCPolynomial, Word, monomial
 from qonsager.qcoeff import LaurentScalar, RhoScalar, q_binomial, q_int
 from qonsager.reducer import (
     kernel_backend,
@@ -32,7 +33,8 @@ from qonsager.reducer import (
     rewrite_at,
 )
 from qonsager.repcheck import (
-    check_relation_matrix,
+    MatrixReport,
+    matrix_point,
     rho_calibration_oracle,
     spectral_polynomial_check,
     spectral_rho_constant,
@@ -166,9 +168,9 @@ def test_criterion_06_rho_zero_degeneration():
 def test_criterion_07_eta_expansion_oracle():
     budget = 60.0
     start = time.perf_counter()
-    report = verify_eta_against_reducer(5)  # covers every m <= 12
-    assert report.ok, report.first_mismatch
-    assert report.checked == list(range(2, 13))
+    eta = eta_table(12)
+    for m in range(2, 13):
+        assert reduce(monomial(m, 1, 0)) == eta_expansion(m, eta), m
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _report(7, "reduce(I^m J) equals the eta expansion for m<=12", elapsed, budget)
@@ -179,7 +181,8 @@ def test_criterion_08_matrix_evidence():
     start = time.perf_counter()
     matches = True
     for r in range(1, 6):
-        report = check_relation_matrix(r, table("closed", r), samples=20, seed=2024)
+        points = [matrix_point(r, table("closed", r), 2024, i) for i in range(20)]
+        report = MatrixReport(r, 2024, (0, 1), points)
         assert report.all_zero, r
         assert len(report.points) == 20
         matches = matches and all(p.calibration.matches_product for p in report.points)

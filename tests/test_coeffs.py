@@ -8,6 +8,7 @@ from qonsager.coeffs import (
     BivariatePolynomial,
     CoeffTable,
     CoefficientSystemError,
+    CrossCheckReport,
     ShapeError,
     _solve_unique,
     c_closed,
@@ -15,13 +16,12 @@ from qonsager.coeffs import (
     c_recursive,
     c_solve,
     cells,
-    cross_check,
     eta_expansion,
     eta_table,
     expand_generating_polynomial,
     generating_factors,
     m_table,
-    verify_eta_against_reducer,
+    pipelines_agree,
 )
 from qonsager.qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, exact_div, q_binomial, q_int
 from qonsager.reducer import reduce
@@ -101,14 +101,9 @@ def test_eta_expansion_matches_displayed_m3():
 
 
 def test_eta_against_reducer_small():
-    report = verify_eta_against_reducer(3)
-    assert report.ok, report.first_mismatch
-    assert report.checked == list(range(2, 9))
-
-
-def test_eta_report_serializes():
-    obj = verify_eta_against_reducer(1).to_json_obj()
-    assert obj["ok"] is True and obj["first_mismatch"] is None
+    eta = eta_table(8)
+    for m in range(2, 9):
+        assert reduce(monomial(m, 1, 0)) == eta_expansion(m, eta), m
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,8 @@ def test_invariants_small_ranks(r):
 
 
 def test_cross_check_report():
-    report = cross_check(4, solve_max_r=2)
+    # Built as the cross-check command builds it.
+    report = CrossCheckReport(4, 2, {r: pipelines_agree(r, r <= 2) for r in range(1, 5)})
     assert report.ok
     assert set(report.agreements) == {1, 2, 3, 4}
     obj = report.to_json_obj()

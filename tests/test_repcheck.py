@@ -11,14 +11,15 @@ from qonsager.coeffs import c_closed, c_recursive, cells, delta_indices
 from qonsager.qcoeff import LaurentScalar
 from qonsager.repcheck import (
     CalibrationError,
+    MatrixReport,
     RepConstructionError,
     RepParams,
     build_evaluation_rep,
     calibrate_rho,
-    check_relation_matrix,
     mat_add,
     mat_mul,
     mat_scale,
+    matrix_point,
     rho_calibration_oracle,
     sample_params,
     sample_params_with_w,
@@ -206,36 +207,36 @@ def test_calibration_error_on_zero_matrix():
 # ---------------------------------------------------------------------------
 
 
+def matrix_report(r, table, samples, seed):
+    """The CLI's repcheck report: one matrix_point per sample index."""
+    return MatrixReport(r, seed, (0, 1), [matrix_point(r, table, seed, i) for i in range(samples)])
+
+
 def test_matrix_check_rank_one_any_point():
-    report = check_relation_matrix(1, c_recursive(1), samples=3, seed=11)
+    report = matrix_report(1, c_recursive(1), samples=3, seed=11)
     assert report.all_zero
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_matrix_check_small_ranks(r):
-    report = check_relation_matrix(r, c_closed(r), samples=4, seed=5)
+    report = matrix_report(r, c_closed(r), samples=4, seed=5)
     assert report.all_zero
     assert len(report.points) == 4
 
 
-def test_matrix_check_rejects_out_of_bound_rank():
-    with pytest.raises(ValueError, match="bound"):
-        check_relation_matrix(6, c_recursive(6), samples=1, seed=0)
-
-
 def test_matrix_check_stable_across_seeds():
     for seed in (0, 1, 2):
-        assert check_relation_matrix(2, c_recursive(2), samples=3, seed=seed).all_zero
+        assert matrix_report(2, c_recursive(2), samples=3, seed=seed).all_zero
 
 
 def test_matrix_check_detects_perturbed_table():
     table = perturbed_table(c_recursive(3), 1, 0)
-    report = check_relation_matrix(3, table, samples=3, seed=9)
+    report = matrix_report(3, table, samples=3, seed=9)
     assert not report.all_zero
 
 
 def test_matrix_report_json():
-    report = check_relation_matrix(2, c_recursive(2), samples=2, seed=4)
+    report = matrix_report(2, c_recursive(2), samples=2, seed=4)
     obj = json.loads(report.to_json())
     assert obj["r"] == 2 and obj["all_zero"] is True and obj["samples"] == 2
     point = obj["points"][0]
@@ -364,19 +365,21 @@ def test_spectral_report_json():
 
 
 def test_spectral_params_numeric_spot_check():
-    from qonsager.repcheck import SpectralParams
+    # theta_k = C (v q^k + v^-1 q^-k) at one rational point, with rho tied to
+    # C and q through the wired calibration constant.
+    C, v, q = Fraction(3, 2), Fraction(5, 7), Fraction(2)
 
-    params = SpectralParams(C=Fraction(3, 2), v=Fraction(5, 7), q=Fraction(2))
-    q = params.q
+    def theta(k):
+        return C * (v * q ** k + q ** (-k) / v)
+
+    rho = C ** 2 * spectral_rho_constant().substitute(q)
     # The offset-d quadratic factor vanishes at (theta_k, theta_(k+d)) with
     # the tied rho, for any k; a wrong offset leaves it nonzero.
     for d in (1, 2, 3):
         mid = q ** d + q ** (-d)
         bracket = sum(q ** (d - 1 - 2 * i) for i in range(d))
         for k in (0, 1, 4):
-            x, y = params.theta(k), params.theta(k + d)
-            assert x * x - mid * x * y + y * y - params.rho * bracket ** 2 == 0
-        x, y = params.theta(0), params.theta(d + 1)
-        assert x * x - mid * x * y + y * y - params.rho * bracket ** 2 != 0
-    with pytest.raises(ValueError):
-        SpectralParams(C=Fraction(1), v=Fraction(0), q=Fraction(2))
+            x, y = theta(k), theta(k + d)
+            assert x * x - mid * x * y + y * y - rho * bracket ** 2 == 0
+        x, y = theta(0), theta(d + 1)
+        assert x * x - mid * x * y + y * y - rho * bracket ** 2 != 0
