@@ -86,14 +86,14 @@ def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
 def _pack(x: NCPolynomial) -> dict:
     """x in the kernel's form ``{word.code: {rho_degree: {q_exponent: c}}}``."""
     return {
-        word.code: {p: ls.num for p, ls in enumerate(coeff.coeffs) if ls.num}
+        word.code: {p: ls.num for p, ls in enumerate(coeff.coeffs)}
         for word, coeff in x.terms.items()
     }
 
 
-def _unpack(packed: dict) -> NCPolynomial:
+def _unpack(reduced: dict) -> NCPolynomial:
     terms: dict[Word, RhoScalar] = {}
-    for code, by_rho in packed.items():
+    for code, by_rho in reduced.items():
         coeffs = [LaurentScalar._raw(by_rho.get(p, {})) for p in range(max(by_rho) + 1)]
         terms[Word(code)] = RhoScalar(coeffs)
     return NCPolynomial(terms)

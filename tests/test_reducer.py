@@ -180,8 +180,8 @@ def test_unit_and_generators_are_normal():
 
 
 def test_any_q_exponent_reduces_exactly():
-    # A fixed-width (rho, q) key once aliased the first two: q^(2^26) J came
-    # back as rho J and q^-(2^24+1) J as 0.
+    # Exponents past what a fixed-width exponent field would hold, on both
+    # sides of zero.
     for e in (1 << 26, -((1 << 24) + 1), 1 << 80):
         c = RhoScalar((LaurentScalar.q_power(e),))
         for rho_zero, rule in ((False, RULE), (True, RULE_RHO_ZERO)):
