@@ -3,7 +3,8 @@ generalized q-Onsager algebras.
 
 Subpackage map:
 
-* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, rho-polynomials
+* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, rho-polynomials,
+                  and the multivariate product shared by coeffs and repcheck
 * ``freealg``  -- free algebra on the two generators of one linked pair
 * ``reducer``  -- ordering prescription as a confluent rewriting system
 * ``coeffs``   -- the coefficient tables c[r,p,k] via four independent pipelines

@@ -80,13 +80,31 @@ def _workers() -> int:
     return max(1, n)
 
 
-def _pmap(fn, arg_tuples):
-    """fn(*args) for each tuple in order, using a process pool when workers > 1."""
+def _pmap(fn, arg_tuples, budget: _Budget):
+    """fn(*args) for each tuple in order, using a process pool when workers > 1.
+
+    The budget is checked before each call, or in a pool before waiting for
+    each result; when it runs out, the calls not yet started are cancelled
+    and TimeBudgetExceeded propagates.
+    """
     n = _workers()
     if n <= 1 or len(arg_tuples) <= 1:
-        return [fn(*args) for args in arg_tuples]
+        results = []
+        for args in arg_tuples:
+            budget.check()
+            results.append(fn(*args))
+        return results
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, *zip(*arg_tuples)))
+        futures = [pool.submit(fn, *args) for args in arg_tuples]
+        results = []
+        try:
+            for future in futures:
+                budget.check()
+                results.append(future.result())
+        except TimeBudgetExceeded:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        return results
 
 
 def _emit(args, text: str) -> None:
@@ -204,8 +222,7 @@ def _cmd_cross_check(args) -> int:
     budget = _Budget(args.time_budget)
     ranks = range(1, args.max_r + 1)
     try:
-        budget.check()
-        agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks])
+        agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks], budget)
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded"}))
         return EXIT_RESOURCE
@@ -233,7 +250,7 @@ def _cmd_repcheck(args) -> int:
         return _usage("--samples must be positive")
     table = PIPELINES[args.pipeline](args.r)
     tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
-    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks))
+    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks, _Budget(None)))
     if args.format == "json":
         _emit(args, _json_dump(report.to_json_obj()))
     else:

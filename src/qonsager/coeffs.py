@@ -7,8 +7,8 @@ table are deliberately independent so they can cross-check each other:
 * ``c_recursive``   -- the one-rule-per-cell recursion driven by the eta and M
                        auxiliary tables, seeded from the rank-1 relation;
 * ``c_closed``      -- the closed double-sum formula over index families;
-* ``c_from_polynomial`` -- expansion of the factorized two-variable
-                       generating polynomial;
+* ``c_from_polynomial`` -- expansion of the factorized generating
+                       polynomial in x, y and rho;
 * ``c_solve``       -- treating all entries as unknowns, reducing the
                        candidate relation with the rewriting engine and
                        solving the resulting linear system exactly.
@@ -28,6 +28,11 @@ from .qcoeff import (
     ZERO,
     LaurentScalar,
     RhoScalar,
+    _mmul,
+    _pcontent,
+    _pmul,
+    _pneg,
+    _psub,
     parse_laurent,
     q_binomial,
     q_int,
@@ -302,64 +307,6 @@ def c_recursive(r: int) -> CoeffTable:
 
 
 # ---------------------------------------------------------------------------
-# two-variable polynomials, shared by pipelines 2 and 3
-# ---------------------------------------------------------------------------
-
-
-class BivariatePolynomial:
-    """Polynomial in commuting x, y over RhoScalar, terms keyed (x_deg, y_deg)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], RhoScalar] | None = None):
-        cleaned = {}
-        for key, c in (terms or {}).items():
-            if not isinstance(c, RhoScalar):
-                c = RhoScalar((c if isinstance(c, LaurentScalar) else LaurentScalar(c),))
-            if not c.is_zero:
-                cleaned[key] = c
-        self.terms = cleaned
-
-    @classmethod
-    def one(cls) -> "BivariatePolynomial":
-        return cls({(0, 0): RhoScalar((ONE,))})
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out: dict[tuple[int, int], RhoScalar] = {}
-        for (xa, ya), ca in self.terms.items():
-            for (xb, yb), cb in other.terms.items():
-                key = (xa + xb, ya + yb)
-                c = ca * cb
-                n = out.get(key)
-                n = c if n is None else n + c
-                if n.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = n
-        return BivariatePolynomial(out)
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) and self.terms == other.terms
-
-    __hash__ = None
-
-    def swap_xy(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({(y, x): c for (x, y), c in self.terms.items()})
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self.terms.items()})
-
-    def total_degree_weighted(self) -> set[int]:
-        """Distinct values of x_deg + y_deg + 2*rho_deg over all monomials."""
-        out = set()
-        for (x, y), c in self.terms.items():
-            for p, ls in enumerate(c.coeffs):
-                if not ls.is_zero:
-                    out.add(x + y + 2 * p)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # pipeline 2: closed formula
 # ---------------------------------------------------------------------------
 
@@ -378,7 +325,9 @@ def c_closed(r: int) -> CoeffTable:
     runs over disjoint families of the support, p indices weighted by [s]^2
     and k-alpha*l by [2s]/[s], so with the product built once per rank,
 
-        inner sum = coefficient of x^p y^(k-alpha*l) in prod_s (1 + x[s]^2 + y[2s]/[s]).
+        inner sum = coefficient of x^p y^(k-alpha*l) in prod_s (1 + x[s]^2 + y[2s]/[s]),
+
+    a multivariate polynomial keyed (x_deg, y_deg, 0) over poly dicts in q.
 
     The binomial is an ordinary integer binomial, read as zero whenever its
     arguments leave 0 <= m <= n (the factorial form is undefined there, and
@@ -388,12 +337,12 @@ def c_closed(r: int) -> CoeffTable:
         raise ValueError("rank must be >= 1")
     alpha = 2 if r % 2 else 1
     half = (r + 1) // 2
-    families = BivariatePolynomial.one()
+    families = {(0, 0, 0): {0: 1}}
     for s in _support(r):
-        families = families * BivariatePolynomial(
-            {(0, 0): ONE, (1, 0): q_int(s) * q_int(s),
-             (0, 1): LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)}
-        )
+        families = _mmul(families, {
+            (0, 0, 0): {0: 1}, (1, 0, 0): (q_int(s) * q_int(s)).num,
+            (0, 1, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num,
+        })
 
     entries: dict[tuple[int, int], LaurentScalar] = {}
     for (p, k) in cells(r):
@@ -401,9 +350,9 @@ def c_closed(r: int) -> CoeffTable:
         for l in range(0, k // alpha + 1):
             n_bin = half - k + alpha * l - p
             m_bin = (alpha * l) // 2
-            inner = families.terms.get((p, k - alpha * l))
+            inner = families.get((p, k - alpha * l, 0))
             if 0 <= m_bin <= n_bin and inner is not None:
-                total = total + math.comb(n_bin, m_bin) * inner.coefficient(0)
+                total = total + math.comb(n_bin, m_bin) * LaurentScalar._raw(inner)
         entries[(p, k)] = total
     return CoeffTable(r, entries, "closed")
 
@@ -426,26 +375,25 @@ def generating_factors(r: int) -> list[tuple]:
     return [("diff",)] + [("quad", s) for s in range(2, r + 1, 2)]
 
 
-def _factor_poly(desc: tuple) -> BivariatePolynomial:
+def _factor_poly(desc: tuple) -> dict:
+    """One factor as a polynomial keyed (x_deg, y_deg, rho_deg) over poly dicts."""
     if desc[0] == "diff":
-        return BivariatePolynomial({(1, 0): RhoScalar((ONE,)), (0, 1): RhoScalar((-ONE,))})
+        return {(1, 0, 0): {0: 1}, (0, 1, 0): {0: -1}}
     s = desc[1]
     mid = LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)
-    return BivariatePolynomial(
-        {
-            (2, 0): RhoScalar((ONE,)),
-            (1, 1): RhoScalar((-mid,)),
-            (0, 2): RhoScalar((ONE,)),
-            (0, 0): RhoScalar((ZERO, -(q_int(s) * q_int(s)))),
-        }
-    )
+    return {
+        (2, 0, 0): {0: 1},
+        (1, 1, 0): (-mid).num,
+        (0, 2, 0): {0: 1},
+        (0, 0, 1): (-(q_int(s) * q_int(s))).num,
+    }
 
 
-def expand_generating_polynomial(r: int) -> BivariatePolynomial:
-    """Fully expanded rank-r generating polynomial."""
-    out = BivariatePolynomial.one()
+def expand_generating_polynomial(r: int) -> dict:
+    """Fully expanded rank-r generating polynomial, {(x_deg, y_deg, rho_deg): poly dict}."""
+    out = {(0, 0, 0): {0: 1}}
     for desc in generating_factors(r):
-        out = out * _factor_poly(desc)
+        out = _mmul(out, _factor_poly(desc))
     return out
 
 
@@ -456,20 +404,14 @@ def c_from_polynomial(r: int) -> CoeffTable:
     carrying sign (-1)^(k+p); anything else raises ShapeError, since it would
     falsify the claimed expansion shape.
     """
-    poly = expand_generating_polynomial(r)
     admissible = set(cells(r))
     entries: dict[tuple[int, int], LaurentScalar] = {}
-    for (dx, dy), coeff in poly.terms.items():
-        for p, ls in enumerate(coeff.coeffs):
-            if ls.is_zero:
-                continue
-            k = dy
-            if dx + dy + 2 * p != r + 1 or (p, k) not in admissible:
-                raise ShapeError(
-                    f"rank {r}: monomial rho^{p} x^{dx} y^{dy} outside the expansion shape"
-                )
-            value = ls if (k + p) % 2 == 0 else -ls
-            entries[(p, k)] = value
+    for (dx, k, p), poly in expand_generating_polynomial(r).items():
+        if dx + k + 2 * p != r + 1 or (p, k) not in admissible:
+            raise ShapeError(
+                f"rank {r}: monomial rho^{p} x^{dx} y^{k} outside the expansion shape"
+            )
+        entries[(p, k)] = LaurentScalar._raw(poly if (k + p) % 2 == 0 else _pneg(poly))
     try:
         return CoeffTable(r, entries, "polynomial")
     except ValueError as exc:
@@ -507,8 +449,6 @@ def _solve_unique(
     CoefficientSystemError when rank is deficient, when the solution is not
     a Laurent polynomial, or when any equation fails.
     """
-    from .qcoeff import _pcontent, _pmul, _psub  # local: internal helpers
-
     # Dense integer-exponent polynomial rows: columns 0..n_cols-1 then rhs.
     dense_rows = []
     for cols, rhs in rows:

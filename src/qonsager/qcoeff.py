@@ -11,7 +11,9 @@ Two scalar types live here:
 
 Representation: a "poly dict" maps an integer q-exponent to a nonzero integer
 coefficient; the empty dict is zero.  A LaurentScalar stores one poly dict,
-so equal values have identical representations.
+so equal values have identical representations.  A multivariate Laurent
+polynomial maps an exponent tuple of its other variables to a nonzero poly
+dict in q (``_madd``, ``_msub``, ``_mmul``).
 
 Everything is exact; no floats appear anywhere.  Values are immutable after
 construction and all operations are pure, so they are safe to share between
@@ -69,6 +71,42 @@ def _pmul(a: dict, b: dict) -> dict:
                 out[e] = n
             elif e in out:
                 del out[e]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# multivariate helpers: dict[3-int exponent tuple -> nonzero poly dict in q]
+# ---------------------------------------------------------------------------
+# A key holds the exponents of the variables other than q, and a product adds
+# keys slot by slot.  Values may be shared between results and are never
+# mutated.
+
+
+def _madd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        n = _padd(out.get(key, {}), v)
+        if n:
+            out[key] = n
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _msub(a: dict, b: dict) -> dict:
+    return _madd(a, {key: _pneg(v) for key, v in b.items()})
+
+
+def _mmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (a0, a1, a2), pa in a.items():
+        for (b0, b1, b2), pb in b.items():
+            key = (a0 + b0, a1 + b1, a2 + b2)
+            n = _padd(out.get(key, {}), _pmul(pa, pb))
+            if n:
+                out[key] = n
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -468,14 +506,6 @@ class RhoScalar:
 
     def bar(self) -> "RhoScalar":
         return RhoScalar(tuple(c.bar() for c in self.coeffs))
-
-    def substitute(self, q: Fraction, rho: Fraction) -> Fraction:
-        """Evaluate at exact rational q and rho."""
-        rho = Fraction(rho)
-        total = Fraction(0)
-        for p, c in enumerate(self.coeffs):
-            total += c.substitute(q) * rho ** p
-        return total
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -22,14 +22,13 @@ and the check refuses to run unless the wired constant matches the oracle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffs import CoeffTable, delta_indices, generating_factors
-from .qcoeff import LaurentScalar, _padd, _psub, exact_div, q_int
+from .qcoeff import LaurentScalar, _madd, _mmul, _msub, _padd, exact_div, q_int
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -111,24 +110,12 @@ class RepParams:
         }
 
 
-# Exponent-tuple Laurent polynomial over Z: {(a, b, c, d): int}, the product
-# adds keys slot by slot.  The spectral check reads a key as (C_degree,
-# v_exponent, q_constant, q_k_coefficient); the Chevalley module's entries
-# live in Z[q^±1, z^±1] and use keys (0, z_exponent, q_exponent, 0).
+# A qcoeff multivariate Laurent polynomial: {exponent 3-tuple: poly dict in q},
+# multiplied by _mmul.  The Chevalley module's entries live in Z[q^±1, z^±1]
+# and use keys (0, z_exponent, 0); the spectral check reads a key as
+# (C_degree, v_exponent, k_coefficient), so a term's q-exponent is its
+# poly-dict exponent plus k_coefficient times the formal base index k.
 _XPoly = dict
-
-
-def _xp_mul(a: _XPoly, b: _XPoly) -> _XPoly:
-    out: _XPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-            n = out.get(key, 0) + ca * cb
-            if n:
-                out[key] = n
-            elif key in out:
-                del out[key]
-    return out
 
 
 # A matrix of the module is a 3x3 tuple of such polynomials.
@@ -145,7 +132,7 @@ def _qz_matmul(a: _QZMat, b: _QZMat) -> _QZMat:
         for j in range(3):
             total: _XPoly = {}
             for k in range(3):
-                total = _padd(total, _xp_mul(a[i][k], b[k][j]))
+                total = _madd(total, _mmul(a[i][k], b[k][j]))
             out[(i, j)] = total
     return _qz_matrix(out)
 
@@ -157,19 +144,19 @@ def _qz_combine(*terms: tuple[_XPoly, _QZMat]) -> _QZMat:
         for j in range(3):
             total: _XPoly = {}
             for scalar, m in terms:
-                total = _padd(total, _xp_mul(scalar, m[i][j]))
+                total = _madd(total, _mmul(scalar, m[i][j]))
             out[(i, j)] = total
     return _qz_matrix(out)
 
 
 def _q(n: int) -> _XPoly:
-    return {(0, 0, n, 0): 1}
+    return {(0, 0, 0): {n: 1}}
 
 
 def _chevalley():
     """Generator matrices e_i, f_i over Z[q^±1, z^±1] and the weight vectors
     h_i of the 3-dim evaluation module."""
-    one, z, z_inv = _q(0), {(0, 1, 0, 0): 1}, {(0, -1, 0, 0): 1}
+    one, z, z_inv = _q(0), {(0, 1, 0): {0: 1}}, {(0, -1, 0): {0: 1}}
     e = {1: _qz_matrix({(0, 1): one}), 2: _qz_matrix({(1, 2): one}),
          0: _qz_matrix({(2, 0): z})}
     f = {1: _qz_matrix({(1, 0): one}), 2: _qz_matrix({(2, 1): one}),
@@ -181,9 +168,9 @@ def _chevalley():
 def _check_module(e, f, h) -> None:
     """The defining relations of the quantum algebra, as identities over
     Z[q^±1, z^±1]: they then hold at every evaluation point."""
-    one, minus = _q(0), {(0, 0, 0, 0): -1}
-    q_diff = {(0, 0, 1, 0): 1, (0, 0, -1, 0): -1}  # q - q^-1
-    minus_two_q = {(0, 0, 1, 0): -1, (0, 0, -1, 0): -1}  # -(q + q^-1)
+    one, minus = _q(0), {(0, 0, 0): {0: -1}}
+    q_diff = {(0, 0, 0): {1: 1, -1: -1}}  # q - q^-1
+    minus_two_q = {(0, 0, 0): {1: -1, -1: -1}}  # -(q + q^-1)
 
     def K(i, sign=1):
         return _qz_matrix({(a, a): _q(sign * hv) for a, hv in enumerate(h[i])})
@@ -234,7 +221,9 @@ def _checked_module():
 def _qz_eval(value: _XPoly, s: Fraction, z: Fraction) -> Fraction:
     """A module entry at q = s^2 and the given z."""
     return sum(
-        (c * s ** (2 * qe) * z ** ze for (_, ze, qe, _), c in value.items()), Fraction(0)
+        (c * s ** (2 * qe) * z ** ze
+         for (_, ze, _), poly in value.items() for qe, c in poly.items()),
+        Fraction(0),
     )
 
 
@@ -415,9 +404,6 @@ class MatrixReport:
             "points": [p.to_json_obj() for p in self.points],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 IMat = tuple[tuple[int, ...], ...]
 
@@ -502,22 +488,18 @@ def matrix_point(
 # the q-exponent kept linear in a formal base index k.
 
 
-def _xp_from_laurent(value: LaurentScalar, c_degree: int = 0) -> _XPoly:
-    return {(c_degree, 0, e, 0): c for e, c in value.num.items()}
-
-
 def _theta(offset: int) -> _XPoly:
     """theta_(k+offset) = C (v q^(k+offset) + v^-1 q^-(k+offset)), k formal."""
-    return {(1, 1, offset, 1): 1, (1, -1, -offset, -1): 1}
+    return {(1, 1, 1): {offset: 1}, (1, -1, -1): {-offset: 1}}
 
 
 def _quadratic(d: int, s: int) -> _XPoly:
     """theta_k^2 + theta_(k+d)^2 - (q^s + q^-s) theta_k theta_(k+d), k formal."""
     theta0, thetad = _theta(0), _theta(d)
-    mid = _xp_from_laurent(LaurentScalar.q_power(s) + LaurentScalar.q_power(-s))
-    return _psub(
-        _padd(_xp_mul(theta0, theta0), _xp_mul(thetad, thetad)),
-        _xp_mul(mid, _xp_mul(theta0, thetad)),
+    mid = {(0, 0, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num}
+    return _msub(
+        _madd(_mmul(theta0, theta0), _mmul(thetad, thetad)),
+        _mmul(mid, _mmul(theta0, thetad)),
     )
 
 
@@ -568,14 +550,14 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     k_ok = True
     for d in offsets:
         laurent = {}
-        for (cdeg, vexp, qconst, qk), coeff in _quadratic(d, d).items():
+        for (cdeg, vexp, qk), poly in _quadratic(d, d).items():
             if vexp != 0:
                 v_ok = False
             if qk != 0:
                 k_ok = False
             if cdeg != 2:
                 return OracleResult(offsets, v_ok, k_ok, None)
-            laurent[qconst] = laurent.get(qconst, 0) + coeff
+            laurent = _padd(laurent, poly)
         if not (v_ok and k_ok):
             return OracleResult(offsets, v_ok, k_ok, None)
         try:
@@ -613,9 +595,6 @@ class SpectralReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def spectral_polynomial_check(
     r: int, rho_over_c2: LaurentScalar | None = None
@@ -638,17 +617,16 @@ def spectral_polynomial_check(
     if not oracle.ok or oracle.rho_over_c2 != wired:
         return SpectralReport(r=r, oracle=OracleResult(oracle.offsets, oracle.v_independent,
                                                        oracle.k_independent, None))
-    rho_xp = _xp_from_laurent(wired, c_degree=2)
     report = SpectralReport(r=r, oracle=oracle)
     for d in range(-(r + 2), r + 3):
-        value: _XPoly = {(0, 0, 0, 0): 1}
+        value: _XPoly = {(0, 0, 0): {0: 1}}
         for desc in generating_factors(r):
             if desc[0] == "diff":
-                factor = _psub(_theta(0), _theta(d))
+                factor = _msub(_theta(0), _theta(d))
             else:
                 s = desc[1]
-                rho_term = _xp_mul(rho_xp, _xp_from_laurent(q_int(s) * q_int(s)))
-                factor = _psub(_quadratic(d, s), rho_term)
-            value = _xp_mul(value, factor)
+                rho_term = {(2, 0, 0): (wired * q_int(s) * q_int(s)).num}
+                factor = _msub(_quadratic(d, s), rho_term)
+            value = _mmul(value, factor)
         report.offsets.append((d, not value))
     return report

@@ -13,13 +13,12 @@ nonzero residual is a reported falsification.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 from .coeffs import CoeffTable, PIPELINES, delta_indices
 from .freealg import NCPolynomial, Word
-from .qcoeff import RhoScalar
+from .qcoeff import LaurentScalar, RhoScalar
 from .reducer import reduce_with_stats
 
 
@@ -51,9 +50,6 @@ class RelationCertificate:
             "peak_terms": self.term_count_peak,
             "ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomial:
@@ -111,8 +107,6 @@ def perturbed_table(table: CoeffTable, p: int, k: int) -> CoeffTable:
     Mutation control: the relation built on a perturbed table must leave a
     nonzero residual, guarding against a reducer that maps everything to zero.
     """
-    from .qcoeff import LaurentScalar
-
     entries = dict(table.entries)
     entries[(p, k)] = entries[(p, k)] * LaurentScalar.q_power(1)
     return CoeffTable(table.r, entries, f"{table.pipeline}+perturbed({p},{k})")

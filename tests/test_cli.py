@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qonsager import repcheck
+from qonsager import cli, repcheck
 from qonsager.cli import EXIT_FALSIFIED, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from qonsager.coeffs import PIPELINES
 
@@ -123,6 +124,39 @@ def test_verify_time_budget_exhaustion(capsys):
     assert "time budget exceeded" in out
 
 
+def test_cross_check_time_budget_runs_out_between_ranks(capsys, monkeypatch):
+    # Each rank takes one second of a fake clock; a 1.5 s budget stops the
+    # run after rank 2 instead of finishing all five.
+    clock = [0.0]
+    ranks = []
+
+    def one_second_per_rank(r, with_solve):
+        ranks.append(r)
+        clock[0] += 1.0
+        return True
+
+    monkeypatch.setenv("QONSAGER_WORKERS", "1")
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(cli, "pipelines_agree", one_second_per_rank)
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "5", "--time-budget", "1.5")
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {"error": "time budget exceeded"}
+    assert ranks == [1, 2]
+
+
+def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
+    # The fake clock advances one second per reading: the budget holds for
+    # the first result and has run out before the second.
+    ticks = iter(range(1000))
+    monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, _ = run_cli(
+        capsys, "cross-check", "--max-r", "8", "--solve-max-r", "3", "--time-budget", "1.5"
+    )
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {"error": "time budget exceeded"}
+
+
 def test_cross_check(capsys):
     code, out, _ = run_cli(
         capsys, "cross-check", "--max-r", "4", "--solve-max-r", "2", "--format", "json"
@@ -170,7 +204,7 @@ def test_spectral(capsys):
 
 
 def test_spectral_oracle_without_a_laurent_rho_is_falsified(monkeypatch, capsys):
-    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0, 0): 1})
+    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0): {0: 1}})
     code, out, err = run_cli(capsys, "spectral", "--r", "2")
     assert code == EXIT_FALSIFIED
     assert out.startswith("oracle ok: False (rho/C^2 = None)")

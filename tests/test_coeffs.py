@@ -5,7 +5,6 @@ import json
 import pytest
 
 from qonsager.coeffs import (
-    BivariatePolynomial,
     CoeffTable,
     CoefficientSystemError,
     CrossCheckReport,
@@ -172,44 +171,48 @@ def test_generating_factors():
     assert generating_factors(5) == [("quad", 1), ("quad", 3), ("quad", 5)]
 
 
+# Expansions are {(x_deg, y_deg, rho_deg): poly dict in q}.
+
+
 def test_expand_rank_one():
     poly = expand_generating_polynomial(1)
-    expected = BivariatePolynomial(
-        {
-            (2, 0): RhoScalar((ONE,)),
-            (1, 1): RhoScalar((-TWO,)),
-            (0, 2): RhoScalar((ONE,)),
-            (0, 0): RhoScalar((ZERO, -ONE)),
-        }
-    )
+    expected = {
+        (2, 0, 0): ONE.num,
+        (1, 1, 0): (-TWO).num,
+        (0, 2, 0): ONE.num,
+        (0, 0, 1): (-ONE).num,
+    }
     assert poly == expected
 
 
 def test_expand_rank_two_matches_manual_product():
-    # (x - y) times the single quadratic factor, multiplied out by hand here.
-    diff = BivariatePolynomial({(1, 0): RhoScalar((ONE,)), (0, 1): RhoScalar((-ONE,))})
+    # (x - y) times the single quadratic factor, multiplied out by hand here:
+    # x^3 - (mid + 1) x^2 y + (mid + 1) x y^2 - y^3 - rho [2]^2 (x - y),
+    # with mid = q^2 + q^-2.
     mid = L({2: 1, -2: 1})
-    quad = BivariatePolynomial(
-        {
-            (2, 0): RhoScalar((ONE,)),
-            (1, 1): RhoScalar((-mid,)),
-            (0, 2): RhoScalar((ONE,)),
-            (0, 0): RhoScalar((ZERO, -(TWO ** 2))),
-        }
-    )
-    assert expand_generating_polynomial(2) == diff * quad
+    rho_term = TWO ** 2
+    expected = {
+        (3, 0, 0): ONE.num,
+        (2, 1, 0): (-(mid + ONE)).num,
+        (1, 2, 0): (mid + ONE).num,
+        (0, 3, 0): (-ONE).num,
+        (1, 0, 1): (-rho_term).num,
+        (0, 1, 1): rho_term.num,
+    }
+    assert expand_generating_polynomial(2) == expected
 
 
 def test_expand_rank_three_is_symmetric_degree_four():
     poly = expand_generating_polynomial(3)
-    assert poly.swap_xy() == poly
-    assert poly.total_degree_weighted() == {4}
+    assert {(y, x, p): c for (x, y, p), c in poly.items()} == poly
+    assert {x + y + 2 * p for (x, y, p) in poly} == {4}
 
 
 def test_expand_even_rank_antisymmetric():
     poly = expand_generating_polynomial(4)
-    assert poly.swap_xy() == -poly
-    assert poly.total_degree_weighted() == {5}
+    negated = {key: (-L(c)).num for key, c in poly.items()}
+    assert {(y, x, p): c for (x, y, p), c in poly.items()} == negated
+    assert {x + y + 2 * p for (x, y, p) in poly} == {5}
 
 
 def test_from_polynomial_rank_one_table():
@@ -232,7 +235,7 @@ def test_shape_error_on_malformed_expansion():
     import qonsager.coeffs as coeffs_mod
 
     poly = expand_generating_polynomial(2)
-    poly.terms[(5, 5)] = RhoScalar((ONE,))
+    poly[(5, 5, 0)] = ONE.num
     original = coeffs_mod.expand_generating_polynomial
     coeffs_mod.expand_generating_polynomial = lambda r: poly
     try:

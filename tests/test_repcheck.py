@@ -55,7 +55,11 @@ def _evaluate(m, s, z):
     """A matrix over Z[q^±1, z^±1] at q = s^2 and the given z."""
     return tuple(
         tuple(
-            sum((c * s ** (2 * qe) * z ** ze for (_, ze, qe, _), c in entry.items()), Fraction(0))
+            sum(
+                (c * s ** (2 * qe) * z ** ze
+                 for (_, ze, _), poly in entry.items() for qe, c in poly.items()),
+                Fraction(0),
+            )
             for entry in row
         )
         for row in m
@@ -101,11 +105,11 @@ def _scaled(m, scalar):
 
 def _break_e0(e, f, h):
     # e_0 scaled by z^2: invisible at z = 1, wrong as an identity in z
-    return {**e, 0: _scaled(e[0], {(0, 2, 0, 0): 1})}, f, h
+    return {**e, 0: _scaled(e[0], {(0, 2, 0): {0: 1}})}, f, h
 
 
 def _break_f1(e, f, h):
-    return e, {**f, 1: _scaled(f[1], {(0, 0, 1, 0): 1})}, h
+    return e, {**f, 1: _scaled(f[1], {(0, 0, 0): {1: 1}})}, h
 
 
 def _break_h1(e, f, h):
@@ -237,7 +241,7 @@ def test_matrix_check_detects_perturbed_table():
 
 def test_matrix_report_json():
     report = matrix_report(2, c_recursive(2), samples=2, seed=4)
-    obj = json.loads(report.to_json())
+    obj = json.loads(json.dumps(report.to_json_obj()))
     assert obj["r"] == 2 and obj["all_zero"] is True and obj["samples"] == 2
     point = obj["points"][0]
     assert set(point) == {"params", "calibration", "zero"}
@@ -329,7 +333,7 @@ def test_oracle_derives_the_calibration_constant():
 
 def test_oracle_rejects_an_expansion_without_a_laurent_rho(monkeypatch):
     # C^2 alone: rho_d [d]^2 = 1 has a Laurent-polynomial rho_d only at d = 1.
-    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0, 0): 1})
+    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0): {0: 1}})
     result = rho_calibration_oracle(4)
     assert result.ok is False
     assert result.rho_over_c2 is None
@@ -356,7 +360,7 @@ def test_spectral_check_refuses_miswired_constant():
 
 
 def test_spectral_report_json():
-    obj = json.loads(spectral_polynomial_check(2).to_json())
+    obj = json.loads(json.dumps(spectral_polynomial_check(2).to_json_obj()))
     assert obj["ok"] is True
     assert obj["oracle"]["v_independent"] is True
     entries = {item["offset"]: item for item in obj["offsets"]}

@@ -110,7 +110,7 @@ def test_qserre_binomial_row():
 
 def test_certificate_json_schema():
     cert = verify_relation(2)
-    obj = json.loads(cert.to_json())
+    obj = json.loads(json.dumps(cert.to_json_obj()))
     assert set(obj) == {"r", "pipeline", "zero", "residual_terms", "peak_terms", "ms"}
     assert obj["r"] == 2
     assert obj["zero"] is True
