@@ -3,9 +3,11 @@ generalized q-Onsager algebras.
 
 Subpackage map:
 
-* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, rho-polynomials,
-                  and the multivariate product shared by coeffs and repcheck
-* ``freealg``  -- free algebra on the two generators of one linked pair
+* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, and the products of
+                  polynomials over q: multivariate (coeffs, repcheck) and in
+                  rho (the free algebra's coefficients)
+* ``freealg``  -- free algebra on the two generators of one linked pair, with
+                  ``{rho_degree: poly dict}`` coefficients
 * ``reducer``  -- ordering prescription as a confluent rewriting system
 * ``coeffs``   -- the coefficient tables c[r,p,k] via four independent pipelines
 * ``verify``   -- builds the degree-(2r+1) relation and reduces it to zero
@@ -17,7 +19,6 @@ __version__ = "0.1.0"
 
 from .qcoeff import (  # noqa: F401
     LaurentScalar,
-    RhoScalar,
     exact_div,
     q_binomial,
     q_factorial,

@@ -8,13 +8,15 @@ look the same.
 Outputs are byte-identical for identical configuration and seed: every
 serialization path sorts its keys and the sample points are derived from
 (seed, index) only.  QONSAGER_WORKERS > 1 fans independent sub-checks out to
-a process pool without changing any output.
+a process pool, of at most one process per sub-check and per CPU, without
+changing any output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -64,6 +66,8 @@ class UsageError(Exception):
 
 class _Budget:
     def __init__(self, seconds: float | None):
+        if seconds is not None and math.isnan(seconds):
+            raise UsageError("--time-budget must be a number of seconds, got nan")
         self.deadline = None if seconds is None else time.monotonic() + seconds
 
     def check(self):
@@ -83,12 +87,13 @@ def _workers() -> int:
 def _pmap(fn, arg_tuples, budget: _Budget):
     """fn(*args) for each tuple in order, using a process pool when workers > 1.
 
-    The budget is checked before each call, or in a pool before waiting for
-    each result; when it runs out, the calls not yet started are cancelled
-    and TimeBudgetExceeded propagates.
+    The pool has no more processes than calls or CPUs.  The budget is
+    checked before each call, or in a pool before waiting for each result;
+    when it runs out, the calls not yet started are cancelled and
+    TimeBudgetExceeded propagates.
     """
-    n = _workers()
-    if n <= 1 or len(arg_tuples) <= 1:
+    n = min(_workers(), len(arg_tuples), os.cpu_count() or 1)
+    if n <= 1:
         results = []
         for args in arg_tuples:
             budget.check()

@@ -22,18 +22,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import NCPolynomial, Word, monomial
+from .freealg import NCPolynomial, Word
 from .qcoeff import (
     ONE,
     ZERO,
     LaurentScalar,
-    RhoScalar,
     _mmul,
     _pcontent,
     _pmul,
     _pneg,
     _psub,
-    parse_laurent,
     q_binomial,
     q_int,
 )
@@ -134,14 +132,6 @@ class CoeffTable:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CoeffTable":
-        entries = {
-            (item["p"], item["k"]): parse_laurent(item["value"])
-            for item in obj["entries"]
-        }
-        return cls(obj["r"], entries, obj.get("pipeline", "unknown"))
-
     def to_csv_rows(self) -> list[str]:
         rows = ["r,p,k,value"]
         for (p, k) in sorted(self.entries):
@@ -195,14 +185,14 @@ def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
         raise ValueError("m must be >= 2")
     if eta is None:
         eta = eta_table(m)
-    out = NCPolynomial.zero()
-    for p in range(0, (m - 1) // 2 + 1):
-        for j in (0, 1):
-            word = monomial(1 - j, 1, m - 1 - 2 * p + j)
-            out = out + word * RhoScalar.rho_power(p, eta[(m, p, j)])
+    terms = {
+        Word.from_exponents(1 - j, 1, m - 1 - 2 * p + j): {p: eta[(m, p, j)].num}
+        for p in range(0, (m - 1) // 2 + 1)
+        for j in (0, 1)
+    }
     if m % 2 == 0:
-        out = out + monomial(0, 1, 0) * RhoScalar.rho_power(m // 2, ONE)
-    return out
+        terms[Word.from_exponents(0, 1, 0)] = {m // 2: ONE.num}
+    return NCPolynomial(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +525,10 @@ def c_solve(r: int) -> CoeffTable:
         word = Word.from_exponents(r - 2 * p + 1 - k, r, k)
         normal_form = reduce(NCPolynomial.from_word(word))
         for w, coeff in normal_form.terms.items():
-            for d, ls in enumerate(coeff.coeffs):
-                if ls.is_zero:
-                    continue
+            for d, num in coeff.items():
                 key = (w.code, p + d)
                 cols, rhs = equations.setdefault(key, ({}, ZERO))
-                value = ls if sign > 0 else -ls
+                value = LaurentScalar._raw(num if sign > 0 else _pneg(num))
                 if (p, k) == (0, 0):
                     equations[key] = (cols, rhs - value)
                 else:

@@ -7,16 +7,18 @@ sentinel bit makes the packing injective, and comparing codes as integers is
 exactly the graded lexicographic order with I > J, which is the term order
 used everywhere (iteration, rendering, and the reducer's termination measure).
 
-NCPolynomial is a finite linear combination of words with RhoScalar
-coefficients; zero coefficients are never stored.  Values are immutable and
-operations pure.
+NCPolynomial is a finite linear combination of words.  A coefficient is a
+polynomial in rho over Laurent polynomials in q, stored as ``{rho_degree:
+nonzero poly dict in q}`` (see ``qcoeff``), the form the rewrite kernel reads
+and returns; zero coefficients are never stored.  Values are immutable and
+operations pure: coefficient dicts may be shared and are never mutated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .qcoeff import RHO_ONE, LaurentScalar, RhoScalar
+from .qcoeff import _madd, _msub, _pneg, _poly_str, _rmul
 
 EMPTY_CODE = 1  # packed code of the empty word
 
@@ -60,14 +62,6 @@ class Word:
     def __len__(self) -> int:
         return self.code.bit_length() - 1
 
-    @property
-    def i_degree(self) -> int:
-        return (self.code ^ (1 << len(self))).bit_count()
-
-    @property
-    def j_degree(self) -> int:
-        return len(self) - self.i_degree
-
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
@@ -105,26 +99,41 @@ class Word:
 EMPTY_WORD = Word(EMPTY_CODE)
 
 
-def _as_rho(coeff) -> RhoScalar:
-    if isinstance(coeff, RhoScalar):
-        return coeff
-    if isinstance(coeff, (LaurentScalar, int)):
-        s = coeff if isinstance(coeff, LaurentScalar) else LaurentScalar(coeff)
-        return RhoScalar((s,))
-    raise TypeError(f"cannot use {type(coeff).__name__} as a coefficient")
+UNIT = {0: {0: 1}}  # the coefficient 1
+
+
+def _merge(a: dict, b: dict, op) -> dict:
+    """Terms of a and b combined word by word with op (``_madd`` or ``_msub``)."""
+    out = dict(a)
+    for w, c in b.items():
+        n = op(out.get(w, {}), c)
+        if n:
+            out[w] = n
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _rho_str(c: dict) -> str:
+    parts = []
+    for p in sorted(c, reverse=True):
+        power = "" if p == 0 else "*rho" if p == 1 else f"*rho^{p}"
+        parts.append(f"({_poly_str(c[p])}){power}")
+    return " + ".join(parts)
 
 
 class NCPolynomial:
-    """Linear combination of words with RhoScalar coefficients."""
+    """Linear combination of words with ``{rho_degree: poly dict}`` coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, RhoScalar] | None = None):
-        cleaned: dict[Word, RhoScalar] = {}
+    def __init__(self, terms: Mapping[Word, dict] | None = None):
+        """Drops zero q-polynomials from each coefficient, then empty coefficients."""
+        cleaned: dict[Word, dict] = {}
         if terms:
             for w, c in terms.items():
-                c = _as_rho(c)
-                if not c.is_zero:
+                c = {p: v for p, v in c.items() if v}
+                if c:
                     cleaned[w] = c
         self.terms = cleaned
 
@@ -139,69 +148,41 @@ class NCPolynomial:
         return cls._raw({})
 
     @classmethod
-    def from_word(cls, word: Word, coeff=1) -> "NCPolynomial":
-        c = _as_rho(coeff)
-        return cls._raw({word: c} if not c.is_zero else {})
+    def from_word(cls, word: Word, coeff: dict = UNIT) -> "NCPolynomial":
+        return cls._raw({word: coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, word: Word) -> RhoScalar:
-        return self.terms.get(word, RhoScalar(()))
-
-    def sorted_terms(self) -> list[tuple[Word, RhoScalar]]:
-        """Terms in the module term order: descending graded lex, I > J."""
-        return sorted(self.terms.items(), key=lambda t: t[0].code, reverse=True)
-
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w)
-            n = c if n is None else n + c
-            if n.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = n
-        return NCPolynomial._raw(out)
+        return NCPolynomial._raw(_merge(self.terms, other.terms, _madd))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        return self + (-other)
+        return NCPolynomial._raw(_merge(self.terms, other.terms, _msub))
 
     def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial._raw({w: -c for w, c in self.terms.items()})
+        return NCPolynomial._raw(
+            {w: {p: _pneg(v) for p, v in c.items()} for w, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
+        """Product with an NCPolynomial, or with a coefficient dict on the right."""
         if isinstance(other, NCPolynomial):
-            out: dict[Word, RhoScalar] = {}
+            out: dict[Word, dict] = {}
             for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    w = wa * wb
-                    c = ca * cb
-                    n = out.get(w)
-                    n = c if n is None else n + c
-                    if n.is_zero:
-                        out.pop(w, None)
-                    else:
-                        out[w] = n
+                # The words wa·wb are distinct, so one merge per left term.
+                row = {wa * wb: _rmul(ca, cb) for wb, cb in other.terms.items()}
+                out = _merge(out, row, _madd)
             return NCPolynomial._raw(out)
-        if isinstance(other, (RhoScalar, LaurentScalar, int)):
-            c = _as_rho(other)
-            out = {}
-            for w, cw in self.terms.items():
-                n = cw * c
-                if not n.is_zero:
-                    out[w] = n
-            return NCPolynomial._raw(out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (RhoScalar, LaurentScalar, int)):
-            return self * other
+        if isinstance(other, dict):
+            return NCPolynomial._raw(
+                {w: n for w, c in self.terms.items() if (n := _rmul(c, other))}
+            )
         return NotImplemented
 
     def __eq__(self, other):
@@ -216,20 +197,21 @@ class NCPolynomial:
         if not self.terms:
             return "0"
         parts = []
-        for w, c in self.sorted_terms():
+        # Descending graded lex with I > J: the module term order.
+        for w, c in sorted(self.terms.items(), key=lambda t: t[0].code, reverse=True):
             if w.code == EMPTY_CODE:
-                parts.append(f"({c})")
+                parts.append(f"({_rho_str(c)})")
             else:
-                parts.append(f"({c})·{w}")
+                parts.append(f"({_rho_str(c)})·{w}")
         return " + ".join(parts)
 
     def __repr__(self):
         return f"NCPolynomial({str(self)})"
 
 
-ONE = NCPolynomial._raw({EMPTY_WORD: RHO_ONE})
-AI = NCPolynomial._raw({Word.from_letters("I"): RHO_ONE})
-AJ = NCPolynomial._raw({Word.from_letters("J"): RHO_ONE})
+ONE = NCPolynomial._raw({EMPTY_WORD: UNIT})
+AI = NCPolynomial._raw({Word.from_letters("I"): UNIT})
+AJ = NCPolynomial._raw({Word.from_letters("J"): UNIT})
 
 
 def monomial(n_left: int, r_mid: int, n_right: int) -> NCPolynomial:

@@ -1,19 +1,17 @@
 """Exact scalar arithmetic in the deformation parameter q.
 
-Two scalar types live here:
-
-* ``LaurentScalar``: an exact Laurent polynomial in q, an element of
-  Z[q, q^-1] with arbitrary-precision integer coefficients.  Division is
-  exact division in that ring and raises ArithmeticError when the divisor
-  does not divide.
-* ``RhoScalar``: a polynomial in the formal scalar rho with LaurentScalar
-  coefficients.
+``LaurentScalar`` is an exact Laurent polynomial in q, an element of
+Z[q, q^-1] with arbitrary-precision integer coefficients.  Division is exact
+division in that ring and raises ArithmeticError when the divisor does not
+divide.
 
 Representation: a "poly dict" maps an integer q-exponent to a nonzero integer
 coefficient; the empty dict is zero.  A LaurentScalar stores one poly dict,
-so equal values have identical representations.  A multivariate Laurent
-polynomial maps an exponent tuple of its other variables to a nonzero poly
-dict in q (``_madd``, ``_msub``, ``_mmul``).
+so equal values have identical representations.  A polynomial in further
+variables maps the exponents of those variables to nonzero poly dicts in q
+(``_madd``, ``_msub``): a 3-int exponent tuple for the multivariate
+polynomials of coeffs and repcheck (``_mmul``), or the rho degree for the
+rho-polynomials that are the free algebra's coefficients (``_rmul``).
 
 Everything is exact; no floats appear anywhere.  Values are immutable after
 construction and all operations are pure, so they are safe to share between
@@ -23,10 +21,8 @@ threads without synchronization.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 # ---------------------------------------------------------------------------
 # poly-dict helpers: dict[int exponent -> int coefficient], no zero values
@@ -75,11 +71,12 @@ def _pmul(a: dict, b: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multivariate helpers: dict[3-int exponent tuple -> nonzero poly dict in q]
+# polynomials over poly dicts: dict[exponent key -> nonzero poly dict in q]
 # ---------------------------------------------------------------------------
-# A key holds the exponents of the variables other than q, and a product adds
-# keys slot by slot.  Values may be shared between results and are never
-# mutated.
+# A key holds the exponents of the variables other than q: a 3-int tuple
+# (``_mmul`` adds keys slot by slot) or a rho degree (``_rmul``).  ``_madd``
+# and ``_msub`` serve both.  Values may be shared between results and are
+# never mutated.
 
 
 def _madd(a: dict, b: dict) -> dict:
@@ -107,6 +104,19 @@ def _mmul(a: dict, b: dict) -> dict:
                 out[key] = n
             else:
                 out.pop(key, None)
+    return out
+
+
+def _rmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for pa, va in a.items():
+        for pb, vb in b.items():
+            p = pa + pb
+            n = _padd(out.get(p, {}), _pmul(va, vb))
+            if n:
+                out[p] = n
+            else:
+                out.pop(p, None)
     return out
 
 
@@ -331,38 +341,6 @@ def _poly_str(d: dict) -> str:
     return "".join(pieces)
 
 
-_TERM_RE = re.compile(r"^(-)?(\d+)?(q(\^(-?\d+))?)?$")
-
-
-def _parse_poly(text: str) -> dict:
-    text = text.strip()
-    if text == "0":
-        return {}
-    tokens = re.split(r"\s+([+-])\s+", text)
-    out: dict = {}
-    sign = 1
-    for i, tok in enumerate(tokens):
-        if i % 2 == 1:
-            sign = -1 if tok == "-" else 1
-            continue
-        m = _TERM_RE.match(tok.strip())
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"cannot parse term {tok!r}")
-        neg, digits, qpart, _, exp = m.groups()
-        coeff = int(digits) if digits else 1
-        if neg:
-            coeff = -coeff
-        coeff *= sign
-        e = int(exp) if exp is not None else (1 if qpart else 0)
-        out[e] = out.get(e, 0) + coeff
-    return {e: c for e, c in out.items() if c}
-
-
-def parse_laurent(text: str) -> LaurentScalar:
-    """Parse the canonical rendering back into a LaurentScalar."""
-    return LaurentScalar(_parse_poly(text))
-
-
 ZERO = LaurentScalar._raw({})
 ONE = LaurentScalar._raw({0: 1})
 Q = LaurentScalar.q_power(1)
@@ -411,136 +389,3 @@ def exact_div(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
     Raises ArithmeticError when b does not divide a in Z[q, q^-1].
     """
     return a / b
-
-
-# ---------------------------------------------------------------------------
-# RhoScalar
-# ---------------------------------------------------------------------------
-
-
-class RhoScalar:
-    """A polynomial in the formal scalar rho with LaurentScalar coefficients.
-
-    ``coeffs[p]`` is the coefficient of rho^p; trailing zeros are trimmed and
-    the zero value has an empty coefficient tuple (degree -inf).
-    """
-
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs: Iterable[LaurentScalar | int] = ()):
-        cs = [c if isinstance(c, LaurentScalar) else LaurentScalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._hash = None
-
-    @classmethod
-    def rho_power(cls, p: int, coeff: LaurentScalar | int = 1) -> "RhoScalar":
-        if p < 0:
-            raise ValueError("rho_power requires p >= 0")
-        return cls((ZERO,) * p + ((coeff if isinstance(coeff, LaurentScalar) else LaurentScalar(coeff)),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        """rho-degree; -inf sentinel for the zero value."""
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
-
-    def coefficient(self, p: int) -> LaurentScalar:
-        return self.coeffs[p] if 0 <= p < len(self.coeffs) else ZERO
-
-    def _coerce(self, other):
-        if isinstance(other, RhoScalar):
-            return other
-        if isinstance(other, (LaurentScalar, int)):
-            s = other if isinstance(other, LaurentScalar) else LaurentScalar(other)
-            return RhoScalar((s,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return RhoScalar(tuple(self.coefficient(p) + o.coefficient(p) for p in range(n)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return RhoScalar(tuple(self.coefficient(p) - o.coefficient(p) for p in range(n)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        out = RhoScalar.__new__(RhoScalar)
-        out.coeffs = tuple(-c for c in self.coeffs)
-        out._hash = None
-        return out
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return RHO_ZERO
-        n = len(self.coeffs) + len(o.coeffs) - 1
-        acc = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero:
-                    continue
-                acc[i + j] = acc[i + j] + a * b
-        return RhoScalar(acc)
-
-    __rmul__ = __mul__
-
-    def bar(self) -> "RhoScalar":
-        return RhoScalar(tuple(c.bar() for c in self.coeffs))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.coeffs)
-        return self._hash
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[p]
-            if c.is_zero:
-                continue
-            if p == 0:
-                parts.append(f"({c})")
-            elif p == 1:
-                parts.append(f"({c})*rho")
-            else:
-                parts.append(f"({c})*rho^{p}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"RhoScalar({str(self)!r})"
-
-
-RHO_ZERO = RhoScalar(())
-RHO_ONE = RhoScalar((ONE,))
-RHO = RhoScalar((ZERO, ONE))

@@ -8,14 +8,14 @@ with I > J, so the multiset of words strictly decreases and reduction
 terminates on every input.
 
 The kernel module ``_kernel_py`` does the reduction.  It takes and returns
-``{word.code: {rho_degree: {q_exponent: c}}}`` with nonzero int c; the
-inner dicts ``_pack`` hands it are the coefficients' own LaurentScalar poly
-dicts, which the kernel only reads.  It holds each coefficient as one int
-and keeps the result exact for any integer exponents and coefficients; see
-``_kernel_py`` for how.
+``{word.code: {rho_degree: {q_exponent: c}}}`` with nonzero int c, so
+``_pack`` hands it the terms' own coefficient dicts, which the kernel only
+reads, and ``_unpack`` wraps its result without conversion.  It holds each
+coefficient as one int and keeps the result exact for any integer exponents
+and coefficients; see ``_kernel_py`` for how.
 
-``reduce_randomized`` is an independent slow engine on RhoScalar
-coefficients that the tests use as the oracle for the kernel.
+``reduce_randomized`` is an independent slow engine on the coefficient dicts
+that the tests use as the oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable
 
 from . import _kernel_py
 from .freealg import NCPolynomial, Word
-from .qcoeff import ONE, ZERO, LaurentScalar, RhoScalar, q_int
+from .qcoeff import _madd, _pmul, _pneg
 
 _kernel = _kernel_py
 
@@ -69,34 +69,13 @@ def _rewrite_codes(code: int, pos: int) -> tuple[int, int, int]:
     return w_iji, w_jii, w_j
 
 
-def rewrite_at(word: Word, pos: int, rho_zero: bool = False) -> NCPolynomial:
-    """Apply the rule to the redex at the given position (one rewrite step)."""
-    if pos not in redex_positions(word):
-        raise ValueError(f"no IIJ factor at position {pos} of {word.letters!r}")
-    w_iji, w_jii, w_j = _rewrite_codes(word.code, pos)
-    terms = {
-        Word(w_iji): RhoScalar((q_int(2),)),
-        Word(w_jii): RhoScalar((-ONE,)),
-    }
-    if not rho_zero:
-        terms[Word(w_j)] = RhoScalar((ZERO, ONE))
-    return NCPolynomial(terms)
-
-
 def _pack(x: NCPolynomial) -> dict:
     """x in the kernel's form ``{word.code: {rho_degree: {q_exponent: c}}}``."""
-    return {
-        word.code: {p: ls.num for p, ls in enumerate(coeff.coeffs)}
-        for word, coeff in x.terms.items()
-    }
+    return {w.code: c for w, c in x.terms.items()}
 
 
 def _unpack(reduced: dict) -> NCPolynomial:
-    terms: dict[Word, RhoScalar] = {}
-    for code, by_rho in reduced.items():
-        coeffs = [LaurentScalar._raw(by_rho.get(p, {})) for p in range(max(by_rho) + 1)]
-        terms[Word(code)] = RhoScalar(coeffs)
-    return NCPolynomial(terms)
+    return NCPolynomial._raw({Word(code): by_rho for code, by_rho in reduced.items()})
 
 
 def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolynomial, ReduceStats]:
@@ -128,7 +107,7 @@ def reduce_randomized(
     Confluence makes the strategy semantically irrelevant; this engine exists
     so tests can compare arbitrary strategies against the kernel and inspect
     individual steps via ``on_step(redex_word, produced_words)``.  Works
-    directly on RhoScalar coefficients.
+    directly on the ``{rho_degree: poly dict}`` coefficients.
     """
     terms = dict(x.terms)
     # The live words with a redex, as a swap-remove list plus each word's slot
@@ -150,23 +129,26 @@ def reduce_randomized(
 
     for word in terms:
         sync(word)
-    factors = [q_int(2), -ONE]
-    if not rho_zero:
-        factors.append(RhoScalar((ZERO, ONE)))
     while reducible:
         word = rng.choice(reducible)
         pos = rng.choice(redex_positions(word))
         coeff = terms.pop(word)
         sync(word)
-        codes = _rewrite_codes(word.code, pos)
-        produced = [Word(code) for code in codes[: len(factors)]]
-        for tw, factor in zip(produced, factors):
-            n = terms.get(tw, RhoScalar(())) + coeff * factor
-            if n.is_zero:
-                terms.pop(tw, None)
-            else:
+        # [2]_q c on IJI, -c on JII, rho c on J
+        parts = [
+            {p: _pmul(v, {1: 1, -1: 1}) for p, v in coeff.items()},
+            {p: _pneg(v) for p, v in coeff.items()},
+        ]
+        if not rho_zero:
+            parts.append({p + 1: v for p, v in coeff.items()})
+        produced = [Word(code) for code in _rewrite_codes(word.code, pos)[: len(parts)]]
+        for tw, part in zip(produced, parts):
+            n = _madd(terms.get(tw, {}), part)
+            if n:
                 terms[tw] = n
+            else:
+                terms.pop(tw, None)
             sync(tw)
         if on_step is not None:
             on_step(word, produced)
-    return NCPolynomial(terms)
+    return NCPolynomial._raw(terms)

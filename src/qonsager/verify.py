@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .coeffs import CoeffTable, PIPELINES, delta_indices
 from .freealg import NCPolynomial, Word
-from .qcoeff import LaurentScalar, RhoScalar
+from .qcoeff import LaurentScalar, _pneg
 from .reducer import reduce_with_stats
 
 
@@ -31,7 +31,6 @@ class RelationCertificate:
     reduced_form: NCPolynomial
     elapsed_ms: int
     term_count_peak: int
-    rho_zero: bool = False
 
     @property
     def zero(self) -> bool:
@@ -60,15 +59,13 @@ def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomi
     """
     if table.r != r:
         raise ValueError(f"table is for rank {table.r}, not {r}")
-    terms: dict[Word, RhoScalar] = {}
+    terms: dict[Word, dict] = {}
     for (p, k, sign) in delta_indices(r):
         if rho_zero and p > 0:
             continue
-        value = table.entry(p, k)
-        if sign < 0:
-            value = -value
+        num = table.entry(p, k).num
         word = Word.from_exponents(r - 2 * p + 1 - k, r, k)
-        terms[word] = RhoScalar.rho_power(0 if rho_zero else p, value)
+        terms[word] = {p: num if sign > 0 else _pneg(num)}
     return NCPolynomial(terms)
 
 
@@ -97,7 +94,6 @@ def verify_relation(
         reduced_form=reduced,
         elapsed_ms=elapsed_ms,
         term_count_peak=stats.peak_terms,
-        rho_zero=rho_zero,
     )
 
 

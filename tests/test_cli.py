@@ -1,8 +1,10 @@
 """CLI tests: exit-code taxonomy, schemas, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -124,6 +126,18 @@ def test_verify_time_budget_exhaustion(capsys):
     assert "time budget exceeded" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--max-r", "2"], ["cross-check", "--max-r", "2"]],
+    ids=["verify", "cross-check"],
+)
+def test_nan_time_budget_is_usage_error(argv, capsys):
+    # time.monotonic() > nan is never true, so a NaN budget would never run out.
+    code, out, err = run_cli(capsys, *argv, "--time-budget", "nan")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "qonsager: error: --time-budget must be a number of seconds, got nan\n"
+
+
 def test_cross_check_time_budget_runs_out_between_ranks(capsys, monkeypatch):
     # Each rank takes one second of a fake clock; a 1.5 s budget stops the
     # run after rank 2 instead of finishing all five.
@@ -149,6 +163,7 @@ def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
     # the first result and has run out before the second.
     ticks = iter(range(1000))
     monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     code, out, _ = run_cli(
         capsys, "cross-check", "--max-r", "8", "--solve-max-r", "3", "--time-budget", "1.5"
@@ -273,9 +288,45 @@ def test_workers_env_parallel_matches_serial(argv, tmp_path, capsys, monkeypatch
     monkeypatch.setenv("QONSAGER_WORKERS", "1")
     assert main(argv + ["--output", str(serial)]) == EXIT_PASS
     monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
     assert main(argv + ["--output", str(parallel)]) == EXIT_PASS
     capsys.readouterr()
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs calls inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, None)])
+def test_pool_is_capped_by_tasks_and_cpus(cpus, expected, capsys, monkeypatch):
+    # A huge QONSAGER_WORKERS must not fork a process per worker: the pool
+    # gets at most one process per rank and per CPU, and one CPU (or an
+    # unknown count) means no pool at all.
+    monkeypatch.setenv("QONSAGER_WORKERS", "1000000")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "3")
+    assert code == EXIT_PASS
+    assert out.endswith("pipelines agree for all r <= 3: True\n")
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
 
 
 def test_cross_check_falsified_exit(capsys, monkeypatch):

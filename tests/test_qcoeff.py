@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from qonsager.qcoeff import (
     ONE,
     Q,
-    RHO,
     ZERO,
     LaurentScalar,
-    RhoScalar,
     _madd,
     _mmul,
     _msub,
+    _rmul,
     exact_div,
-    parse_laurent,
     q_binomial,
     q_factorial,
     q_int,
@@ -163,13 +161,16 @@ def test_bar_is_an_involution(a):
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials {exponent 3-tuple: poly dict}
+# polynomials over poly dicts: {exponent 3-tuple or rho degree: poly dict}
 # ---------------------------------------------------------------------------
 
 multi_polys = st.dictionaries(
     st.tuples(*(st.integers(min_value=-2, max_value=2),) * 3),
     laurent_dicts.filter(bool),
     max_size=4,
+)
+rho_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=3), laurent_dicts.filter(bool), max_size=4
 )
 
 
@@ -187,14 +188,25 @@ def _flat_mul(a, b):
     return {key: c for key, c in out.items() if c}
 
 
+def _one_slot(a):
+    """A rho-polynomial with its degrees as 1-int exponent tuples."""
+    return {(p,): poly for p, poly in a.items()}
+
+
 @settings(max_examples=150, deadline=None)
-@given(multi_polys, multi_polys, multi_polys)
-def test_mmul_matches_the_flat_product(a, b, c):
+@given(multi_polys, multi_polys, multi_polys, rho_polys, rho_polys)
+def test_mmul_matches_the_flat_product(a, b, c, x, y):
     product = _mmul(a, b)
     assert _flatten(product) == _flat_mul(_flatten(a), _flatten(b))
     assert all(product.values())
     assert _msub(a, a) == {}
     assert _mmul(a, _madd(b, c)) == _madd(_mmul(a, b), _mmul(a, c))
+    # _rmul is the same product on rho-degree keys.
+    rho_product = _rmul(x, y)
+    assert _flatten(_one_slot(rho_product)) == _flat_mul(
+        _flatten(_one_slot(x)), _flatten(_one_slot(y))
+    )
+    assert all(rho_product.values())
 
 
 def test_bar_symmetry_of_q_quantities():
@@ -229,44 +241,7 @@ def test_canonical_rendering():
     assert str(L({4: 1, 0: 2, -4: 1})) == "q^4 + 2 + q^-4"
     assert str(L({2: 1, 0: -2, -2: 1})) == "q^2 - 2 + q^-2"
     assert str(L({1: -3, 0: 1})) == "-3q + 1"
-
-
-@settings(max_examples=150, deadline=None)
-@given(laurents())
-def test_rendering_round_trips(a):
-    assert parse_laurent(str(a)) == a
-
-
-# ---------------------------------------------------------------------------
-# RhoScalar
-# ---------------------------------------------------------------------------
-
-
-def test_rho_scalar_basics():
-    zero = RhoScalar(())
-    assert zero.is_zero
-    assert zero.degree == float("-inf")
-    x = RHO * q_int(2) + ONE
-    assert x.degree == 1
-    assert x.coefficient(0) == ONE
-    assert x.coefficient(1) == q_int(2)
-    assert x.coefficient(5) == ZERO
-
-
-def test_rho_scalar_trims_trailing_zeros():
-    x = RhoScalar((ONE, ZERO, ZERO))
-    assert x.degree == 0
-    assert x == RhoScalar((ONE,))
-
-
-def test_rho_scalar_arithmetic():
-    a = RHO + 1
-    b = RHO - 1
-    assert a * b == RHO * RHO - 1
-    assert a - a == RhoScalar(())
-    assert (a * q_int(2)).coefficient(1) == q_int(2)
-
-
-def test_rho_scalar_str():
-    x = RhoScalar.rho_power(2, q_int(2)) + ONE
-    assert str(x) == "(q + q^-1)*rho^2 + (1)"
+    assert str(L({1: 1, -1: -1})) == "q - q^-1"
+    assert str(L({1: -1, -1: 1})) == "-q + q^-1"
+    assert str(L({2: -1, 1: 2})) == "-q^2 + 2q"
+    assert str(L({0: -2, -3: -1})) == "-2 - q^-3"

@@ -6,17 +6,19 @@ import time
 
 import pytest
 
+from coefficients import rho
+
 from qonsager import _kernel_py
 from qonsager.coeffs import c_recursive, cells
-from qonsager.freealg import AI, AJ, NCPolynomial, Word, monomial
-from qonsager.qcoeff import ONE, RHO, ZERO, LaurentScalar, RhoScalar, q_int
+from qonsager.freealg import AI, AJ, UNIT, NCPolynomial, Word, monomial
+from qonsager.qcoeff import ONE, ZERO, LaurentScalar, q_int
 from qonsager.reducer import (
     _pack,
+    _rewrite_codes,
     redex_positions,
     reduce,
     reduce_randomized,
     reduce_with_stats,
-    rewrite_at,
 )
 from qonsager.verify import build_delta, perturbed_table
 
@@ -25,20 +27,20 @@ def W(letters):
     return Word.from_letters(letters)
 
 
-def word_poly(letters, coeff=1):
+def word_poly(letters, coeff=UNIT):
     return NCPolynomial.from_word(W(letters), coeff)
 
 
 TWO = q_int(2)
 # The ordering rule IIJ -> [2]_q IJI - JII + rho J, and its rho-zero truncation.
-RULE = word_poly("IJI", TWO) - word_poly("JII") + word_poly("J", RHO)
-RULE_RHO_ZERO = word_poly("IJI", TWO) - word_poly("JII")
+RULE = word_poly("IJI", rho(TWO)) - word_poly("JII") + word_poly("J", rho(0, 1))
+RULE_TRUNCATED = word_poly("IJI", rho(TWO)) - word_poly("JII")
 
 
 def test_rule_shape():
     assert redex_positions(W("IIJ")) == [0]
-    assert rewrite_at(W("IIJ"), 0) == RULE
-    assert rewrite_at(W("IIJ"), 0, rho_zero=True) == RULE_RHO_ZERO
+    assert redex_positions(W("JJII")) == []
+    assert _rewrite_codes(W("IIJ").code, 0) == (W("IJI").code, W("JII").code, W("J").code)
 
 
 def test_reduce_iij_matches_rule():
@@ -50,10 +52,10 @@ def test_reduce_iiij_matches_displayed_expansion():
     #             + rho ([2] A_j A_i + A_i A_j)
     got = reduce(word_poly("IIIJ"))
     expected = (
-        word_poly("IJII", TWO * TWO - ONE)
-        - word_poly("JIII", TWO)
-        + word_poly("JI", RHO * TWO)
-        + word_poly("IJ", RHO)
+        word_poly("IJII", rho(TWO * TWO - ONE))
+        - word_poly("JIII", rho(TWO))
+        + word_poly("JI", rho(0, TWO))
+        + word_poly("IJ", rho(0, 1))
     )
     assert got == expected
 
@@ -69,15 +71,15 @@ def test_soundness_at_r_one():
     # The left side of the defining relation reduces to zero.
     delta1 = (
         word_poly("IIJ")
-        - word_poly("IJI", TWO)
+        - word_poly("IJI", rho(TWO))
         + word_poly("JII")
-        - word_poly("J", RHO)
+        - word_poly("J", rho(0, 1))
     )
     assert reduce(delta1).is_zero
 
 
 def test_rho_zero_mode_truncates_rule():
-    assert reduce(word_poly("IIJ"), rho_zero=True) == RULE_RHO_ZERO
+    assert reduce(word_poly("IIJ"), rho_zero=True) == RULE_TRUNCATED
 
 
 def _random_word(rng, max_len=10):
@@ -86,18 +88,22 @@ def _random_word(rng, max_len=10):
 
 def _random_scalar(rng):
     s = LaurentScalar({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))})
-    return RhoScalar((s,)) if rng.random() < 0.7 else RhoScalar((s, s + 1))
+    return rho(s) if rng.random() < 0.7 else rho(s, s + 1)
 
 
 def test_replacement_words_strictly_below_redex():
     # Per-step multiset decrease: each replacement word sits strictly below
-    # the rewritten word in graded lex with I > J.
+    # the rewritten word in graded lex with I > J.  The replacement words are
+    # those of the rule, spliced in at the redex.
     rng = random.Random(3)
     for _ in range(200):
         w = _random_word(rng, 12)
         for pos in redex_positions(w):
-            for produced in rewrite_at(w, pos).terms:
-                assert produced < w
+            produced = [Word(code) for code in _rewrite_codes(w.code, pos)]
+            head, tail = w.letters[:pos], w.letters[pos + 3:]
+            assert [u.letters for u in produced] == [head + x + tail for x in ("IJI", "JII", "J")]
+            for u in produced:
+                assert u < w
 
 
 def test_idempotence_and_shape():
@@ -143,16 +149,9 @@ def test_randomized_steps_decrease_measure():
             assert w < redex
 
     for _ in range(20):
-        p = NCPolynomial({_random_word(rng, 10): RhoScalar((ONE,))})
+        p = NCPolynomial.from_word(_random_word(rng, 10))
         reduce_randomized(p, rng, on_step=check)
     assert seen_steps > 0
-
-
-def test_rewrite_leftmost_none_for_normal():
-    assert redex_positions(W("JJII")) == []
-    with pytest.raises(ValueError):
-        rewrite_at(W("JJII"), 0)  # a normal word has no redex to rewrite
-    assert rewrite_at(W("IIJ"), redex_positions(W("IIJ"))[0]) == RULE
 
 
 def test_stats_reported():
@@ -183,14 +182,14 @@ def test_any_q_exponent_reduces_exactly():
     # Exponents past what a fixed-width exponent field would hold, on both
     # sides of zero.
     for e in (1 << 26, -((1 << 24) + 1), 1 << 80):
-        c = RhoScalar((LaurentScalar.q_power(e),))
-        for rho_zero, rule in ((False, RULE), (True, RULE_RHO_ZERO)):
+        c = rho(LaurentScalar.q_power(e))
+        for rho_zero, rule in ((False, RULE), (True, RULE_TRUNCATED)):
             assert reduce(word_poly("J", c), rho_zero=rho_zero) == word_poly("J", c), e
             assert reduce(word_poly("IIJ", c), rho_zero=rho_zero) == rule * c, e
 
 
 def _scalar(num):
-    return RhoScalar((LaurentScalar(num),))
+    return {0: num}
 
 
 @pytest.mark.parametrize(
@@ -204,7 +203,7 @@ def test_large_coefficients_reduce_exactly(num):
     c = _scalar(num)
     assert reduce(word_poly("J", c)) == word_poly("J", c)
     assert reduce(word_poly("IIJ", c)) == RULE * c
-    assert reduce(word_poly("IIJ", c), rho_zero=True) == RULE_RHO_ZERO * c
+    assert reduce(word_poly("IIJ", c), rho_zero=True) == RULE_TRUNCATED * c
 
 
 def _delta_plus_big_coefficients():
@@ -253,7 +252,7 @@ def test_a_term_that_encodes_to_zero_is_caught():
 
 def test_sparse_exponent_span_is_split_into_clusters():
     # Two exponents 2^21 apart: one int spanning both would hold 2^21 slots.
-    c = RhoScalar((LaurentScalar({1 << 20: 1, -(1 << 20): 1}),))
+    c = _scalar({1 << 20: 1, -(1 << 20): 1})
     start = time.perf_counter()
     got = reduce(word_poly("IIJ", c))
     assert time.perf_counter() - start < 1.0
@@ -266,10 +265,10 @@ def test_mixed_weights_count_distinct_words():
     # dict-of-exponents kernel.
     q40 = LaurentScalar.q_power(40)
     x = (
-        word_poly("IIIJ", RhoScalar((ONE + q40, ONE)))
-        + word_poly("IIJ", RHO)
+        word_poly("IIIJ", rho(ONE + q40, 1))
+        + word_poly("IIJ", rho(0, 1))
         + word_poly("JIIJ", _scalar({-2: 3}))
-        + word_poly("IIJIJ", RhoScalar((LaurentScalar({1: -1}), LaurentScalar({0: 2}))))
+        + word_poly("IIJIJ", {0: {1: -1}, 1: {0: 2}})
     )
     for rho_zero, stats in ((False, (16, 8, 3)), (True, (10, 8, 3))):
         _, got = reduce_with_stats(x, rho_zero=rho_zero)
@@ -277,7 +276,7 @@ def test_mixed_weights_count_distinct_words():
 
 
 def _fuzz_scalar(rng):
-    """A RhoScalar mixing rho degrees, exponent clusters and big integers."""
+    """A coefficient mixing rho degrees, exponent clusters and big integers."""
     coeffs = []
     for _ in range(rng.randint(1, 3)):
         center = rng.choice([0, 0, 0, 50, -200])
@@ -285,7 +284,7 @@ def _fuzz_scalar(rng):
         for _ in range(rng.randint(1, 3)):
             num[center + rng.randint(-3, 3)] = rng.choice([1, -1, 2, 7, -(1 << rng.randint(20, 90))])
         coeffs.append(LaurentScalar(num) if rng.random() < 0.8 else ZERO)
-    return RhoScalar(coeffs)
+    return rho(*coeffs)
 
 
 def _long_word(rng):
