@@ -46,11 +46,11 @@ EXIT_RESOURCE = 3
 
 _BOUNDS = {
     "coeffs": 32,
-    "coeffs_solve": 7,
+    "coeffs_solve": 8,
     "verify": 6,
     "verify_extended": 7,
     "cross_check": 16,
-    "cross_check_solve": 7,
+    "cross_check_solve": 8,
     "repcheck_default": 5,
     "spectral": 10,
 }

@@ -18,6 +18,7 @@ Exact agreement of all pipelines is the core evidence this package produces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,7 +33,6 @@ from .qcoeff import (
     _pmul,
     _pneg,
     _psub,
-    q_binomial,
     q_int,
 )
 from .reducer import reduce
@@ -100,25 +100,6 @@ class CoeffTable:
 
     def __repr__(self):
         return f"CoeffTable(r={self.r}, pipeline={self.pipeline!r})"
-
-    # -- structural invariants -------------------------------------------
-
-    def binomial_row_ok(self) -> bool:
-        """c[r,0,k] equals the q-binomial (r+1 choose k)_q for all k."""
-        return all(
-            self.entry(0, k) == q_binomial(self.r + 1, k) for k in range(self.r + 2)
-        )
-
-    def palindromic_ok(self) -> bool:
-        """c[r,p,k] == c[r,p,r-2p+1-k] for every cell."""
-        return all(
-            self.entry(p, k) == self.entry(p, self.r - 2 * p + 1 - k)
-            for (p, k) in cells(self.r)
-        )
-
-    def bar_invariant_ok(self) -> bool:
-        """Every entry is invariant under q -> q^-1."""
-        return all(v.bar() == v for v in self.entries.values())
 
     # -- serialization -----------------------------------------------------
 
@@ -285,15 +266,25 @@ def _next_table(
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _recursive_entries(r: int) -> dict[tuple[int, int], LaurentScalar]:
+    """The rank-r entries, one _next_table step past the cached rank r-1.
+
+    One chain per process: every rank built so far is kept, so the ranks
+    1..r cost r-1 steps in all.  Callers must not mutate the result.
+    """
+    if r == 1:
+        return _rank_one_table()
+    prev = CoeffTable(r - 1, _recursive_entries(r - 1), "recursive")
+    # the induction step to rank r reads eta rows m <= r + 1 only
+    return _next_table(r, prev, eta_table(r + 1))
+
+
 def c_recursive(r: int) -> CoeffTable:
     """The rank-r table built strictly bottom-up from the rank-1 seed."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    eta = eta_table(r + 1)  # the induction reads eta rows m <= r + 1 only
-    table = CoeffTable(1, _rank_one_table(), "recursive")
-    for target in range(2, r + 1):
-        table = CoeffTable(target, _next_table(target, table, eta), "recursive")
-    return table
+    return CoeffTable(r, _recursive_entries(r), "recursive")
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +418,33 @@ def _row_normalize(row: list[LaurentScalar]) -> list[dict]:
     return [{e + shift: c for e, c in v.num.items()} for v in row]
 
 
-def _solve_unique(
-    rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], n_cols: int
-) -> list[LaurentScalar]:
-    """Solve an overdetermined exact linear system with a unique solution.
+def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
+    """acc / lead for unknown col; the table lives in Z[q, q^-1], so a
+    division that is not exact means no Laurent-polynomial solution."""
+    try:
+        return acc / lead
+    except ArithmeticError as exc:
+        raise CoefficientSystemError(
+            f"unknown {col} has no Laurent-polynomial solution"
+        ) from exc
 
-    Rows are (sparse coefficient map, right-hand side).  Elimination is
-    fraction-free (division-deferred): each combination step stays in the
+
+def _eliminate(
+    rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], open_cols: list[int]
+) -> dict[int, LaurentScalar]:
+    """Solve rows for the unknowns open_cols by fraction-free elimination.
+
+    Elimination is division-deferred: each combination step stays in the
     polynomial ring and rows are reduced by their integer content to control
     swell; back-substitution divides exactly at the end.  Raises
-    CoefficientSystemError when rank is deficient, when the solution is not
-    a Laurent polynomial, or when any equation fails.
+    CoefficientSystemError when the rows leave an unknown undetermined or
+    read 0 = nonzero.
     """
+    n_cols = len(open_cols)
     # Dense integer-exponent polynomial rows: columns 0..n_cols-1 then rhs.
     dense_rows = []
     for cols, rhs in rows:
-        row = [cols.get(j, ZERO) for j in range(n_cols)] + [rhs]
+        row = [cols.get(j, ZERO) for j in open_cols] + [rhs]
         if all(v.is_zero for v in row):
             continue
         dense_rows.append(_row_normalize(row))
@@ -478,29 +480,74 @@ def _solve_unique(
             f"under-determined system: rank {len(pivots)} < {n_cols} unknowns"
         )
 
-    # Back-substitution by exact division: the table lives in Z[q, q^-1],
-    # so a pivot that does not divide means no Laurent-polynomial solution.
     solution: list[LaurentScalar | None] = [None] * n_cols
     for col, row in reversed(pivots):
         acc = LaurentScalar(row[n_cols])
         for j in range(col + 1, n_cols):
             if row[j]:
                 acc = acc - LaurentScalar(row[j]) * solution[j]
-        try:
-            solution[col] = acc / LaurentScalar(row[col])
-        except ArithmeticError as exc:
-            raise CoefficientSystemError(
-                f"unknown {col} has no Laurent-polynomial solution"
-            ) from exc
+        solution[col] = _divide(acc, LaurentScalar(row[col]), open_cols[col])
+    return dict(zip(open_cols, solution))
 
-    # The unique solution must satisfy every row, including those never
-    # touched by the elimination.
-    for row in dense_rows:
-        acc = -LaurentScalar(row[n_cols])
-        for j in range(n_cols):
-            if row[j]:
-                acc = acc + LaurentScalar(row[j]) * solution[j]
-        if not acc.is_zero:
+
+def _solve_unique(
+    rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], n_cols: int
+) -> list[LaurentScalar]:
+    """Solve an overdetermined exact linear system with a unique solution.
+
+    Rows are (sparse coefficient map, right-hand side), taken short rows
+    first.  Singleton substitution comes first: a row with exactly one
+    unsolved unknown fixes it by one exact division, after the solved values
+    are moved to its right-hand side, and passes repeat until one solves
+    nothing.  The unknowns still open are then solved by fraction-free
+    elimination of the residual rows; only the elimination can tell a
+    full-rank system without singleton rows from an under-determined one.
+    Raises CoefficientSystemError when rank is deficient, when the solution
+    is not a Laurent polynomial, or when any equation fails.
+    """
+    sparse = []
+    for cols, rhs in rows:
+        cols = {j: v for j, v in cols.items() if not v.is_zero}
+        if cols or not rhs.is_zero:
+            sparse.append((cols, rhs))
+    sparse.sort(key=lambda row: (
+        len(row[0]) + (not row[1].is_zero),
+        sum(len(v.num) for v in row[0].values()) + len(row[1].num),
+    ))
+    solution: list[LaurentScalar | None] = [None] * n_cols
+
+    def moved(cols: dict[int, LaurentScalar], rhs: LaurentScalar) -> LaurentScalar:
+        """The right-hand side with every solved unknown's term moved onto it."""
+        acc = rhs
+        for j, v in cols.items():
+            if solution[j] is not None:
+                acc = acc - v * solution[j]
+        return acc
+
+    progress = True
+    while progress:
+        progress = False
+        for cols, rhs in sparse:
+            open_cols = [j for j in cols if solution[j] is None]
+            if len(open_cols) == 1:
+                (j,) = open_cols
+                solution[j] = _divide(moved(cols, rhs), cols[j], j)
+                progress = True
+
+    open_cols = [j for j in range(n_cols) if solution[j] is None]
+    if open_cols:
+        residual = [
+            ({j: v for j, v in cols.items() if solution[j] is None}, moved(cols, rhs))
+            for cols, rhs in sparse
+            if any(solution[j] is None for j in cols)
+        ]
+        for j, value in _eliminate(residual, open_cols).items():
+            solution[j] = value
+
+    # The unique solution must satisfy every row, including those that
+    # neither the substitution nor the elimination used.
+    for cols, rhs in sparse:
+        if not moved(cols, rhs).is_zero:
             raise CoefficientSystemError("inconsistent system: solution fails an equation")
     return solution  # type: ignore[return-value]
 

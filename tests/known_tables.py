@@ -66,3 +66,26 @@ def fixture_table(r: int) -> CoeffTable:
         else:
             entries[(p, k)] = _EXPLICIT[r][(p, r - 2 * p + 1 - k)]
     return CoeffTable(r, entries, "fixture")
+
+
+# -- structural invariants every table must have ------------------------------
+
+
+def binomial_row_ok(table: CoeffTable) -> bool:
+    """c[r,0,k] equals the q-binomial (r+1 choose k)_q for all k."""
+    return all(
+        table.entry(0, k) == q_binomial(table.r + 1, k) for k in range(table.r + 2)
+    )
+
+
+def palindromic_ok(table: CoeffTable) -> bool:
+    """c[r,p,k] == c[r,p,r-2p+1-k] for every cell."""
+    return all(
+        table.entry(p, k) == table.entry(p, table.r - 2 * p + 1 - k)
+        for (p, k) in cells(table.r)
+    )
+
+
+def bar_invariant_ok(table: CoeffTable) -> bool:
+    """Every entry is invariant under q -> q^-1."""
+    return all(v.bar() == v for v in table.entries.values())

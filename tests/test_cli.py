@@ -204,9 +204,9 @@ def test_repcheck_solve_pipeline_keeps_the_solve_rank_cap(capsys, monkeypatch):
         raise AssertionError(f"c_solve({r}) started")
 
     monkeypatch.setitem(PIPELINES, "solve", refuse)
-    code, _, err = run_cli(capsys, "repcheck", "--r", "8", "--bound", "8", "--pipeline", "solve")
+    code, _, err = run_cli(capsys, "repcheck", "--r", "9", "--bound", "9", "--pipeline", "solve")
     assert code == EXIT_USAGE and "pipeline solve" in err
-    code, _, err = run_cli(capsys, "coeffs", "--r", "8", "--pipeline", "solve")
+    code, _, err = run_cli(capsys, "coeffs", "--r", "9", "--pipeline", "solve")
     assert code == EXIT_USAGE and "pipeline solve" in err
 
 

@@ -3,6 +3,8 @@
 import pytest
 from coefficients import rho
 
+import qonsager.coeffs as coeffs_mod
+
 from qonsager.coeffs import (
     CoeffTable,
     CoefficientSystemError,
@@ -26,7 +28,7 @@ from qonsager.reducer import reduce
 from qonsager.freealg import monomial
 
 
-from known_tables import fixture_table
+from known_tables import bar_invariant_ok, binomial_row_ok, fixture_table, palindromic_ok
 
 
 def L(d):
@@ -231,8 +233,6 @@ def test_from_polynomial_r5_entry():
 def test_shape_error_on_malformed_expansion():
     # A polynomial with a stray monomial must be rejected by the reader;
     # exercise the validator through a doctored expansion.
-    import qonsager.coeffs as coeffs_mod
-
     poly = expand_generating_polynomial(2)
     poly[(5, 5, 0)] = ONE.num
     original = coeffs_mod.expand_generating_polynomial
@@ -281,6 +281,73 @@ def test_solver_rejects_a_solution_outside_laurent_polynomials():
         _solve_unique([({0: q_int(4)}, q_int(2))], 1)
 
 
+def test_solver_eliminates_a_full_rank_system_without_singleton_rows():
+    # x + y = 2, x - y = 0: no row has one unknown, so only the elimination
+    # can tell this full-rank system from an under-determined one.
+    rows = [({0: ONE, 1: ONE}, ONE + ONE), ({0: ONE, 1: -ONE}, ZERO)]
+    assert _solve_unique(rows, 2) == [ONE, ONE]
+
+
+def test_solver_substitutes_singletons_then_eliminates_the_rest():
+    # [2] x = [2] fixes x = 1; then y + z = [2] + 1 and y - z = [2] - 1
+    # have no singleton row and leave y = [2], z = 1 to the elimination.
+    rows = [
+        ({0: TWO, 1: ONE, 2: ONE}, TWO + TWO + ONE),
+        ({0: ONE, 1: ONE, 2: -ONE}, TWO),
+        ({0: TWO}, TWO),
+    ]
+    assert _solve_unique(rows, 3) == [ONE, TWO, ONE]
+
+
+def test_solver_rejects_disagreeing_singleton_rows():
+    # [2] x = [2] gives x = 1, q x = q^2 gives x = q; y is fixed either way.
+    q = L({1: 1})
+    rows = [({0: TWO}, TWO), ({0: ONE, 1: ONE}, TWO), ({0: q}, q * q)]
+    with pytest.raises(CoefficientSystemError, match="inconsistent"):
+        _solve_unique(rows, 2)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_singleton_substitution_fixes_every_unknown_of_the_relation(monkeypatch, r):
+    # The rank-r cancellation system is triangular up to row order, so the
+    # elimination never runs on it.
+    def refuse(rows, open_cols):
+        raise AssertionError(f"unknowns {open_cols} left to the elimination")
+
+    monkeypatch.setattr(coeffs_mod, "_eliminate", refuse)
+    assert c_solve(r) == c_from_polynomial(r)
+
+
+# ---------------------------------------------------------------------------
+# the recursive chain is built once per process
+# ---------------------------------------------------------------------------
+
+
+def test_recursive_tables_do_not_share_the_cached_entries():
+    first = c_recursive(5)
+    first.entries[(0, 0)] = ZERO
+    first.entries.pop((1, 1))
+    assert c_recursive(5) == fixture_table(5)
+
+
+def test_recursive_chain_takes_one_step_per_rank(monkeypatch):
+    steps = []
+    step = coeffs_mod._next_table
+
+    def counted(r, prev, eta):
+        steps.append(r)
+        return step(r, prev, eta)
+
+    monkeypatch.setattr(coeffs_mod, "_next_table", counted)
+    coeffs_mod._recursive_entries.cache_clear()
+    try:
+        tables = [c_recursive(r) for r in range(1, 15)]
+    finally:
+        coeffs_mod._recursive_entries.cache_clear()
+    assert steps == list(range(2, 15))
+    assert tables[-1] == c_from_polynomial(14)
+
+
 # ---------------------------------------------------------------------------
 # table invariants and serialization
 # ---------------------------------------------------------------------------
@@ -289,9 +356,9 @@ def test_solver_rejects_a_solution_outside_laurent_polynomials():
 @pytest.mark.parametrize("r", range(1, 9))
 def test_invariants_small_ranks(r):
     table = c_recursive(r)
-    assert table.binomial_row_ok()
-    assert table.palindromic_ok()
-    assert table.bar_invariant_ok()
+    assert binomial_row_ok(table)
+    assert palindromic_ok(table)
+    assert bar_invariant_ok(table)
 
 
 def test_cross_check_report():
