@@ -431,14 +431,15 @@ def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
 
 def _eliminate(
     rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], open_cols: list[int]
-) -> dict[int, LaurentScalar]:
-    """Solve rows for the unknowns open_cols by fraction-free elimination.
+) -> list[LaurentScalar]:
+    """Solve rows for the unknowns open_cols (in that order) by fraction-free
+    elimination; the rows' other columns are ignored.
 
     Elimination is division-deferred: each combination step stays in the
     polynomial ring and rows are reduced by their integer content to control
     swell; back-substitution divides exactly at the end.  Raises
-    CoefficientSystemError when the rows leave an unknown undetermined or
-    read 0 = nonzero.
+    CoefficientSystemError when the rows leave an unknown undetermined,
+    reduce to 0 = nonzero, or need an inexact division.
     """
     n_cols = len(open_cols)
     # Dense integer-exponent polynomial rows: columns 0..n_cols-1 then rhs.
@@ -487,7 +488,7 @@ def _eliminate(
             if row[j]:
                 acc = acc - LaurentScalar(row[j]) * solution[j]
         solution[col] = _divide(acc, LaurentScalar(row[col]), open_cols[col])
-    return dict(zip(open_cols, solution))
+    return solution  # type: ignore[return-value]
 
 
 def _solve_unique(
@@ -537,11 +538,11 @@ def _solve_unique(
     open_cols = [j for j in range(n_cols) if solution[j] is None]
     if open_cols:
         residual = [
-            ({j: v for j, v in cols.items() if solution[j] is None}, moved(cols, rhs))
+            (cols, moved(cols, rhs))
             for cols, rhs in sparse
             if any(solution[j] is None for j in cols)
         ]
-        for j, value in _eliminate(residual, open_cols).items():
+        for j, value in zip(open_cols, _eliminate(residual, open_cols)):
             solution[j] = value
 
     # The unique solution must satisfy every row, including those that
@@ -558,8 +559,12 @@ def c_solve(r: int) -> CoeffTable:
     Every entry is treated as an unknown (with c[r,0,0] normalized to 1),
     each monomial of the candidate relation is reduced to normal form, and
     the coefficient of every residual (word, rho-power) pair must vanish.
-    Inconsistency or under-determinacy raises CoefficientSystemError, which
-    would falsify the relation's existence at this rank.
+    The system is triangular up to row order: singleton substitution in
+    _solve_unique fixes every unknown at the ranks measured (r = 1..10), so
+    the elimination it keeps for the unknowns left open gets none.  Most of
+    the time at r >= 8 is the per-cell reduce.  Inconsistency or
+    under-determinacy raises CoefficientSystemError, which would falsify
+    the relation's existence at this rank.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
