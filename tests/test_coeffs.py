@@ -300,7 +300,7 @@ def test_solver_substitutes_singletons_then_eliminates_the_rest():
 
 
 def test_solver_rejects_disagreeing_singleton_rows():
-    # [2] x = [2] gives x = 1, q x = q^2 gives x = q; y is fixed either way.
+    # [2] x = [2] gives x = 1 and q x = q^2 gives x = q; x + y = [2] fixes y.
     q = L({1: 1})
     rows = [({0: TWO}, TWO), ({0: ONE, 1: ONE}, TWO), ({0: q}, q * q)]
     with pytest.raises(CoefficientSystemError, match="inconsistent"):
