@@ -16,19 +16,25 @@ with every coefficient held as one Python int:
   one weight never meet words of another, and within a weight a word's rho
   degree follows from its length.  A lane holds one weight and never stores
   the rho degree.
-* Exponent cluster.  A step moves a q-exponent by at most one and removes
-  at least one I-before-J inversion, so an exponent drifts at most ``reach``
-  (the most inversions of any input word of the weight) from where it
-  started.  The sorted input exponents are cut wherever two neighbours are
-  more than ``2 * reach`` apart, since the two sides can never meet, and
-  each cluster is its own lane; the size of an int follows the spread of
-  the input's exponents, not their absolute values.
-* Layout.  With ``base = min_exponent - reach - 1``, the coefficient
-  ``sum a_e q^e`` of a word is the int ``v = sum a_e 2^(B * (e - base))``,
-  that is, ``P(2^B)`` for ``P = sum a_e X^(e - base)``, whose exponents stay
-  at least 1.  Then ``[2]_q c`` is ``(v << B) + (v >> B)`` (the right shift
-  is exact because ``2^B`` divides ``v``), ``-c`` is ``-v``, ``rho c`` is
-  ``v`` on the shorter word, and a merge is one int add.
+* Exponent cluster.  The step to IJI moves a q-exponent by one and removes
+  one I-before-J inversion; the steps to JII and J keep the exponent and
+  remove at least two.  So an exponent drifts at most ``inversions(word)``
+  from that of the input term it came from, and at most ``reach`` (the most
+  inversions of any input word of the weight).  The sorted input exponents
+  are cut wherever two neighbours are more than ``2 * reach`` apart, since
+  the two sides can never meet, and each cluster is its own lane; the size
+  of an int follows the spread of the input's exponents, not their absolute
+  values.
+* Layout.  ``e - inversions(word)`` never falls along a rewrite, so with
+  ``base`` one below the least ``e - inversions(word)`` of the lane's input
+  terms, every exponent the lane can reach is above ``base``.  The
+  coefficient ``sum a_e q^e`` of a word is the int
+  ``v = sum a_e 2^(B * (e - base))``, that is, ``P(2^B)`` for
+  ``P = sum a_e X^(e - base)``, whose exponents stay at least 1.  Then
+  ``[2]_q c`` is ``(v << B) + (v >> B)`` (the right shift is exact because
+  ``2^B`` divides ``v``), ``-c`` is ``-v``, ``rho c`` is ``v`` on the
+  shorter word, and a merge is one int add.  A live word is one dict entry
+  ``code: [v, bound]``, and a merge adds into both items in place.
 
 Exactness.  Python ints never wrap, so every ``v`` is exactly ``P(2^B)``
 for the word's true coefficient P; what can fail is reading P back.  Each
@@ -76,10 +82,11 @@ def _reducible(w):
 def _lanes(terms):
     """Split the input into lanes ``(weight, base, width, {code: {slot: c}})``.
 
-    A lane's starting width B is the bit length of its largest input bound,
-    plus one bit per inversion of its most inverted word, plus two.  The
-    bound grows by less than that on the rank-r relations up to r = 9, so
-    they reduce in one run.
+    A lane's base is one below its least ``e - inversions(word)``, so no
+    reachable exponent falls below slot 1.  Its starting width B is the bit
+    length of its largest input bound, plus one bit per inversion of its most
+    inverted word, plus two.  The bound grows by less than that on the rank-r
+    relations up to r = 9, so they reduce in one run.
     """
     by_weight = {}
     for code, coeff in terms.items():
@@ -96,9 +103,10 @@ def _lanes(terms):
         for i in range(1, len(items) + 1):
             if i < len(items) and items[i][0] - items[i - 1][0] <= 2 * reach:
                 continue
-            base = items[start][0] - reach - 1
+            cluster = items[start:i]
+            base = min(e - inv for e, _, _, inv in cluster) - 1
             words = {}
-            for e, code, c, _ in items[start:i]:
+            for e, code, c, _ in cluster:
                 words.setdefault(code, {})[e - base] = c
             largest = max(sum(abs(c) for c in slots.values()) for slots in words.values())
             lanes.append((weight, base, largest.bit_length() + reach + 2, words))
@@ -107,87 +115,90 @@ def _lanes(terms):
 
 
 class _Lane:
-    """One lane's live words during a run: coefficient ints and their bounds."""
+    """One lane's live words during a run, each as ``code: [v, bound]``.
 
-    __slots__ = ("width", "normal", "normal_bound", "active", "active_bound", "bad")
+    ``active`` holds the words with a redex and ``normal`` the rest; the two
+    never share a word.  A merge adds into the pair in place, so one lookup
+    serves both the coefficient int and its bound.
+    """
+
+    __slots__ = ("width", "normal", "active", "bad")
 
     def __init__(self, words, width):
         self.width = width
         self.normal = {}
-        self.normal_bound = {}
         self.active = {}
-        self.active_bound = {}
         self.bad = 0  # largest bound that failed a check; 0 while the run is exact
         for code, slots in words.items():
             v = sum(c << (width * s) for s, c in slots.items())
             b = sum(abs(c) for c in slots.values())
             if not v and b > self.bad:  # a nonzero term that encodes to 0
                 self.bad = b
-            if _reducible(code):
-                self.active[code] = v
-                self.active_bound[code] = b
-            else:
-                self.normal[code] = v
-                self.normal_bound[code] = b
+            (self.active if _reducible(code) else self.normal)[code] = [v, b]
 
     def step(self, rho_zero):
         """One pass: rewrite every active word once and route what it produces."""
         width = self.width
         nxt = {}
-        nxt_bound = {}
         get = nxt.get
-        get_bound = nxt_bound.get
-        bounds = self.active_bound
-        for w, v in self.active.items():
-            b = bounds[w]
+        for w, (v, b) in self.active.items():
             # _reducible inlined: i is the bit of the J of the leftmost IIJ.
             i = ((w >> 2) & (w >> 1) & ~w & ((1 << (w.bit_length() - 3)) - 1)).bit_length() - 1
             x = w ^ (3 << i)  # IIJ -> IJI
-            nxt[x] = get(x, 0) + (v << width) + (v >> width)
-            nxt_bound[x] = get_bound(x, 0) + (b << 1)
+            t = get(x)
+            if t is None:
+                nxt[x] = [(v << width) + (v >> width), b << 1]
+            else:
+                t[0] += (v << width) + (v >> width)
+                t[1] += b << 1
             x = w ^ (5 << i)  # IIJ -> JII
-            nxt[x] = get(x, 0) - v
-            nxt_bound[x] = get_bound(x, 0) + b
+            t = get(x)
+            if t is None:
+                nxt[x] = [-v, b]
+            else:
+                t[0] -= v
+                t[1] += b
             if not rho_zero:
                 x = ((w >> (i + 3)) << (i + 1)) | (w & ((1 << i) - 1))  # IIJ -> J
-                nxt[x] = get(x, 0) + v
-                nxt_bound[x] = get_bound(x, 0) + b
+                t = get(x)
+                if t is None:
+                    nxt[x] = [v, b]
+                else:
+                    t[0] += v
+                    t[1] += b
         active = {}
-        active_bound = {}
         normal = self.normal
-        normal_bound = self.normal_bound
-        for w, v in nxt.items():
-            b = nxt_bound[w]
-            if _reducible(w):
-                into, into_bound = active, active_bound
+        for w, t in nxt.items():
+            # _reducible inlined; only a produced J-word can be shorter than IIJ.
+            if w > 7 and (w >> 2) & (w >> 1) & ~w & ((1 << (w.bit_length() - 3)) - 1):
+                into = active
             else:
-                into, into_bound = normal, normal_bound
-                t = normal.get(w)
-                if t is not None:
-                    v += t
-                    b += normal_bound[w]
+                into = normal
+                u = normal.get(w)
+                if u is not None:
+                    u[0] += t[0]
+                    u[1] += t[1]
+                    t = u
+            v, b = t
             if v or b >> width:
-                into[w] = v
-                into_bound[w] = b
+                into[w] = t
                 if not v and b > self.bad:  # a zero that may not be one
                     self.bad = b
             elif w in into:
                 del into[w]
-                del into_bound[w]
         self.active = active
-        self.active_bound = active_bound
 
     def decode(self, weight, base, out):
         """Add the lane's normal words to out; False if inexact."""
         width = self.width
         half = 1 << (width - 1)
-        for b in self.normal_bound.values():
+        for _, b in self.normal.values():
             if b >= half and b > self.bad:
                 self.bad = b
         if self.bad:
             return False
         mask = (1 << width) - 1
-        for w, v in self.normal.items():
+        for w, (v, _) in self.normal.items():
             p = (weight - w.bit_length() + 1) // 2
             poly = out.setdefault(w, {}).setdefault(p, {})
             e = base

@@ -48,7 +48,7 @@ _BOUNDS = {
     "coeffs": 32,
     "coeffs_solve": 8,
     "verify": 6,
-    "verify_extended": 7,
+    "verify_extended": 8,
     "cross_check": 16,
     "cross_check_solve": 8,
     "repcheck_default": 5,
@@ -177,7 +177,7 @@ def _cmd_verify(args) -> int:
         return _usage("verify needs --r or --max-r")
     ranks = [args.r] if args.r is not None else list(range(1, args.max_r + 1))
     if not ranks or any(not 1 <= r <= bound for r in ranks):
-        hint = "" if args.extended else " (use --extended for 7)"
+        hint = "" if args.extended else f" (use --extended for {_BOUNDS['verify_extended']})"
         return _usage(f"verify ranks must be in 1..{bound}{hint}")
     mutate = None
     if args.mutate:
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-zero", action="store_true", dest="rho_zero",
                    help="verify the q-Serre degeneration with the truncated rule")
     p.add_argument("--extended", action="store_true",
-                   help="lift the rank bound from 6 to 7")
+                   help=f"lift the rank bound from {_BOUNDS['verify']} to {_BOUNDS['verify_extended']}")
     p.add_argument("--mutate", default=None, metavar="p,k",
                    help="perturb one table entry by q (falsification drill)")
     p.add_argument("--time-budget", type=float, default=None, dest="time_budget")

@@ -67,8 +67,8 @@ def test_verify_requires_rank(capsys):
 def test_verify_bound_and_extended_flag(capsys):
     code, _, err = run_cli(capsys, "verify", "--r", "7")
     assert code == EXIT_USAGE and "--extended" in err
-    # --extended lifts the bound to 7; rank 8 stays out regardless.
-    code, _, err = run_cli(capsys, "verify", "--r", "8", "--extended")
+    # --extended lifts the bound to 8; rank 9 stays out regardless.
+    code, _, err = run_cli(capsys, "verify", "--r", "9", "--extended")
     assert code == EXIT_USAGE
 
 

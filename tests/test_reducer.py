@@ -259,6 +259,20 @@ def test_sparse_exponent_span_is_split_into_clusters():
     assert got == RULE * c
 
 
+def test_lane_base_follows_each_words_own_inversions():
+    # One lane of weight 6: IIIJJJ (9 inversions) at q^0 and JJJIIJ (2) at
+    # q^-5.  The base is one below the least e - inversions(word), here
+    # -10, not one below the least exponent minus the lane's most
+    # inversions (-15); the reductions reach slot 1 and must stay exact.
+    x = word_poly("IIIJJJ") + word_poly("JJJIIJ", _scalar({-5: 1}))
+    packed = _pack(x)
+    ((_, base, _, _),) = _kernel_py._lanes(packed)
+    want = min(e - _kernel_py._inversions(code) for code, c in packed.items() for e in c[0]) - 1
+    assert base == want == -10
+    for rho_zero in (False, True):
+        assert reduce(x, rho_zero=rho_zero) == reduce_randomized(x, random.Random(5), rho_zero=rho_zero)
+
+
 def test_mixed_weights_count_distinct_words():
     # IIIJ sits in three lanes (two exponent clusters of weight 4, and
     # weight 6); the counts are those of one dict of words, pinned from the
