@@ -29,10 +29,7 @@ from .qcoeff import (
     ZERO,
     LaurentScalar,
     _mmul,
-    _pcontent,
-    _pmul,
     _pneg,
-    _psub,
     q_int,
 )
 from .reducer import reduce
@@ -409,15 +406,6 @@ def delta_indices(r: int) -> list[tuple[int, int, int]]:
     return [(p, k, (-1) ** (p + k)) for (p, k) in cells(r)]
 
 
-def _row_normalize(row: list[LaurentScalar]) -> list[dict]:
-    """Scale a row by a unit q^k so every entry is a plain poly dict."""
-    vals = [v for v in row if not v.is_zero]
-    if not vals:
-        return [dict(v.num) for v in row]
-    shift = -min(min(v.num) for v in vals)
-    return [{e + shift: c for e, c in v.num.items()} for v in row]
-
-
 def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
     """acc / lead for unknown col; the table lives in Z[q, q^-1], so a
     division that is not exact means no Laurent-polynomial solution."""
@@ -429,82 +417,40 @@ def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
         ) from exc
 
 
-def _eliminate(
-    rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], open_cols: list[int]
-) -> list[LaurentScalar]:
-    """Solve rows for the unknowns open_cols (in that order) by fraction-free
-    elimination; the rows' other columns are ignored.
+Row = tuple[dict[int, LaurentScalar], LaurentScalar]
 
-    Elimination is division-deferred: each combination step stays in the
-    polynomial ring and rows are reduced by their integer content to control
-    swell; back-substitution divides exactly at the end.  Raises
-    CoefficientSystemError when the rows leave an unknown undetermined,
-    reduce to 0 = nonzero, or need an inexact division.
+
+def _eliminate(pivot: Row, col: int, row: Row) -> Row:
+    """lead*row - row[col]*pivot, lead = pivot[col]: the row without unknown
+    col, fraction-free.  Both rows hold open unknowns only, the solved ones
+    moved to the right-hand side; a result 0 = nonzero raises
+    CoefficientSystemError.
     """
-    n_cols = len(open_cols)
-    # Dense integer-exponent polynomial rows: columns 0..n_cols-1 then rhs.
-    dense_rows = []
-    for cols, rhs in rows:
-        row = [cols.get(j, ZERO) for j in open_cols] + [rhs]
-        if all(v.is_zero for v in row):
-            continue
-        dense_rows.append(_row_normalize(row))
-    # Short rows first keeps the elimination lean.
-    dense_rows.sort(key=lambda row: (sum(1 for d in row if d), sum(len(d) for d in row)))
-
-    pivots: list[tuple[int, list[dict]]] = []  # (pivot column, echelon row)
-    for row in dense_rows:
-        if len(pivots) == n_cols:
-            break
-        row = [dict(d) for d in row]
-        for col, prow in pivots:
-            if row[col]:
-                lead = prow[col]
-                mine = row[col]
-                row = [
-                    _psub(_pmul(d, lead), _pmul(prow[j], mine))
-                    for j, d in enumerate(row)
-                ]
-                content = math.gcd(*(_pcontent(d) for d in row))
-                if content > 1:
-                    row = [{e: c // content for e, c in d.items()} for d in row]
-        col = next((j for j in range(n_cols) if row[j]), None)
-        if col is None:
-            if row[n_cols]:
-                raise CoefficientSystemError("inconsistent system: 0 = nonzero row")
-            continue
-        pivots.append((col, row))
-        pivots.sort(key=lambda t: t[0])
-
-    if len(pivots) < n_cols:
-        raise CoefficientSystemError(
-            f"under-determined system: rank {len(pivots)} < {n_cols} unknowns"
-        )
-
-    solution: list[LaurentScalar | None] = [None] * n_cols
-    for col, row in reversed(pivots):
-        acc = LaurentScalar(row[n_cols])
-        for j in range(col + 1, n_cols):
-            if row[j]:
-                acc = acc - LaurentScalar(row[j]) * solution[j]
-        solution[col] = _divide(acc, LaurentScalar(row[col]), open_cols[col])
-    return solution  # type: ignore[return-value]
+    (pcols, prhs), (cols, rhs) = pivot, row
+    lead, mine = pcols[col], cols[col]
+    out = {
+        j: v for j in {**cols, **pcols}
+        if not (v := lead * cols.get(j, ZERO) - mine * pcols.get(j, ZERO)).is_zero
+    }
+    rhs = lead * rhs - mine * prhs
+    if not out and not rhs.is_zero:
+        raise CoefficientSystemError("inconsistent system: 0 = nonzero row")
+    return out, rhs
 
 
-def _solve_unique(
-    rows: list[tuple[dict[int, LaurentScalar], LaurentScalar]], n_cols: int
-) -> list[LaurentScalar]:
+def _solve_unique(rows: list[Row], n_cols: int) -> list[LaurentScalar]:
     """Solve an overdetermined exact linear system with a unique solution.
 
     Rows are (sparse coefficient map, right-hand side), taken short rows
-    first.  Singleton substitution comes first: a row with exactly one
-    unsolved unknown fixes it by one exact division, after the solved values
-    are moved to its right-hand side, and passes repeat until one solves
-    nothing.  The unknowns still open are then solved by fraction-free
-    elimination of the residual rows; only the elimination can tell a
-    full-rank system without singleton rows from an under-determined one.
-    Raises CoefficientSystemError when rank is deficient, when the solution
-    is not a Laurent polynomial, or when any equation fails.
+    first, by one loop of two steps.  Singleton step: a row with exactly one
+    open unknown fixes it by one exact division, after the solved values are
+    moved to its right-hand side; passes repeat while one solves something.
+    Pivot step, when no row has one open unknown: the first non-pivot row
+    with open unknowns becomes a pivot, and _eliminate removes its first
+    open unknown from every later row.  A pivot row turns singleton once its
+    other unknowns are solved, so that is the back-substitution.  Raises
+    CoefficientSystemError when rank is deficient, when the solution is not
+    a Laurent polynomial, or when any equation fails.
     """
     sparse = []
     for cols, rhs in rows:
@@ -525,28 +471,37 @@ def _solve_unique(
                 acc = acc - v * solution[j]
         return acc
 
-    progress = True
-    while progress:
-        progress = False
-        for cols, rhs in sparse:
+    def open_part(row: Row) -> Row:
+        cols, rhs = row
+        return {j: v for j, v in cols.items() if solution[j] is None}, moved(cols, rhs)
+
+    work = list(sparse)
+    n_open, start = n_cols, 0  # rows before start are pivots or have no open unknown
+    while n_open:
+        before = n_open
+        for cols, rhs in work:
             open_cols = [j for j in cols if solution[j] is None]
             if len(open_cols) == 1:
                 (j,) = open_cols
                 solution[j] = _divide(moved(cols, rhs), cols[j], j)
-                progress = True
+                n_open -= 1
+        if n_open < before:
+            continue
+        i = next((i for i in range(start, len(work))
+                  if any(solution[j] is None for j in work[i][0])), None)
+        if i is None:
+            raise CoefficientSystemError(
+                f"under-determined system: {n_open} of {n_cols} unknowns left open"
+            )
+        work[i] = pivot = open_part(work[i])
+        col = next(iter(pivot[0]))
+        for k in range(i + 1, len(work)):
+            if col in work[k][0]:
+                work[k] = _eliminate(pivot, col, open_part(work[k]))
+        start = i + 1
 
-    open_cols = [j for j in range(n_cols) if solution[j] is None]
-    if open_cols:
-        residual = [
-            (cols, moved(cols, rhs))
-            for cols, rhs in sparse
-            if any(solution[j] is None for j in cols)
-        ]
-        for j, value in zip(open_cols, _eliminate(residual, open_cols)):
-            solution[j] = value
-
-    # The unique solution must satisfy every row, including those that
-    # neither the substitution nor the elimination used.
+    # The unique solution must satisfy every original row, including those
+    # that no step used.
     for cols, rhs in sparse:
         if not moved(cols, rhs).is_zero:
             raise CoefficientSystemError("inconsistent system: solution fails an equation")
@@ -559,12 +514,12 @@ def c_solve(r: int) -> CoeffTable:
     Every entry is treated as an unknown (with c[r,0,0] normalized to 1),
     each monomial of the candidate relation is reduced to normal form, and
     the coefficient of every residual (word, rho-power) pair must vanish.
-    The system is triangular up to row order: singleton substitution in
+    The system is triangular up to row order: the singleton step of
     _solve_unique fixes every unknown at the ranks measured (r = 1..10), so
-    the elimination it keeps for the unknowns left open gets none.  Most of
-    the time at r >= 8 is the per-cell reduce.  Inconsistency or
-    under-determinacy raises CoefficientSystemError, which would falsify
-    the relation's existence at this rank.
+    its pivot step never runs.  Most of the time at r >= 8 is the per-cell
+    reduce.  Inconsistency or under-determinacy raises
+    CoefficientSystemError, which would falsify the relation's existence at
+    this rank.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")

@@ -128,11 +128,11 @@ class NCPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, dict] | None = None):
-        """Drops zero q-polynomials from each coefficient, then empty coefficients."""
+        """Drops zero integers, then zero q-polynomials, then empty coefficients."""
         cleaned: dict[Word, dict] = {}
         if terms:
             for w, c in terms.items():
-                c = {p: v for p, v in c.items() if v}
+                c = {p: nz for p, v in c.items() if (nz := {e: n for e, n in v.items() if n})}
                 if c:
                     cleaned[w] = c
         self.terms = cleaned

@@ -20,7 +20,6 @@ threads without synchronization.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -132,13 +131,6 @@ def _pval(a: dict) -> int:
 
 def _pdeg(a: dict) -> int:
     return max(a)
-
-
-def _pcontent(a: dict) -> int:
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, c)
-    return g
 
 
 def _pexact_div(a: dict, b: dict) -> dict:
@@ -306,8 +298,13 @@ class LaurentScalar:
         return self.num == o.num
 
     def __hash__(self):
+        """Agrees with __eq__ on ints: a constant hashes as its int, zero as 0."""
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.num.items())))
+            num = self.num
+            if num.keys() <= {0}:
+                self._hash = hash(num.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(num.items())))
         return self._hash
 
     def __bool__(self):

@@ -1,5 +1,7 @@
 """Tests for the four coefficient pipelines and their auxiliary tables."""
 
+import random
+
 import pytest
 from coefficients import rho
 
@@ -307,12 +309,114 @@ def test_solver_rejects_disagreeing_singleton_rows():
         _solve_unique(rows, 2)
 
 
+def _record_pivots(monkeypatch) -> list[int]:
+    """The column of every _eliminate call, in order."""
+    cols = []
+    eliminate = coeffs_mod._eliminate
+
+    def recorded(pivot, col, row):
+        cols.append(col)
+        return eliminate(pivot, col, row)
+
+    monkeypatch.setattr(coeffs_mod, "_eliminate", recorded)
+    return cols
+
+
+def test_solver_pivots_a_system_without_singleton_rows(monkeypatch):
+    # x+y+z = 3, x-y+z = 1, x+y-z = 1: the pivot on x leaves -2y = -2 and
+    # -2z = -2, and the pivot row x+y+z = 3 is back-substituted as a singleton.
+    pivots = _record_pivots(monkeypatch)
+    rows = [
+        ({0: ONE, 1: ONE, 2: ONE}, L({0: 3})),
+        ({0: ONE, 1: -ONE, 2: ONE}, ONE),
+        ({0: ONE, 1: ONE, 2: -ONE}, ONE),
+    ]
+    assert _solve_unique(rows, 3) == [ONE, ONE, ONE]
+    assert pivots == [0, 0]
+
+
+def test_solver_chains_two_pivots(monkeypatch):
+    # x+y+z = 3, x+2y+3z = 6, x+3y+6z = 10: the pivot on x leaves
+    # y+2z = 3 and 2y+5z = 7, still without a singleton row, so y is pivoted
+    # next; z = 1 then fixes y and x through the two kept pivot rows.
+    pivots = _record_pivots(monkeypatch)
+    rows = [
+        ({0: ONE, 1: L({0: a}), 2: L({0: b})}, L({0: c}))
+        for a, b, c in [(1, 1, 3), (2, 3, 6), (3, 6, 10)]
+    ]
+    assert _solve_unique(rows, 3) == [ONE, ONE, ONE]
+    assert pivots == [0, 0, 1]
+
+
+def test_pivot_step_rejects_an_inconsistent_pair():
+    # x+y = 1 and x+y = 2 reduce to 0 = 1 in the pivot step.
+    rows = [({0: ONE, 1: ONE}, ONE), ({0: ONE, 1: ONE}, L({0: 2}))]
+    with pytest.raises(CoefficientSystemError, match="inconsistent system: 0 = nonzero"):
+        _solve_unique(rows, 2)
+
+
+def _random_laurent(rng):
+    """A nonzero Laurent polynomial of one or two terms."""
+    return L({rng.randint(-2, 2): rng.choice([-3, -2, -1, 1, 2, 3])
+              for _ in range(rng.randint(1, 2))})
+
+
+def _random_system(seed: int, singletons: bool):
+    """A full-rank system over n unknowns with a known Laurent solution.
+
+    The matrix is U, or L*U without singleton rows, for triangular L and U
+    with unit monomials on the diagonal, so its determinant is a unit and
+    the solution lies in Z[q, q^-1].  Every row is stated twice (the copy
+    scaled by a unit), so dropping any one row keeps the rank full.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    x = [_random_laurent(rng) for _ in range(n)]
+    unit = lambda: L({rng.randint(-2, 2): rng.choice([-1, 1])})  # noqa: E731
+    upper = [
+        {j: unit() if j == i else _random_laurent(rng) for j in range(i, n)}
+        for i in range(n)
+    ]
+    matrix = upper
+    if not singletons:
+        matrix = []
+        for i in range(n):
+            row: dict[int, LaurentScalar] = {}
+            for k in range(i + 1):
+                factor = ONE if k == i else _random_laurent(rng)
+                for j, v in upper[k].items():
+                    row[j] = row.get(j, ZERO) + factor * v
+            matrix.append({j: v for j, v in row.items() if not v.is_zero})
+    rows = []
+    for cols in matrix:
+        rhs = sum((v * x[j] for j, v in cols.items()), ZERO)
+        scale = unit()
+        rows += [(cols, rhs), ({j: scale * v for j, v in cols.items()}, scale * rhs)]
+    rng.shuffle(rows)
+    return rows, x, rng
+
+
+@pytest.mark.parametrize("singletons", [True, False], ids=["singletons", "no-singletons"])
+@pytest.mark.parametrize("seed", range(10))
+def test_solver_recovers_random_full_rank_systems(seed, singletons):
+    rows, x, rng = _random_system(seed, singletons)
+    n = len(x)
+    has_singleton = any(len(cols) == 1 for cols, _ in rows)
+    assert has_singleton == singletons
+    assert _solve_unique(rows, n) == x
+    # One right-hand side off by one contradicts its scaled copy.
+    k = rng.randrange(len(rows))
+    rows[k] = (rows[k][0], rows[k][1] + 1)
+    with pytest.raises(CoefficientSystemError):
+        _solve_unique(rows, n)
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_singleton_substitution_fixes_every_unknown_of_the_relation(monkeypatch, r):
     # The rank-r cancellation system is triangular up to row order, so the
-    # elimination never runs on it.
-    def refuse(rows, open_cols):
-        raise AssertionError(f"unknowns {open_cols} left to the elimination")
+    # pivot step never runs on it.
+    def refuse(pivot, col, row):
+        raise AssertionError(f"unknown {col} left to the pivot step")
 
     monkeypatch.setattr(coeffs_mod, "_eliminate", refuse)
     assert c_solve(r) == c_from_polynomial(r)

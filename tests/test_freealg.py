@@ -88,6 +88,12 @@ def test_zero_coefficients_never_stored():
     assert (AI * {}).is_zero
 
 
+def test_zero_integers_inside_a_q_polynomial_are_dropped():
+    assert NCPolynomial({W("IIJ"): {0: {0: 0}}}).is_zero
+    assert NCPolynomial({W("IIJ"): {0: {0: 0}}}) == NCPolynomial.zero()
+    assert NCPolynomial({W("IJ"): {0: {0: 0, 1: 2}}}).terms == {W("IJ"): {0: {1: 2}}}
+
+
 def test_rendering():
     assert str(NCPolynomial.zero()) == "0"
     p = AI * AJ * AI + AJ * rho(0, 1)

@@ -108,6 +108,15 @@ def test_division_by_zero():
         exact_div(ONE, ZERO)
 
 
+def test_hash_agrees_with_int_equality():
+    # ONE == 1 and ZERO == 0, so they must hash alike and collapse in sets.
+    assert hash(ONE) == hash(1) and hash(ZERO) == hash(0)
+    assert hash(L({0: -7})) == hash(-7)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+    assert {L({0: 3}): "three"}[3] == "three"
+    assert hash(q_int(2)) == hash(L({1: 1, -1: 1}))
+
+
 laurent_dicts = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9).filter(lambda c: c != 0),
