@@ -10,17 +10,20 @@ serialization path sorts its keys and the sample points are derived from
 (seed, index) only.  QONSAGER_WORKERS > 1 fans independent sub-checks out to
 a process pool, of at most one process per sub-check and per CPU, without
 changing any output.
+
+--time-budget is one SIGALRM timer around the computation (_time_budget), so
+it also holds inside a rank; no library layer takes a deadline.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import signal
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .coeffs import (
     CoefficientSystemError,
@@ -57,22 +60,48 @@ _BOUNDS = {
 
 
 class TimeBudgetExceeded(Exception):
-    """Raised between work units when --time-budget has run out."""
+    """Raised by the --time-budget timer wherever the computation is when it expires."""
 
 
 class UsageError(Exception):
     """A setting that cannot be used, found after argument parsing; exit 2."""
 
 
-class _Budget:
-    def __init__(self, seconds: float | None):
-        if seconds is not None and math.isnan(seconds):
-            raise UsageError("--time-budget must be a number of seconds, got nan")
-        self.deadline = None if seconds is None else time.monotonic() + seconds
+@contextlib.contextmanager
+def _time_budget(seconds: float | None):
+    """Raise TimeBudgetExceeded inside the block once `seconds` have passed.
 
-    def check(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceeded
+    A one-shot ITIMER_REAL whose SIGALRM handler raises, so the budget holds
+    inside one long computation.  None installs nothing; a budget <= 0 is
+    exhausted on entry; one past the timer's range never runs out.  Needs
+    POSIX setitimer and the main thread.
+    """
+    if seconds is None:
+        yield
+        return
+    if math.isnan(seconds):
+        raise UsageError("--time-budget must be a number of seconds, got nan")
+    if not hasattr(signal, "setitimer"):
+        raise UsageError("--time-budget needs POSIX setitimer, which this platform lacks")
+    if seconds <= 0:
+        raise TimeBudgetExceeded
+
+    def expire(signum, frame):
+        raise TimeBudgetExceeded
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        except OverflowError:
+            pass  # past time_t: the budget never runs out
+        yield
+    finally:
+        # Nested, so a SIGALRM that lands while disarming still restores.
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _workers() -> int:
@@ -84,32 +113,19 @@ def _workers() -> int:
     return max(1, n)
 
 
-def _pmap(fn, arg_tuples, budget: _Budget):
+def _pmap(fn, arg_tuples):
     """fn(*args) for each tuple in order, using a process pool when workers > 1.
 
-    The pool has no more processes than calls or CPUs.  The budget is
-    checked before each call, or in a pool before waiting for each result;
-    when it runs out, the calls not yet started are cancelled and
-    TimeBudgetExceeded propagates.
+    The pool has no more processes than calls or CPUs.  Leaving its `with`
+    on any exception, TimeBudgetExceeded included, terminates the workers.
     """
     n = min(_workers(), len(arg_tuples), os.cpu_count() or 1)
     if n <= 1:
-        results = []
-        for args in arg_tuples:
-            budget.check()
-            results.append(fn(*args))
-        return results
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(fn, *args) for args in arg_tuples]
-        results = []
-        try:
-            for future in futures:
-                budget.check()
-                results.append(future.result())
-        except TimeBudgetExceeded:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        return results
+        return [fn(*args) for args in arg_tuples]
+    import multiprocessing
+
+    with multiprocessing.Pool(n) as pool:
+        return pool.starmap(fn, arg_tuples, chunksize=1)
 
 
 def _emit(args, text: str) -> None:
@@ -191,12 +207,11 @@ def _cmd_verify(args) -> int:
         for r in ranks:
             if mutate not in cells(r):
                 return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")
-    budget = _Budget(args.time_budget)
     results = []
     try:
-        for r in ranks:
-            budget.check()
-            results.append(_verify_one(r, args.pipeline, args.rho_zero, mutate))
+        with _time_budget(args.time_budget):
+            for r in ranks:
+                results.append(_verify_one(r, args.pipeline, args.rho_zero, mutate))
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded", "completed": results}))
         return EXIT_RESOURCE
@@ -224,10 +239,10 @@ def _cmd_cross_check(args) -> int:
         return _usage(f"cross-check --max-r must be in 1..{_BOUNDS['cross_check']}")
     if not 0 <= args.solve_max_r <= _BOUNDS["cross_check_solve"]:
         return _usage(f"--solve-max-r must be in 0..{_BOUNDS['cross_check_solve']}")
-    budget = _Budget(args.time_budget)
     ranks = range(1, args.max_r + 1)
     try:
-        agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks], budget)
+        with _time_budget(args.time_budget):
+            agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks])
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded"}))
         return EXIT_RESOURCE
@@ -255,7 +270,7 @@ def _cmd_repcheck(args) -> int:
         return _usage("--samples must be positive")
     table = PIPELINES[args.pipeline](args.r)
     tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
-    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks, _Budget(None)))
+    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks))
     if args.format == "json":
         _emit(args, _json_dump(report.to_json_obj()))
     else:

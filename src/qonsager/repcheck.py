@@ -596,24 +596,20 @@ class SpectralReport:
         }
 
 
-def spectral_polynomial_check(
-    r: int, rho_over_c2: LaurentScalar | None = None
-) -> SpectralReport:
+def spectral_polynomial_check(r: int) -> SpectralReport:
     """Evaluate the generating polynomial at eigenvalue pairs, symbolically in v.
 
     Offsets -r-2 .. r+2 are tested: the value must vanish identically in v
     exactly for parity-allowed |d| <= r.  The rho substitution is validated
     against the expansion oracle before anything else runs; by homogeneity
     (x, y, rho) -> (Cx, Cy, C^2 rho) the overall C power is fixed and C is
-    carried exactly.
-
-    A rho_over_c2 override exists so tests can demonstrate that a miswired
-    constant is caught; the oracle guard rejects it.
+    carried exactly.  A wired constant that the oracle does not derive is
+    refused: the report carries no offsets.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
     oracle = rho_calibration_oracle(max(4, min(r, 8)))
-    wired = rho_over_c2 if rho_over_c2 is not None else spectral_rho_constant()
+    wired = spectral_rho_constant()
     if not oracle.ok or oracle.rho_over_c2 != wired:
         return SpectralReport(r=r, oracle=OracleResult(oracle.offsets, oracle.v_independent,
                                                        oracle.k_independent, None))

@@ -1,12 +1,13 @@
 """CLI tests: exit-code taxonomy, schemas, reproducibility."""
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -138,38 +139,76 @@ def test_nan_time_budget_is_usage_error(argv, capsys):
     assert err == "qonsager: error: --time-budget must be a number of seconds, got nan\n"
 
 
-def test_cross_check_time_budget_runs_out_between_ranks(capsys, monkeypatch):
-    # Each rank takes one second of a fake clock; a 1.5 s budget stops the
-    # run after rank 2 instead of finishing all five.
-    clock = [0.0]
+def _spin(*args, **kwargs):
+    """Stands in for one long computation: five seconds of pure Python."""
+    end = time.monotonic() + 5.0
+    while time.monotonic() < end:
+        pass
+    return True
+
+
+def test_cross_check_time_budget_runs_out_inside_a_rank(capsys, monkeypatch):
+    # Rank 1 alone would take five seconds; the timer stops it mid-rank.
     ranks = []
 
-    def one_second_per_rank(r, with_solve):
+    def spin_rank(r, with_solve):
         ranks.append(r)
-        clock[0] += 1.0
-        return True
+        return _spin()
 
     monkeypatch.setenv("QONSAGER_WORKERS", "1")
-    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-    monkeypatch.setattr(cli, "pipelines_agree", one_second_per_rank)
-    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "5", "--time-budget", "1.5")
+    monkeypatch.setattr(cli, "pipelines_agree", spin_rank)
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "5", "--time-budget", "0.2")
+    assert time.monotonic() - start < 2.5
     assert code == EXIT_RESOURCE
     assert json.loads(out) == {"error": "time budget exceeded"}
-    assert ranks == [1, 2]
+    assert ranks == [1]
+
+
+def test_verify_time_budget_runs_out_inside_a_rank(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_relation", _spin)
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, "verify", "--max-r", "2", "--time-budget", "0.2", "--format", "json"
+    )
+    assert time.monotonic() - start < 2.5
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {"error": "time budget exceeded", "completed": []}
 
 
 def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
-    # The fake clock advances one second per reading: the budget holds for
-    # the first result and has run out before the second.
-    ticks = iter(range(1000))
+    # Both workers are inside a five-second call when the budget runs out;
+    # leaving the pool terminates them instead of waiting.
     monkeypatch.setenv("QONSAGER_WORKERS", "2")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
-    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    code, out, _ = run_cli(
-        capsys, "cross-check", "--max-r", "8", "--solve-max-r", "3", "--time-budget", "1.5"
-    )
+    monkeypatch.setattr(cli, "pipelines_agree", _spin)
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "4", "--time-budget", "0.3")
+    assert time.monotonic() - start < 3.0
     assert code == EXIT_RESOURCE
     assert json.loads(out) == {"error": "time budget exceeded"}
+    assert multiprocessing.active_children() == []
+
+
+def test_time_budget_leaves_no_timer_or_handler_behind(capsys, monkeypatch):
+    # One run that completes, one that runs out: each must disarm the timer
+    # and put the previous SIGALRM handler back.
+    before = signal.getsignal(signal.SIGALRM)
+    code, _, _ = run_cli(capsys, "cross-check", "--max-r", "2", "--time-budget", "1000")
+    assert code == EXIT_PASS
+    assert signal.getsignal(signal.SIGALRM) == before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    monkeypatch.setattr(cli, "verify_relation", _spin)
+    code, _, _ = run_cli(capsys, "verify", "--r", "1", "--time-budget", "0.05")
+    assert code == EXIT_RESOURCE
+    assert signal.getsignal(signal.SIGALRM) == before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    # inf is past the timer's range, so it never runs out; -1 has run out
+    # before the first rank.
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "2", "--time-budget", "inf")
+    assert code == EXIT_PASS and out.endswith("pipelines agree for all r <= 2: True\n")
+    code, out, _ = run_cli(capsys, "cross-check", "--max-r", "2", "--time-budget", "-1")
+    assert code == EXIT_RESOURCE and json.loads(out) == {"error": "time budget exceeded"}
 
 
 def test_cross_check(capsys):
@@ -295,12 +334,12 @@ def test_workers_env_parallel_matches_serial(argv, tmp_path, capsys, monkeypatch
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs calls inline."""
+    """Stands in for multiprocessing.Pool: records its size, runs calls inline."""
 
     sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -308,10 +347,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def starmap(self, fn, arg_tuples, chunksize=None):
+        return [fn(*args) for args in arg_tuples]
 
 
 @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, None)])
@@ -321,7 +358,7 @@ def test_pool_is_capped_by_tasks_and_cpus(cpus, expected, capsys, monkeypatch):
     # unknown count) means no pool at all.
     monkeypatch.setenv("QONSAGER_WORKERS", "1000000")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     code, out, _ = run_cli(capsys, "cross-check", "--max-r", "3")
     assert code == EXIT_PASS
@@ -349,3 +386,20 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == EXIT_PASS
     assert "zero=True" in proc.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # The serial CLI starts without the pool machinery; _pmap imports it
+    # only when it builds a pool.
+    code = (
+        "import sys, qonsager.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

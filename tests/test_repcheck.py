@@ -351,9 +351,10 @@ def test_spectral_band_structure_small(r):
     assert zero_offsets == expected
 
 
-def test_spectral_check_refuses_miswired_constant():
+def test_spectral_check_refuses_miswired_constant(monkeypatch):
     wrong = -spectral_rho_constant()
-    report = spectral_polynomial_check(3, rho_over_c2=wrong)
+    monkeypatch.setattr(repcheck, "spectral_rho_constant", lambda: wrong)
+    report = spectral_polynomial_check(3)
     assert not report.ok
     assert report.oracle.rho_over_c2 is None
     assert report.offsets == []
