@@ -25,16 +25,31 @@ with every coefficient held as one Python int:
   the two sides can never meet, and each cluster is its own lane; the size
   of an int follows the spread of the input's exponents, not their absolute
   values.
-* Layout.  ``e - inversions(word)`` never falls along a rewrite, so with
-  ``base`` one below the least ``e - inversions(word)`` of the lane's input
-  terms, every exponent the lane can reach is above ``base``.  The
-  coefficient ``sum a_e q^e`` of a word is the int
-  ``v = sum a_e 2^(B * (e - base))``, that is, ``P(2^B)`` for
-  ``P = sum a_e X^(e - base)``, whose exponents stay at least 1.  Then
-  ``[2]_q c`` is ``(v << B) + (v >> B)`` (the right shift is exact because
-  ``2^B`` divides ``v``), ``-c`` is ``-v``, ``rho c`` is ``v`` on the
-  shorter word, and a merge is one int add.  A live word is one dict entry
-  ``code: [v, bound]``, and a merge adds into both items in place.
+* Parity.  Write ``d = e - inversions(word)`` for a term ``q^e word``.  The
+  rule IIJ -> ``[2]_q IJI - JII + rho J`` maps ``(e, inversions)`` to
+  ``(e +- 1, inv - 1)`` for IJI, ``(e, inv - 2)`` for JII and
+  ``(e, inv - 2 * (1 + #J right of the redex))`` for J.  So d keeps its
+  parity and never falls.  Each cluster is split by the parity of d, and
+  the lane is ``(weight, parity, cluster)``.
+* Layout.  With ``base`` the least d of the lane's input terms, every d the
+  lane can reach is ``base + 2s`` for a slot ``s >= 0``.  The coefficient
+  ``sum a_e q^e`` of a word is the int ``v = sum a_e 2^(B * s)`` with
+  ``s = (e - inversions(word) - base) / 2``, that is, ``P(2^B)`` for
+  ``P = sum a_e X^s``; the decode reads ``e = base + inversions(word) + 2s``.
+  Only slots that can be nonzero are stored, and every rewrite is a left
+  shift:
+
+  ======  ==================  ===============================================
+  branch  slot change         new int
+  ======  ==================  ===============================================
+  IJI     s and s + 1         ``(v << B) + v``
+  JII     s + 1               ``-(v << B)``
+  J       s + 1 + #J          ``v << B * (1 + i - popcount(w & (2^i - 1)))``
+  ======  ==================  ===============================================
+
+  where i is the bit of the redex's J, so the bits below it are the letters
+  right of the redex.  A merge is one int add.  A live word is one dict
+  entry ``code: [v, bound]``, and a merge adds into both items in place.
 
 Exactness.  Python ints never wrap, so every ``v`` is exactly ``P(2^B)``
 for the word's true coefficient P; what can fail is reading P back.  Each
@@ -82,19 +97,21 @@ def _reducible(w):
 def _lanes(terms):
     """Split the input into lanes ``(weight, base, width, {code: {slot: c}})``.
 
-    A lane's base is one below its least ``e - inversions(word)``, so no
-    reachable exponent falls below slot 1.  Its starting width B is the bit
-    length of its largest input bound, plus one bit per inversion of its most
-    inverted word, plus two.  The bound grows by less than that on the rank-r
-    relations up to r = 9, so they reduce in one run.
+    Each exponent cluster of a weight is split by the parity of
+    ``e - inversions(word)``.  A lane's base is its least
+    ``e - inversions(word)``, and a term sits in slot
+    ``(e - inversions(word) - base) / 2``.  Its starting width B is the bit
+    length of its largest input bound, plus one bit per inversion of the
+    weight's most inverted word, plus two.  The bound grows by less than that
+    on the rank-r relations up to r = 9, so they reduce in one run.
     """
     by_weight = {}
     for code, coeff in terms.items():
         n = code.bit_length() - 1
-        reach = _inversions(code)
+        inv = _inversions(code)
         for p, poly in coeff.items():
             for e, c in poly.items():
-                by_weight.setdefault(n + 2 * p, []).append((e, code, c, reach))
+                by_weight.setdefault(n + 2 * p, []).append((e, code, c, inv))
     lanes = []
     for weight, items in sorted(by_weight.items()):
         reach = max(item[3] for item in items)
@@ -103,13 +120,16 @@ def _lanes(terms):
         for i in range(1, len(items) + 1):
             if i < len(items) and items[i][0] - items[i - 1][0] <= 2 * reach:
                 continue
-            cluster = items[start:i]
-            base = min(e - inv for e, _, _, inv in cluster) - 1
-            words = {}
-            for e, code, c, _ in cluster:
-                words.setdefault(code, {})[e - base] = c
-            largest = max(sum(abs(c) for c in slots.values()) for slots in words.values())
-            lanes.append((weight, base, largest.bit_length() + reach + 2, words))
+            for parity in (0, 1):
+                cluster = [item for item in items[start:i] if (item[0] - item[3]) & 1 == parity]
+                if not cluster:
+                    continue
+                base = min(e - inv for e, _, _, inv in cluster)
+                words = {}
+                for e, code, c, inv in cluster:
+                    words.setdefault(code, {})[(e - inv - base) >> 1] = c
+                largest = max(sum(abs(c) for c in slots.values()) for slots in words.values())
+                lanes.append((weight, base, largest.bit_length() + reach + 2, words))
             start = i
     return lanes
 
@@ -117,6 +137,8 @@ def _lanes(terms):
 class _Lane:
     """One lane's live words during a run, each as ``code: [v, bound]``.
 
+    ``v`` holds the word's coefficient in slots of
+    ``(e - inversions(word) - base) / 2``, so a rewrite only shifts left.
     ``active`` holds the words with a redex and ``normal`` the rest; the two
     never share a word.  A merge adds into the pair in place, so one lookup
     serves both the coefficient int and its bound.
@@ -144,27 +166,30 @@ class _Lane:
         for w, (v, b) in self.active.items():
             # _reducible inlined: i is the bit of the J of the leftmost IIJ.
             i = ((w >> 2) & (w >> 1) & ~w & ((1 << (w.bit_length() - 3)) - 1)).bit_length() - 1
+            u = v << width
             x = w ^ (3 << i)  # IIJ -> IJI
             t = get(x)
             if t is None:
-                nxt[x] = [(v << width) + (v >> width), b << 1]
+                nxt[x] = [u + v, b << 1]
             else:
-                t[0] += (v << width) + (v >> width)
+                t[0] += u + v
                 t[1] += b << 1
             x = w ^ (5 << i)  # IIJ -> JII
             t = get(x)
             if t is None:
-                nxt[x] = [-v, b]
+                nxt[x] = [-u, b]
             else:
-                t[0] -= v
+                t[0] -= u
                 t[1] += b
             if not rho_zero:
-                x = ((w >> (i + 3)) << (i + 1)) | (w & ((1 << i) - 1))  # IIJ -> J
+                # IIJ -> J: one slot, plus one per J right of the redex.
+                x = ((w >> (i + 3)) << (i + 1)) | (w & ((1 << i) - 1))
+                u = v << (width * (1 + i - (w & ((1 << i) - 1)).bit_count()))
                 t = get(x)
                 if t is None:
-                    nxt[x] = [v, b]
+                    nxt[x] = [u, b]
                 else:
-                    t[0] += v
+                    t[0] += u
                     t[1] += b
         active = {}
         normal = self.normal
@@ -201,7 +226,7 @@ class _Lane:
         for w, (v, _) in self.normal.items():
             p = (weight - w.bit_length() + 1) // 2
             poly = out.setdefault(w, {}).setdefault(p, {})
-            e = base
+            e = base + _inversions(w)
             while v:
                 d = v & mask
                 if d >= half:
@@ -209,7 +234,7 @@ class _Lane:
                 if d:
                     poly[e] = d
                 v = (v - d) >> width
-                e += 1
+                e += 2
         return True
 
 

@@ -9,7 +9,7 @@ Outputs are byte-identical for identical configuration and seed: every
 serialization path sorts its keys and the sample points are derived from
 (seed, index) only.  QONSAGER_WORKERS > 1 fans independent sub-checks out to
 a process pool, of at most one process per sub-check and per CPU, without
-changing any output.
+changing any output; a pool worker that dies is exit 3 (WorkerLost).
 
 --time-budget is one SIGALRM timer around the computation (_time_budget), so
 it also holds inside a rank; no library layer takes a deadline.
@@ -61,6 +61,10 @@ _BOUNDS = {
 
 class TimeBudgetExceeded(Exception):
     """Raised by the --time-budget timer wherever the computation is when it expires."""
+
+
+class WorkerLost(Exception):
+    """A process-pool worker died before returning its result; exit 3."""
 
 
 class UsageError(Exception):
@@ -116,16 +120,28 @@ def _workers() -> int:
 def _pmap(fn, arg_tuples):
     """fn(*args) for each tuple in order, using a process pool when workers > 1.
 
-    The pool has no more processes than calls or CPUs.  Leaving its `with`
-    on any exception, TimeBudgetExceeded included, terminates the workers.
+    The pool has no more processes than calls or CPUs.  Any exception,
+    TimeBudgetExceeded included, terminates the workers instead of waiting
+    for them; a worker that dies (say, SIGKILLed by the OOM killer) raises
+    WorkerLost.
     """
     n = min(_workers(), len(arg_tuples), os.cpu_count() or 1)
     if n <= 1:
         return [fn(*args) for args in arg_tuples]
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with multiprocessing.Pool(n) as pool:
-        return pool.starmap(fn, arg_tuples, chunksize=1)
+    pool = ProcessPoolExecutor(n)
+    try:
+        return list(pool.map(fn, *zip(*arg_tuples)))
+    except BrokenProcessPool as exc:
+        raise WorkerLost(f"lost a worker process: {exc}") from exc
+    except BaseException:
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _emit(args, text: str) -> None:
@@ -380,6 +396,9 @@ def main(argv=None) -> int:
         return EXIT_FALSIFIED
     except MemoryError:
         print(_json_dump({"error": "out of memory"}), file=sys.stderr)
+        return EXIT_RESOURCE
+    except WorkerLost as exc:
+        print(_json_dump({"error": str(exc)}), file=sys.stderr)
         return EXIT_RESOURCE
 
 

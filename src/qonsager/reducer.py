@@ -11,8 +11,10 @@ The kernel module ``_kernel_py`` does the reduction.  It takes and returns
 ``{word.code: {rho_degree: {q_exponent: c}}}`` with nonzero int c, so
 ``_pack`` hands it the terms' own coefficient dicts, which the kernel only
 reads, and ``_unpack`` wraps its result without conversion.  It holds each
-coefficient as one int and keeps the result exact for any integer exponents
-and coefficients; see ``_kernel_py`` for how.
+coefficient as one int with a slot per reachable q-exponent (they step by
+two, since ``e - inversions(word)`` keeps its parity under the rule), so
+every rewrite is a left shift, and keeps the result exact for any integer
+exponents and coefficients; see ``_kernel_py`` for how.
 
 ``reduce_randomized`` is an independent slow engine on the coefficient dicts
 that the tests use as the oracle for the kernel.

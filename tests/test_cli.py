@@ -1,5 +1,6 @@
 """CLI tests: exit-code taxonomy, schemas, reproducibility."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -190,6 +191,28 @@ def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _die_at_rank_one(r, with_solve):
+    """Stands in for pipelines_agree: the rank-1 worker SIGKILLs itself."""
+    if r == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return True
+
+
+@pytest.mark.parametrize("budget", [[], ["--time-budget", "3"]], ids=["no-budget", "budget"])
+def test_a_lost_pool_worker_exits_3_and_names_it(budget, capsys, monkeypatch):
+    # A worker killed outright (as the OOM killer does) must not leave the
+    # run waiting for its result, nor be reported as a spent time budget.
+    monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(cli, "pipelines_agree", _die_at_rank_one)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "cross-check", "--max-r", "3", *budget)
+    assert time.monotonic() - start < 5.0
+    assert code == EXIT_RESOURCE and out == ""
+    assert json.loads(err)["error"].startswith("lost a worker process")
+    assert multiprocessing.active_children() == []
+
+
 def test_time_budget_leaves_no_timer_or_handler_behind(capsys, monkeypatch):
     # One run that completes, one that runs out: each must disarm the timer
     # and put the previous SIGALRM handler back.
@@ -334,21 +357,18 @@ def test_workers_env_parallel_matches_serial(argv, tmp_path, capsys, monkeypatch
 
 
 class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, runs calls inline."""
+    """Stands in for ProcessPoolExecutor: records its size, runs calls inline."""
 
     sizes = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, arg_tuples, chunksize=None):
-        return [fn(*args) for args in arg_tuples]
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, None)])
@@ -358,7 +378,7 @@ def test_pool_is_capped_by_tasks_and_cpus(cpus, expected, capsys, monkeypatch):
     # unknown count) means no pool at all.
     monkeypatch.setenv("QONSAGER_WORKERS", "1000000")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     code, out, _ = run_cli(capsys, "cross-check", "--max-r", "3")
     assert code == EXIT_PASS

@@ -217,10 +217,11 @@ def _delta_plus_big_coefficients():
         (lambda width: build_delta(4, c_recursive(4)), False),  # zeros whose bound reaches 2^B
         (lambda width: build_delta(5, c_recursive(5), rho_zero=True), True),
         (lambda width: word_poly("IIJ", _scalar({0: 1 << 70})), False),  # decode needs 2^(B-1)
-        (lambda width: word_poly("JIIJ", _scalar({0: 1 << width, 1: -1})), False),  # encodes to 0
+        (lambda width: word_poly("JIIJ", _scalar({0: 1 << width, 1: -1})), False),  # two parity lanes
+        (lambda width: word_poly("JIIJ", _scalar({0: 1 << width, 2: -1})), False),  # encodes to 0
         (lambda width: _delta_plus_big_coefficients(), False),
     ],
-    ids=["delta4", "delta5-rho-zero", "2^70-IIJ", "2^B-q", "delta4+2^70"],
+    ids=["delta4", "delta5-rho-zero", "2^70-IIJ", "2^B-q", "2^B-q^2", "delta4+2^70"],
 )
 def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_zero, width):
     # Every lane starts at a width too narrow to hold its coefficients; the
@@ -243,8 +244,9 @@ def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_
 
 
 def test_a_term_that_encodes_to_zero_is_caught():
-    # 2^16 - q is stored as 2^16 X^s - X^(s+1), which is 0 at X = 2^16.
-    (lane,) = _kernel_py._lanes(_pack(word_poly("JIIJ", _scalar({0: 1 << 16, 1: -1}))))
+    # 2^16 - q^2 sits in one parity lane as 2^16 X^s - X^(s+1), which is 0
+    # at X = 2^16.
+    (lane,) = _kernel_py._lanes(_pack(word_poly("JIIJ", _scalar({0: 1 << 16, 2: -1}))))
     assert lane[2] > 16
     assert _kernel_py._Lane(lane[3], 16).bad == (1 << 16) + 1
     assert not _kernel_py._Lane(lane[3], lane[2]).bad
@@ -261,16 +263,57 @@ def test_sparse_exponent_span_is_split_into_clusters():
 
 def test_lane_base_follows_each_words_own_inversions():
     # One lane of weight 6: IIIJJJ (9 inversions) at q^0 and JJJIIJ (2) at
-    # q^-5.  The base is one below the least e - inversions(word), here
-    # -10, not one below the least exponent minus the lane's most
-    # inversions (-15); the reductions reach slot 1 and must stay exact.
+    # q^-5, both with e - inversions(word) odd.  The base is the least
+    # e - inversions(word), here -9, not the least exponent minus the lane's
+    # most inversions (-14); a word's slot is (e - inversions(word) - base) / 2.
     x = word_poly("IIIJJJ") + word_poly("JJJIIJ", _scalar({-5: 1}))
     packed = _pack(x)
-    ((_, base, _, _),) = _kernel_py._lanes(packed)
-    want = min(e - _kernel_py._inversions(code) for code, c in packed.items() for e in c[0]) - 1
-    assert base == want == -10
+    ((_, base, _, words),) = _kernel_py._lanes(packed)
+    want = min(e - _kernel_py._inversions(code) for code, c in packed.items() for e in c[0])
+    assert base == want == -9
+    assert words == {W("IIIJJJ").code: {0: 1}, W("JJJIIJ").code: {1: 1}}
     for rho_zero in (False, True):
         assert reduce(x, rho_zero=rho_zero) == reduce_randomized(x, random.Random(5), rho_zero=rho_zero)
+
+
+def test_mixed_parity_input_is_split_into_two_lanes():
+    # The rank-5 relation with one cell times q: within a weight,
+    # e - inversions(word) now takes both parities, and each parity is its
+    # own lane.  The lanes hold exactly the input terms.
+    delta = build_delta(5, perturbed_table(c_recursive(5), 0, 1))
+    packed = _pack(delta)
+    lanes = _kernel_py._lanes(packed)
+    parities = {}
+    terms = {}
+    for weight, base, _, words in lanes:
+        parities.setdefault(weight, []).append(base & 1)
+        for code, slots in words.items():
+            p = (weight - code.bit_length() + 1) // 2
+            poly = terms.setdefault(code, {}).setdefault(p, {})
+            for s, c in slots.items():
+                e = base + _kernel_py._inversions(code) + 2 * s
+                assert e not in poly
+                poly[e] = c
+    assert terms == packed
+    assert any(sorted(ps) == [0, 1] for ps in parities.values())
+    got = reduce(delta)
+    assert not got.is_zero
+    assert got == reduce_randomized(delta, random.Random(55))
+
+
+def test_rho_rewrite_shifts_by_each_j_right_of_the_redex():
+    # IIJ -> rho J removes 2 * (1 + #J right of the redex) inversions, so the
+    # J branch moves a coefficient up 1 + #J slots; these words have 0..3 J's
+    # right of their first redex.
+    x = (
+        word_poly("IIJJIJ", _scalar({0: 1, 1: 3}))
+        + word_poly("JIIJJJ", rho(LaurentScalar({-2: 2, 0: -1}), LaurentScalar({1: 5})))
+        + word_poly("IIJIJJJ", _scalar({3: -7}))
+        + word_poly("IIJII", _scalar({0: 1 << 40}))
+    )
+    for rho_zero in (False, True):
+        expected = reduce_randomized(x, random.Random(7), rho_zero=rho_zero)
+        assert reduce(x, rho_zero=rho_zero) == expected, rho_zero
 
 
 def test_mixed_weights_count_distinct_words():
