@@ -182,9 +182,9 @@ class _Lane:
                 t[0] -= u
                 t[1] += b
             if not rho_zero:
-                # IIJ -> J: one slot, plus one per J right of the redex.
-                x = ((w >> (i + 3)) << (i + 1)) | (w & ((1 << i) - 1))
-                u = v << (width * (1 + i - (w & ((1 << i) - 1)).bit_count()))
+                low = w & ((1 << i) - 1)  # the letters right of the redex
+                x = ((w >> (i + 3)) << (i + 1)) | low  # IIJ -> J
+                u = v << (width * (1 + i - low.bit_count()))  # up one slot, plus one per J in low
                 t = get(x)
                 if t is None:
                     nxt[x] = [u, b]

@@ -137,6 +137,8 @@ def _pmap(fn, arg_tuples):
     except BrokenProcessPool as exc:
         raise WorkerLost(f"lost a worker process: {exc}") from exc
     except BaseException:
+        # shutdown() waits for running calls, and the executor has no public
+        # way to stop them before Python 3.14's terminate_workers().
         for process in list(pool._processes.values()):
             process.terminate()
         raise
