@@ -7,11 +7,14 @@ Two independent kinds of evidence:
   rank-2 affine quantum algebra (nodes 0, 1, 2 pairwise linked): the rank-r
   relation must evaluate to the exact zero matrix at random rational points.
   The module's defining relations are proved once per process as identities
-  over Z[q^±1, z^±1], and every point evaluates that checked module; the
-  zero test itself runs on the point's matrices scaled to integers;
+  over Z[q^±1, z^±1], and every point evaluates that checked module.  One
+  evaluator, ``_relation_matrix``, computes the relation on the point's
+  matrices scaled to integers: at rank r it is the zero test, and at rank 1
+  with rho = 0 it gives the rho calibration;
 * the spectral band structure: with eigenvalues theta_k = C (v q^k +
   v^-1 q^-k), the generating polynomial vanishes at (theta_k, theta_l)
-  exactly for parity-allowed offsets |k - l| <= r.
+  exactly for parity-allowed offsets |k - l| <= r.  The factors are those
+  of ``coeffs.generating_factors``, each substituted on its own.
 
 q is always specialized through q = s^2 so that q^(1/2) = s stays rational.
 The rho needed by the spectral substitution is not hard-coded: an expansion
@@ -27,8 +30,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import CoeffTable, delta_indices, generating_factors
-from .qcoeff import LaurentScalar, _madd, _mmul, _msub, _padd, exact_div, q_int
+from .coeffs import CoeffTable, _factor_poly, c_recursive, delta_indices, generating_factors
+from .qcoeff import ZERO, LaurentScalar, _madd, _mmul, _padd, exact_div, q_int
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -39,31 +42,6 @@ class RepConstructionError(Exception):
 
 class CalibrationError(Exception):
     """No scalar rho satisfies the rank-1 relation on the given matrices."""
-
-
-# ---------------------------------------------------------------------------
-# exact 3x3 matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, s) -> Mat:
-    s = Fraction(s)
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +267,22 @@ def calibrate_rho(
 ) -> CalibrationResult:
     """Solve the rank-1 relation for the single scalar rho_i on matrices.
 
-    All nine entries of A_i^2 A_j - [2]_q A_i A_j A_i + A_j A_i^2 must be
-    proportional to A_j; the measured rho is compared against c_i * cbar_i
-    and any normalization discrepancy is reported through the result.
+    The rank-1 relation at rho = 0, A_i^2 A_j - [2]_q A_i A_j A_i + A_j A_i^2,
+    comes from the same evaluator as the rank-r check, and all nine of its
+    entries must be proportional to A_j with the one factor rho; the measured
+    rho is compared against c_i * cbar_i and any normalization discrepancy is
+    reported through the result.
     """
     i, j = pair
     if i == j:
         raise ValueError("calibration needs a linked pair of distinct nodes")
-    ai, aj = matrices[i], matrices[j]
-    q = params.q
-    lhs = mat_add(
-        mat_sub(
-            mat_mul(mat_mul(ai, ai), aj),
-            mat_scale(mat_mul(mat_mul(ai, aj), ai), q + 1 / q),
-        ),
-        mat_mul(aj, mat_mul(ai, ai)),
-    )
-    rho = next((lhs[a][b] / aj[a][b] for a in range(3) for b in range(3) if aj[a][b]), None)
+    aj = matrices[j]
+    total, denom = _relation_matrix(1, c_recursive(1), matrices[i], aj, params.q, Fraction(0))
+    entries = [(t, x) for t_row, a_row in zip(total, aj) for t, x in zip(t_row, a_row)]
+    rho = next((Fraction(t, denom) / x for t, x in entries if x), None)
     if rho is None:
         raise CalibrationError("A_j is the zero matrix; cannot calibrate")
-    if lhs != mat_scale(aj, rho):
+    if any(t != rho * denom * x for t, x in entries):
         raise CalibrationError(
             f"no scalar rho satisfies the rank-1 relation for the pair ({i},{j})"
         )
@@ -421,18 +395,20 @@ def _imat_mul(a: IMat, b: IMat) -> IMat:
     )
 
 
-def _relation_vanishes(
+def _relation_matrix(
     r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
-) -> bool:
-    """Whether the rank-r relation is the zero matrix at A_i, A_j.
+) -> tuple[IMat, int]:
+    """The rank-r relation at A_i, A_j as (T, D): an integer matrix T over
+    the denominator D.
 
     With A_i = B_i / L_i and A_j = B_j / L_j in integer matrices, the term
     A_i^n A_j^r A_i^k (n + k = r - 2p + 1) times L_i^(r+1) L_j^r is
     L_i^(2p) B_i^n B_j^r B_i^k.  Folding L_i^(2p) and one common denominator
-    into the scalar coefficients leaves a sum of integer matrices.
+    into the scalar coefficients leaves a sum of integer matrices, and
+    D = common * L_i^(r+1) * L_j^r.
     """
     li, bi = _integer_scaled(ai)
-    _, bj = _integer_scaled(aj)
+    lj, bj = _integer_scaled(aj)
     terms = []
     for (p, k, sign) in delta_indices(r):
         coeff = table.entry(p, k).substitute(q) * (rho ** p) * sign * li ** (2 * p)
@@ -455,6 +431,14 @@ def _relation_vanishes(
         for row, term_row in zip(total, term):
             for b in range(3):
                 row[b] += scale * term_row[b]
+    return tuple(map(tuple, total)), common * li ** (r + 1) * lj ** r
+
+
+def _relation_vanishes(
+    r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
+) -> bool:
+    """Whether the rank-r relation is the zero matrix at A_i, A_j."""
+    total, _ = _relation_matrix(r, table, ai, aj, q, rho)
     return not any(any(row) for row in total)
 
 
@@ -493,14 +477,18 @@ def _theta(offset: int) -> _XPoly:
     return {(1, 1, 1): {offset: 1}, (1, -1, -1): {-offset: 1}}
 
 
-def _quadratic(d: int, s: int) -> _XPoly:
-    """theta_k^2 + theta_(k+d)^2 - (q^s + q^-s) theta_k theta_(k+d), k formal."""
-    theta0, thetad = _theta(0), _theta(d)
-    mid = {(0, 0, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num}
-    return _msub(
-        _madd(_mmul(theta0, theta0), _mmul(thetad, thetad)),
-        _mmul(mid, _mmul(theta0, thetad)),
-    )
+def _factor_at(desc: tuple, d: int, rho_over_c2: LaurentScalar) -> _XPoly:
+    """The generating factor ``desc`` (``coeffs._factor_poly``) at
+    x = theta_k, y = theta_(k+d) and rho = rho_over_c2 C^2, k formal."""
+    rho = {(2, 0, 0): rho_over_c2.num} if rho_over_c2 else {}
+    value: _XPoly = {}
+    for degrees, poly in _factor_poly(desc).items():
+        term = {(0, 0, 0): poly}
+        for sub, n in zip((_theta(0), _theta(d), rho), degrees):
+            for _ in range(n):
+                term = _mmul(term, sub)
+        value = _madd(value, term)
+    return value
 
 
 def spectral_rho_constant() -> LaurentScalar:
@@ -538,11 +526,12 @@ class OracleResult:
 def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     """Derive the spectral rho by brute-force symbolic expansion.
 
-    For each offset d, expand theta_k^2 + theta_(k+d)^2 - (q^d + q^-d)
-    theta_k theta_(k+d) with C, v and k all formal.  The expansion must be
-    free of v and of k, carry C-degree 2, and equal rho_d [d]_q^2 for a
-    d-independent Laurent polynomial rho_d; that common value (divided by
-    C^2) is returned.
+    For each offset d, expand the generating factor ("quad", d) at
+    x = theta_k, y = theta_(k+d) and rho = 0, that is theta_k^2 +
+    theta_(k+d)^2 - (q^d + q^-d) theta_k theta_(k+d), with C, v and k all
+    formal.  The expansion must be free of v and of k, carry C-degree 2, and
+    equal rho_d [d]_q^2 for a d-independent Laurent polynomial rho_d; that
+    common value (divided by C^2) is returned.
     """
     offsets = list(range(1, max_offset + 1))
     values: list[LaurentScalar] = []
@@ -550,7 +539,7 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     k_ok = True
     for d in offsets:
         laurent = {}
-        for (cdeg, vexp, qk), poly in _quadratic(d, d).items():
+        for (cdeg, vexp, qk), poly in _factor_at(("quad", d), d, ZERO).items():
             if vexp != 0:
                 v_ok = False
             if qk != 0:
@@ -600,11 +589,13 @@ def spectral_polynomial_check(r: int) -> SpectralReport:
     """Evaluate the generating polynomial at eigenvalue pairs, symbolically in v.
 
     Offsets -r-2 .. r+2 are tested: the value must vanish identically in v
-    exactly for parity-allowed |d| <= r.  The rho substitution is validated
-    against the expansion oracle before anything else runs; by homogeneity
-    (x, y, rho) -> (Cx, Cy, C^2 rho) the overall C power is fixed and C is
-    carried exactly.  A wired constant that the oracle does not derive is
-    refused: the report carries no offsets.
+    exactly for parity-allowed |d| <= r.  Each of ``generating_factors(r)``
+    is substituted on its own, and an offset counts as zero when one factor
+    vanishes; the factors are never multiplied out.  The rho substitution is
+    validated against the expansion oracle before anything else runs; by
+    homogeneity (x, y, rho) -> (Cx, Cy, C^2 rho) the overall C power is fixed
+    and C is carried exactly.  A wired constant that the oracle does not
+    derive is refused: the report carries no offsets.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -614,15 +605,10 @@ def spectral_polynomial_check(r: int) -> SpectralReport:
         return SpectralReport(r=r, oracle=OracleResult(oracle.offsets, oracle.v_independent,
                                                        oracle.k_independent, None))
     report = SpectralReport(r=r, oracle=oracle)
+    factors = generating_factors(r)
     for d in range(-(r + 2), r + 3):
-        value: _XPoly = {(0, 0, 0): {0: 1}}
-        for desc in generating_factors(r):
-            if desc[0] == "diff":
-                factor = _msub(_theta(0), _theta(d))
-            else:
-                s = desc[1]
-                rho_term = {(2, 0, 0): (wired * q_int(s) * q_int(s)).num}
-                factor = _msub(_quadratic(d, s), rho_term)
-            value = _mmul(value, factor)
-        report.offsets.append((d, not value))
+        # Every factor lies in Z[C, v^±1, q^±1, (q^k)^±1], an integral domain,
+        # so the product vanishes exactly when one factor does.
+        zero = any(not _factor_at(desc, d, wired) for desc in factors)
+        report.offsets.append((d, zero))
     return report

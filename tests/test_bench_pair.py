@@ -1,0 +1,81 @@
+"""tools/bench_pair.py with perfbench's subprocess stubbed out."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_ref", "better": "lower"},
+                                              {"name": "peak_rss_mb", "better": "lower"}]}
+    roots = {}
+    for side in ("base", "head"):
+        roots[side] = tmp_path / side
+        roots[side].mkdir()
+        (roots[side] / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    return roots
+
+
+def stub_perfbench(monkeypatch, roots, bad=None):
+    """Stub subprocess.run; ``bad`` maps (side, seed) to a result override."""
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 1, "", "")
+        side = next(name for name, root in roots.items() if root == cwd)
+        seed = int(argv[argv.index("--seed") + 1])
+        calls.append((side, seed))
+        result = {"correct": True, "metrics": {"wall_ref": {"value": 10.0 + seed},
+                                               "peak_rss_mb": {"value": 24.0}}}
+        result.update((bad or {}).get((side, seed), {}))
+        return subprocess.CompletedProcess(argv, 0, "FAILED ...\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    return calls
+
+
+def run_main(roots, out, workload="evidence:3"):
+    return bench_pair.main(["--base", str(roots["base"]), "--head", str(roots["head"]),
+                            "--workload", workload, "--out", str(out)])
+
+
+def test_good_runs_are_summarized(monkeypatch, checkouts, tmp_path):
+    calls = stub_perfbench(monkeypatch, checkouts)
+    out = tmp_path / "bench.json"
+    assert run_main(checkouts, out) == 0
+    assert len(calls) == 6
+    medians = json.loads(out.read_text(encoding="utf-8"))["workloads"]["evidence"]["medians"]
+    assert medians["wall_ref"]["base"]["median"] == 12.0
+    assert medians["wall_ref"]["pairs"] == 3
+
+
+def test_an_incorrect_run_stops_the_pairs(monkeypatch, checkouts, tmp_path, capsys):
+    calls = stub_perfbench(monkeypatch, checkouts, bad={("head", 2): {"correct": False}})
+    out = tmp_path / "bench.json"
+    assert run_main(checkouts, out) == 1
+    err = capsys.readouterr().err
+    assert "workload evidence seed 2 on the head side" in err and "not correct" in err
+    assert calls[-1] == ("head", 2) and len(calls) == 3
+    assert not out.exists()
+
+
+def test_an_absent_metric_stops_the_pairs(monkeypatch, checkouts, tmp_path, capsys):
+    absent = {"metrics": {"wall_ref": {"value": None}, "peak_rss_mb": {"value": 24.0}}}
+    calls = stub_perfbench(monkeypatch, checkouts, bad={("base", 1): absent})
+    out = tmp_path / "bench.json"
+    assert run_main(checkouts, out) == 1
+    err = capsys.readouterr().err
+    assert "workload evidence seed 1 on the base side" in err
+    assert "metric wall_ref is absent" in err
+    assert calls == [("base", 1)]
+    assert not out.exists()

@@ -281,7 +281,7 @@ def test_spectral(capsys):
 
 
 def test_spectral_oracle_without_a_laurent_rho_is_falsified(monkeypatch, capsys):
-    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0): {0: 1}})
+    monkeypatch.setattr(repcheck, "_factor_at", lambda desc, d, rho_over_c2: {(2, 0, 0): {0: 1}})
     code, out, err = run_cli(capsys, "spectral", "--r", "2")
     assert code == EXIT_FALSIFIED
     assert out.startswith("oracle ok: False (rho/C^2 = None)")

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qonsager import repcheck
-from qonsager.coeffs import c_closed, c_recursive, cells, delta_indices
-from qonsager.qcoeff import LaurentScalar
+from qonsager.coeffs import c_closed, c_recursive, cells, delta_indices, generating_factors
+from qonsager.qcoeff import LaurentScalar, _madd, _mmul, _msub, q_int
 from qonsager.repcheck import (
     CalibrationError,
     MatrixReport,
@@ -16,9 +16,6 @@ from qonsager.repcheck import (
     RepParams,
     build_evaluation_rep,
     calibrate_rho,
-    mat_add,
-    mat_mul,
-    mat_scale,
     matrix_point,
     rho_calibration_oracle,
     sample_params,
@@ -27,6 +24,26 @@ from qonsager.repcheck import (
     spectral_rho_constant,
 )
 from qonsager.verify import perturbed_table
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a, s):
+    s = Fraction(s)
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
 
 
 def generic_params(**overrides):
@@ -206,6 +223,55 @@ def test_calibration_error_on_zero_matrix():
         calibrate_rho(mats, params, (0, 1))
 
 
+def _calibration_oracle(matrices, params, pair):
+    """rho from (A_i^2 A_j - [2]_q A_i A_j A_i + A_j A_i^2) / A_j in Fraction."""
+    ai, aj = matrices[pair[0]], matrices[pair[1]]
+    q = params.q
+    lhs = mat_add(
+        mat_sub(
+            mat_mul(mat_mul(ai, ai), aj),
+            mat_scale(mat_mul(mat_mul(ai, aj), ai), q + 1 / q),
+        ),
+        mat_mul(aj, mat_mul(ai, ai)),
+    )
+    rho = next(lhs[a][b] / aj[a][b] for a in range(3) for b in range(3) if aj[a][b])
+    assert lhs == mat_scale(aj, rho)
+    return rho
+
+
+@pytest.mark.parametrize(
+    "params",
+    [sample_params(random.Random(f"calibration:{n}")) for n in range(6)]
+    + [sample_params_with_w(random.Random(17)),
+       generic_params(c=(Fraction(0), Fraction(0), Fraction(0)))],
+    ids=[f"sampled-{n}" for n in range(6)] + ["w-branch", "c-zero"],
+)
+def test_calibration_matches_the_fraction_oracle(params):
+    mats = build_evaluation_rep(params)
+    for pair in ((0, 1), (1, 0), (1, 2), (0, 2)):
+        assert calibrate_rho(mats, params, pair).rho == _calibration_oracle(mats, params, pair)
+
+
+def _fraction_matrix(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def test_calibration_error_when_no_scalar_rho_fits():
+    # A_i = diag(a_0, a_1, a_2) scales entry (a, b) of A_j by
+    # a_a^2 - [2]_q a_a a_b + a_b^2: -7/2 at (0, 1) and (1, 0) for q = 4,
+    # -81/4 at (2, 2), so the rank-1 relation is not a multiple of A_j.
+    params = generic_params()
+    ai = _fraction_matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    aj = _fraction_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(
+        CalibrationError, match=r"no scalar rho satisfies the rank-1 relation for the pair \(0,1\)"
+    ):
+        calibrate_rho((ai, aj, aj), params, (0, 1))
+    # Without the (2, 2) entry the same A_i calibrates to -7/2.
+    aj = _fraction_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert calibrate_rho((ai, aj, aj), params, (0, 1)).rho == Fraction(-7, 2)
+
+
 # ---------------------------------------------------------------------------
 # matrix evidence
 # ---------------------------------------------------------------------------
@@ -333,7 +399,7 @@ def test_oracle_derives_the_calibration_constant():
 
 def test_oracle_rejects_an_expansion_without_a_laurent_rho(monkeypatch):
     # C^2 alone: rho_d [d]^2 = 1 has a Laurent-polynomial rho_d only at d = 1.
-    monkeypatch.setattr(repcheck, "_quadratic", lambda d, s: {(2, 0, 0): {0: 1}})
+    monkeypatch.setattr(repcheck, "_factor_at", lambda desc, d, rho_over_c2: {(2, 0, 0): {0: 1}})
     result = rho_calibration_oracle(4)
     assert result.ok is False
     assert result.rho_over_c2 is None
@@ -358,6 +424,40 @@ def test_spectral_check_refuses_miswired_constant(monkeypatch):
     assert not report.ok
     assert report.oracle.rho_over_c2 is None
     assert report.offsets == []
+
+
+def _spectral_product_offsets(r, wired):
+    """(offset, zero) pairs with every factor multiplied out at each offset."""
+
+    def theta(offset):
+        return {(1, 1, 1): {offset: 1}, (1, -1, -1): {-offset: 1}}
+
+    out = []
+    for d in range(-(r + 2), r + 3):
+        value = {(0, 0, 0): {0: 1}}
+        for desc in generating_factors(r):
+            if desc[0] == "diff":
+                factor = _msub(theta(0), theta(d))
+            else:
+                s = desc[1]
+                mid = {(0, 0, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num}
+                quadratic = _msub(
+                    _madd(_mmul(theta(0), theta(0)), _mmul(theta(d), theta(d))),
+                    _mmul(mid, _mmul(theta(0), theta(d))),
+                )
+                factor = _msub(quadratic, {(2, 0, 0): (wired * q_int(s) * q_int(s)).num})
+            value = _mmul(value, factor)
+        out.append((d, not value))
+    return out
+
+
+def test_spectral_offsets_match_the_multiplied_out_product(monkeypatch):
+    wired = spectral_rho_constant()
+    for r in range(1, 9):
+        assert spectral_polynomial_check(r).offsets == _spectral_product_offsets(r, wired), r
+    monkeypatch.setattr(repcheck, "spectral_rho_constant", lambda: -wired)
+    for r in range(1, 9):
+        assert spectral_polynomial_check(r).offsets == [], r
 
 
 def test_spectral_report_json():

@@ -12,7 +12,9 @@ alternating which side goes first so that a drift of the host's speed during
 the pair does not favour one side.  Each checkout runs its own copy of
 perfbench on its own ``src``.  The file records every run's end-to-end
 metrics, the per-side medians, and per metric the number of pairs in which
-the head side was better.
+the head side was better.  A run that perfbench reports as not correct, or
+that lacks a metric, stops the script at once: it exits 1 with a message that
+names the workload, the seed and the side, and writes no file.
 """
 
 from __future__ import annotations
@@ -31,12 +33,22 @@ def git_commit(root: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+class BadRun(Exception):
+    """A perfbench run whose metrics cannot enter the medians."""
+
+
+def run_once(root: Path, side: str, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    where = f"workload {workload} seed {seed} on the {side} side ({root})"
+    if not result["correct"]:
+        raise BadRun(f"{where}: the run is not correct")
+    absent = sorted(name for name, value in metrics.items() if value is None)
+    if absent:
+        raise BadRun(f"{where}: metric {', '.join(absent)} is absent")
     return {"seed": seed, "correct": result["correct"], "metrics": metrics}
 
 
@@ -92,12 +104,17 @@ def main(argv=None) -> int:
     for name, n in workloads:
         pairs = []
         for seed in range(1, n + 1):
-            order = (args.base, args.head) if seed % 2 else (args.head, args.base)
-            runs = {root: run_once(root, name, seed, seconds) for root in order}
-            pairs.append((runs[args.base], runs[args.head]))
+            sides = [("base", args.base), ("head", args.head)]
+            try:
+                runs = {side: run_once(root, side, name, seed, seconds)
+                        for side, root in (sides if seed % 2 else sides[::-1])}
+            except BadRun as exc:
+                print(f"bench_pair: error: {exc}", file=sys.stderr)
+                return 1
+            pairs.append((runs["base"], runs["head"]))
             print(f"{name} seed {seed}: wall_ref "
-                  f"{runs[args.base]['metrics']['wall_ref']:.2f} -> "
-                  f"{runs[args.head]['metrics']['wall_ref']:.2f}", flush=True)
+                  f"{runs['base']['metrics']['wall_ref']:.2f} -> "
+                  f"{runs['head']['metrics']['wall_ref']:.2f}", flush=True)
         record["workloads"][name] = {
             "medians": summarize(pairs, better),
             "runs": [{"base": b, "head": h} for b, h in pairs],
