@@ -280,6 +280,8 @@ def _cmd_cross_check(args) -> int:
 
 
 def _cmd_repcheck(args) -> int:
+    if args.bound < 1:
+        return _usage("--bound must be positive")
     if not 1 <= args.r <= args.bound:
         return _usage(f"repcheck --r must be in 1..{args.bound} (see --bound)")
     if args.pipeline == "solve" and args.r > _BOUNDS["coeffs_solve"]:

@@ -11,7 +11,8 @@ table are deliberately independent so they can cross-check each other:
                        polynomial in x, y and rho;
 * ``c_solve``       -- treating all entries as unknowns, reducing the
                        candidate relation with the rewriting engine and
-                       solving the resulting linear system exactly.
+                       solving the resulting linear system exactly, by
+                       substitution alone (it is triangular up to row order).
 
 Exact agreement of all pipelines is the core evidence this package produces.
 """
@@ -36,10 +37,12 @@ from .reducer import reduce
 
 
 class CoefficientSystemError(Exception):
-    """The linear system for a table is inconsistent or under-determined.
+    """The linear system for a table is inconsistent, or substitution stalls.
 
-    Raised by c_solve; an occurrence at any rank would falsify the existence
-    of the higher-order relation there, so it is surfaced loudly.
+    Raised by c_solve and surfaced loudly.  An inconsistency (or a solution
+    outside Laurent polynomials) would falsify the existence of the relation
+    at that rank; a stall, with no row left that has exactly one open
+    unknown, falsifies nothing by itself.
     """
 
 
@@ -420,37 +423,18 @@ def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
 Row = tuple[dict[int, LaurentScalar], LaurentScalar]
 
 
-def _eliminate(pivot: Row, col: int, row: Row) -> Row:
-    """lead*row - row[col]*pivot, lead = pivot[col]: the row without unknown
-    col, fraction-free.  Both rows hold open unknowns only, the solved ones
-    moved to the right-hand side; a result 0 = nonzero raises
-    CoefficientSystemError.
-    """
-    (pcols, prhs), (cols, rhs) = pivot, row
-    lead, mine = pcols[col], cols[col]
-    out = {
-        j: v for j in {**cols, **pcols}
-        if not (v := lead * cols.get(j, ZERO) - mine * pcols.get(j, ZERO)).is_zero
-    }
-    rhs = lead * rhs - mine * prhs
-    if not out and not rhs.is_zero:
-        raise CoefficientSystemError("inconsistent system: 0 = nonzero row")
-    return out, rhs
-
-
 def _solve_unique(rows: list[Row], n_cols: int) -> list[LaurentScalar]:
-    """Solve an overdetermined exact linear system with a unique solution.
+    """Solve an overdetermined exact linear system by substitution alone.
 
     Rows are (sparse coefficient map, right-hand side), taken short rows
-    first, by one loop of two steps.  Singleton step: a row with exactly one
-    open unknown fixes it by one exact division, after the solved values are
-    moved to its right-hand side; passes repeat while one solves something.
-    Pivot step, when no row has one open unknown: the first non-pivot row
-    with open unknowns becomes a pivot, and _eliminate removes its first
-    open unknown from every later row.  A pivot row turns singleton once its
-    other unknowns are solved, so that is the back-substitution.  Raises
-    CoefficientSystemError when rank is deficient, when the solution is not
-    a Laurent polynomial, or when any equation fails.
+    first.  Each pass fixes every unknown that is the one open unknown of a
+    row, by one exact division after the solved values are moved to that
+    row's right-hand side.  An unknown fixed so is determined by the rest,
+    so a finished solve is the unique solution, and the check of every
+    original row proves that it exists.  Raises CoefficientSystemError when
+    a pass fixes nothing while unknowns are open (under-determined, or not
+    triangular up to row order), when the solution is not a Laurent
+    polynomial, or when any equation fails.
     """
     sparse = []
     for cols, rhs in rows:
@@ -471,34 +455,20 @@ def _solve_unique(rows: list[Row], n_cols: int) -> list[LaurentScalar]:
                 acc = acc - v * solution[j]
         return acc
 
-    def open_part(row: Row) -> Row:
-        cols, rhs = row
-        return {j: v for j, v in cols.items() if solution[j] is None}, moved(cols, rhs)
-
-    work = list(sparse)
-    n_open, start = n_cols, 0  # rows before start are pivots or have no open unknown
+    n_open = n_cols
     while n_open:
         before = n_open
-        for cols, rhs in work:
+        for cols, rhs in sparse:
             open_cols = [j for j in cols if solution[j] is None]
             if len(open_cols) == 1:
                 (j,) = open_cols
                 solution[j] = _divide(moved(cols, rhs), cols[j], j)
                 n_open -= 1
-        if n_open < before:
-            continue
-        i = next((i for i in range(start, len(work))
-                  if any(solution[j] is None for j in work[i][0])), None)
-        if i is None:
+        if n_open == before:
             raise CoefficientSystemError(
-                f"under-determined system: {n_open} of {n_cols} unknowns left open"
+                f"under-determined or not triangular: no row has exactly one of the "
+                f"{n_open} open unknowns (of {n_cols})"
             )
-        work[i] = pivot = open_part(work[i])
-        col = next(iter(pivot[0]))
-        for k in range(i + 1, len(work)):
-            if col in work[k][0]:
-                work[k] = _eliminate(pivot, col, open_part(work[k]))
-        start = i + 1
 
     # The unique solution must satisfy every original row, including those
     # that no step used.
@@ -514,12 +484,11 @@ def c_solve(r: int) -> CoeffTable:
     Every entry is treated as an unknown (with c[r,0,0] normalized to 1),
     each monomial of the candidate relation is reduced to normal form, and
     the coefficient of every residual (word, rho-power) pair must vanish.
-    The system is triangular up to row order: the singleton step of
-    _solve_unique fixes every unknown at the ranks measured (r = 1..10), so
-    its pivot step never runs.  Most of the time at r >= 8 is the per-cell
-    reduce.  Inconsistency or under-determinacy raises
-    CoefficientSystemError, which would falsify the relation's existence at
-    this rank.
+    The system is triangular up to row order: _solve_unique's substitution
+    fixes every unknown at the ranks measured (r = 1..10).  Most of the time
+    at r >= 8 is the per-cell reduce.  Any failure raises
+    CoefficientSystemError; an inconsistency would falsify the relation's
+    existence at this rank, a stall only that substitution cannot decide it.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -543,8 +512,8 @@ def c_solve(r: int) -> CoeffTable:
                     cols[j] = cols.get(j, ZERO) + value
 
     rows = list(equations.values())
-    # _solve_unique asserts uniqueness (full rank) and that the solution
-    # satisfies every equation, so any failure mode surfaces as an exception.
+    # _solve_unique asserts uniqueness and that the solution satisfies every
+    # equation, so any failure mode surfaces as an exception.
     solution = _solve_unique(rows, len(unknowns))
 
     entries = {(0, 0): ONE}

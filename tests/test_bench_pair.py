@@ -25,8 +25,9 @@ def checkouts(tmp_path):
     return roots
 
 
-def stub_perfbench(monkeypatch, roots, bad=None):
-    """Stub subprocess.run; ``bad`` maps (side, seed) to a result override."""
+def stub_perfbench(monkeypatch, roots, bad=None, failed=None):
+    """Stub subprocess.run; ``bad`` maps (side, seed) to a result override,
+    ``failed`` to a whole (exit code, stdout, stderr) in place of the run."""
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
@@ -35,6 +36,8 @@ def stub_perfbench(monkeypatch, roots, bad=None):
         side = next(name for name, root in roots.items() if root == cwd)
         seed = int(argv[argv.index("--seed") + 1])
         calls.append((side, seed))
+        if (side, seed) in (failed or {}):
+            return subprocess.CompletedProcess(argv, *failed[(side, seed)])
         result = {"correct": True, "metrics": {"wall_ref": {"value": 10.0 + seed},
                                                "peak_rss_mb": {"value": 24.0}}}
         result.update((bad or {}).get((side, seed), {}))
@@ -78,4 +81,24 @@ def test_an_absent_metric_stops_the_pairs(monkeypatch, checkouts, tmp_path, caps
     assert "workload evidence seed 1 on the base side" in err
     assert "metric wall_ref is absent" in err
     assert calls == [("base", 1)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("proc, why", [
+    ((1, "machine {}\n", "perfbench: imported /elsewhere/qonsager/__init__.py, not the checkout's\n"),
+     "perfbench exited 1; its output ends"),
+    ((2, "", "usage: run.py ...\nrun.py: error: unrecognized arguments: --trace\n"),
+     "perfbench exited 2; its output ends"),
+    ((0, "machine {}\nverify_relation 0.5 s\n", ""),
+     "perfbench exited 0 but its last line is not a JSON object"),
+], ids=["exit-1", "exit-2", "not-json"])
+def test_a_run_without_a_result_stops_the_pairs(proc, why, monkeypatch, checkouts, tmp_path,
+                                                capsys):
+    calls = stub_perfbench(monkeypatch, checkouts, failed={("head", 2): proc})
+    out = tmp_path / "bench.json"
+    assert run_main(checkouts, out) == 1
+    err = capsys.readouterr().err
+    assert "workload evidence seed 2 on the head side" in err and why in err
+    assert (proc[1] + proc[2]).strip().splitlines()[-1] in err
+    assert calls[-1] == ("head", 2) and len(calls) == 3
     assert not out.exists()

@@ -15,6 +15,7 @@ import pytest
 from qonsager import cli, repcheck
 from qonsager.cli import EXIT_FALSIFIED, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from qonsager.coeffs import PIPELINES
+from qonsager.freealg import NCPolynomial
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -259,6 +260,13 @@ def test_repcheck_bound(capsys):
     assert code == EXIT_USAGE and "--bound" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_repcheck_bound_must_be_positive(bound, capsys):
+    code, out, err = run_cli(capsys, "repcheck", "--r", "1", "--bound", bound)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "qonsager: error: --bound must be positive\n"
+
+
 def test_repcheck_solve_pipeline_keeps_the_solve_rank_cap(capsys, monkeypatch):
     # --bound lifts only the repcheck cap; the solve pipeline must still
     # refuse a rank that coeffs --pipeline solve refuses, before it starts.
@@ -395,6 +403,34 @@ def test_cross_check_falsified_exit(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cross-check", "--max-r", "2")
     assert code == EXIT_FALSIFIED
     assert out == "r=1 agree=False\nr=2 agree=False\npipelines agree for all r <= 2: False\n"
+
+
+def _zero_normal_forms(monkeypatch, coeffs):
+    # every monomial reduces to zero, so the solve has no row at all
+    monkeypatch.setattr(coeffs, "reduce", lambda poly: NCPolynomial.zero())
+
+
+def _stray_monomial(monkeypatch, coeffs):
+    honest = coeffs.expand_generating_polynomial
+    monkeypatch.setattr(coeffs, "expand_generating_polynomial",
+                        lambda r: {**honest(r), (5, 5, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("stub, pipeline, kind, detail", [
+    (_zero_normal_forms, "solve", "CoefficientSystemError",
+     "under-determined or not triangular: no row has exactly one of the 8 open unknowns (of 8)"),
+    (_stray_monomial, "polynomial", "ShapeError",
+     "rank 3: monomial rho^0 x^5 y^5 outside the expansion shape"),
+], ids=["solve-stall", "polynomial-shape"])
+def test_a_falsified_pipeline_exits_1_with_a_json_report(stub, pipeline, kind, detail,
+                                                         capsys, monkeypatch):
+    from qonsager import coeffs
+
+    stub(monkeypatch, coeffs)
+    code, out, err = run_cli(capsys, "coeffs", "--r", "3", "--pipeline", pipeline)
+    assert code == EXIT_FALSIFIED
+    assert out == ""
+    assert json.loads(err) == {"detail": detail, "falsified": True, "kind": kind}
 
 
 def test_module_entry_point_subprocess():

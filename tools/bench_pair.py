@@ -12,9 +12,11 @@ alternating which side goes first so that a drift of the host's speed during
 the pair does not favour one side.  Each checkout runs its own copy of
 perfbench on its own ``src``.  The file records every run's end-to-end
 metrics, the per-side medians, and per metric the number of pairs in which
-the head side was better.  A run that perfbench reports as not correct, or
-that lacks a metric, stops the script at once: it exits 1 with a message that
-names the workload, the seed and the side, and writes no file.
+the head side was better.  A run that exits nonzero, whose last line is not a
+JSON object, that perfbench reports as not correct, or that lacks a metric,
+stops the script at once: it exits 1 with a message that names the workload,
+the seed and the side (and for the first two the exit code and the last lines
+of the run's output), and writes no file.
 """
 
 from __future__ import annotations
@@ -40,10 +42,20 @@ class BadRun(Exception):
 def run_once(root: Path, side: str, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     where = f"workload {workload} seed {seed} on the {side} side ({root})"
+    result = None
+    if proc.returncode == 0:
+        try:
+            result = json.loads(proc.stdout.strip().rpartition("\n")[2])
+        except ValueError:
+            pass
+    if not isinstance(result, dict):
+        why = " but its last line is not a JSON object" if proc.returncode == 0 else ""
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-5:]
+        raise BadRun(f"{where}: perfbench exited {proc.returncode}{why}; its output ends:\n"
+                     + "\n".join(f"  {line}" for line in tail))
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
     if not result["correct"]:
         raise BadRun(f"{where}: the run is not correct")
     absent = sorted(name for name, value in metrics.items() if value is None)
