@@ -11,8 +11,8 @@ table are deliberately independent so they can cross-check each other:
                        polynomial in x, y and rho;
 * ``c_solve``       -- treating all entries as unknowns, reducing the
                        candidate relation with the rewriting engine and
-                       solving the resulting linear system exactly, by
-                       substitution alone (it is triangular up to row order).
+                       solving the resulting linear system exactly, in one
+                       pass down the term order (it is triangular there).
 
 Exact agreement of all pipelines is the core evidence this package produces.
 """
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import NCPolynomial, Word
+from .freealg import NCPolynomial, Word, monomial
 from .qcoeff import (
     ONE,
     ZERO,
@@ -37,12 +37,13 @@ from .reducer import reduce
 
 
 class CoefficientSystemError(Exception):
-    """The linear system for a table is inconsistent, or substitution stalls.
+    """The linear system for a table is inconsistent, or one pass cannot solve it.
 
     Raised by c_solve and surfaced loudly.  An inconsistency (or a solution
     outside Laurent polynomials) would falsify the existence of the relation
-    at that rank; a stall, with no row left that has exactly one open
-    unknown, falsifies nothing by itself.
+    at that rank; a row with two open unknowns ("not triangular") or an
+    unknown that no row fixes ("under-determined") falsifies nothing by
+    itself.
     """
 
 
@@ -409,117 +410,75 @@ def delta_indices(r: int) -> list[tuple[int, int, int]]:
     return [(p, k, (-1) ** (p + k)) for (p, k) in cells(r)]
 
 
-def _divide(acc: LaurentScalar, lead: LaurentScalar, col: int) -> LaurentScalar:
-    """acc / lead for unknown col; the table lives in Z[q, q^-1], so a
+def _divide(acc: LaurentScalar, lead: LaurentScalar, cell) -> LaurentScalar:
+    """acc / lead for an unknown cell; the table lives in Z[q, q^-1], so a
     division that is not exact means no Laurent-polynomial solution."""
     try:
         return acc / lead
     except ArithmeticError as exc:
         raise CoefficientSystemError(
-            f"unknown {col} has no Laurent-polynomial solution"
+            f"unknown {cell} has no Laurent-polynomial solution"
         ) from exc
 
 
-Row = tuple[dict[int, LaurentScalar], LaurentScalar]
+def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
+    """Solve the homogeneous rows sum_cell coeff * value = 0 in one pass.
 
-
-def _solve_unique(rows: list[Row], n_cols: int) -> list[LaurentScalar]:
-    """Solve an overdetermined exact linear system by substitution alone.
-
-    Rows are (sparse coefficient map, right-hand side), taken short rows
-    first.  Each pass fixes every unknown that is the one open unknown of a
-    row, by one exact division after the solved values are moved to that
-    row's right-hand side.  An unknown fixed so is determined by the rest,
-    so a finished solve is the unique solution, and the check of every
-    original row proves that it exists.  Raises CoefficientSystemError when
-    a pass fixes nothing while unknowns are open (under-determined, or not
-    triangular up to row order), when the solution is not a Laurent
-    polynomial, or when any equation fails.
+    rows maps a sortable key to {cell: nonzero coefficient}; known holds the
+    cells fixed in advance.  The rows are visited once in descending key
+    order.  A row with one open cell fixes it by one exact division, a row
+    with none is checked, and a row with two or more raises (not
+    triangular).  Each unknown is fixed by a row in which it was the only
+    open cell, so the solution is unique; each row was either used, and
+    holds with the final values, or checked, so the solution exists.
+    Returns every value, known ones included.  Raises
+    CoefficientSystemError when the rows are not triangular in this order,
+    when a value is not a Laurent polynomial, when a row fails, or when no
+    row fixes an unknown (under-determined).
     """
-    sparse = []
-    for cols, rhs in rows:
-        cols = {j: v for j, v in cols.items() if not v.is_zero}
-        if cols or not rhs.is_zero:
-            sparse.append((cols, rhs))
-    sparse.sort(key=lambda row: (
-        len(row[0]) + (not row[1].is_zero),
-        sum(len(v.num) for v in row[0].values()) + len(row[1].num),
-    ))
-    solution: list[LaurentScalar | None] = [None] * n_cols
-
-    def moved(cols: dict[int, LaurentScalar], rhs: LaurentScalar) -> LaurentScalar:
-        """The right-hand side with every solved unknown's term moved onto it."""
-        acc = rhs
-        for j, v in cols.items():
-            if solution[j] is not None:
-                acc = acc - v * solution[j]
-        return acc
-
-    n_open = n_cols
-    while n_open:
-        before = n_open
-        for cols, rhs in sparse:
-            open_cols = [j for j in cols if solution[j] is None]
-            if len(open_cols) == 1:
-                (j,) = open_cols
-                solution[j] = _divide(moved(cols, rhs), cols[j], j)
-                n_open -= 1
-        if n_open == before:
+    values = dict(known)
+    for key in sorted(rows, reverse=True):
+        row = rows[key]
+        open_cells = [cell for cell in row if cell not in values]
+        if len(open_cells) > 1:
             raise CoefficientSystemError(
-                f"under-determined or not triangular: no row has exactly one of the "
-                f"{n_open} open unknowns (of {n_cols})"
+                f"not triangular: row {key} has the open unknowns {open_cells}"
             )
-
-    # The unique solution must satisfy every original row, including those
-    # that no step used.
-    for cols, rhs in sparse:
-        if not moved(cols, rhs).is_zero:
-            raise CoefficientSystemError("inconsistent system: solution fails an equation")
-    return solution  # type: ignore[return-value]
+        acc = sum((v * values[cell] for cell, v in row.items() if cell in values), ZERO)
+        if open_cells:
+            (cell,) = open_cells
+            values[cell] = _divide(-acc, row[cell], cell)
+        elif not acc.is_zero:
+            raise CoefficientSystemError(f"inconsistent system: row {key} fails")
+    missing = [cell for cell in unknowns if cell not in values]
+    if missing:
+        raise CoefficientSystemError(f"under-determined: no row fixes the unknowns {missing}")
+    return values
 
 
 def c_solve(r: int) -> CoeffTable:
     """The rank-r table as the unique solution of the cancellation system.
 
-    Every entry is treated as an unknown (with c[r,0,0] normalized to 1),
-    each monomial of the candidate relation is reduced to normal form, and
-    the coefficient of every residual (word, rho-power) pair must vanish.
-    The system is triangular up to row order: _solve_unique's substitution
-    fixes every unknown at the ranks measured (r = 1..10).  Most of the time
-    at r >= 8 is the per-cell reduce.  Any failure raises
-    CoefficientSystemError; an inconsistency would falsify the relation's
-    existence at this rank, a stall only that substitution cannot decide it.
+    Every entry is an unknown except c[r,0,0] = 1.  Each cell's monomial of
+    the candidate relation is reduced to normal form, and the coefficient of
+    every residual (normal word, rho degree) pair must vanish.  Read from
+    the largest normal word down, that system is triangular: each row
+    leaves at most one cell open (checked at r = 1..10), so
+    _solve_triangular solves it in one pass.  Most of the time at r >= 8 is
+    the per-cell reduce.  Any failure raises CoefficientSystemError; an
+    inconsistency would falsify the relation's existence at this rank, a
+    row with two open cells only that one pass cannot decide it.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    unknowns = [cell for cell in cells(r) if cell != (0, 0)]
-    col_of = {cell: i for i, cell in enumerate(unknowns)}
-
-    # equations keyed by (normal word, total rho degree)
-    equations: dict[tuple[int, int], tuple[dict[int, LaurentScalar], LaurentScalar]] = {}
+    rows: dict[tuple[int, int], dict[tuple[int, int], LaurentScalar]] = {}
     for (p, k, sign) in delta_indices(r):
-        word = Word.from_exponents(r - 2 * p + 1 - k, r, k)
-        normal_form = reduce(NCPolynomial.from_word(word))
+        normal_form = reduce(monomial(r - 2 * p + 1 - k, r, k))
         for w, coeff in normal_form.terms.items():
             for d, num in coeff.items():
-                key = (w.code, p + d)
-                cols, rhs = equations.setdefault(key, ({}, ZERO))
-                value = LaurentScalar._raw(num if sign > 0 else _pneg(num))
-                if (p, k) == (0, 0):
-                    equations[key] = (cols, rhs - value)
-                else:
-                    j = col_of[(p, k)]
-                    cols[j] = cols.get(j, ZERO) + value
-
-    rows = list(equations.values())
-    # _solve_unique asserts uniqueness and that the solution satisfies every
-    # equation, so any failure mode surfaces as an exception.
-    solution = _solve_unique(rows, len(unknowns))
-
-    entries = {(0, 0): ONE}
-    for cell, j in col_of.items():
-        entries[cell] = solution[j]
-    return CoeffTable(r, entries, "solve")
+                rows.setdefault((w.code, p + d), {})[(p, k)] = LaurentScalar._raw(
+                    num if sign > 0 else _pneg(num))
+    return CoeffTable(r, _solve_triangular(rows, cells(r), {(0, 0): ONE}), "solve")
 
 
 # ---------------------------------------------------------------------------

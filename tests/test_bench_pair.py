@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -102,3 +103,28 @@ def test_a_run_without_a_result_stops_the_pairs(proc, why, monkeypatch, checkout
     assert (proc[1] + proc[2]).strip().splitlines()[-1] in err
     assert calls[-1] == ("head", 2) and len(calls) == 3
     assert not out.exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git binary")
+def test_a_plain_copy_inside_a_work_tree_records_no_commit(tmp_path):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "outer"], cwd=tmp_path,
+                   check=True)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    assert bench_pair.git_commit(copy) is None
+    assert len(bench_pair.git_commit(tmp_path)) == 40
+
+
+@pytest.mark.parametrize("error", [FileNotFoundError(2, "git"),
+                                   subprocess.TimeoutExpired(["git"], 10)],
+                         ids=["no-git", "timeout"])
+def test_a_git_that_cannot_answer_records_no_commit(error, monkeypatch, tmp_path):
+    (tmp_path / ".git").mkdir()
+
+    def fail(argv, **kwargs):
+        raise error
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fail)
+    assert bench_pair.git_commit(tmp_path) is None

@@ -418,7 +418,8 @@ def _stray_monomial(monkeypatch, coeffs):
 
 @pytest.mark.parametrize("stub, pipeline, kind, detail", [
     (_zero_normal_forms, "solve", "CoefficientSystemError",
-     "under-determined or not triangular: no row has exactly one of the 8 open unknowns (of 8)"),
+     "under-determined: no row fixes the unknowns "
+     "[(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (2, 0)]"),
     (_stray_monomial, "polynomial", "ShapeError",
      "rank 3: monomial rho^0 x^5 y^5 outside the expansion shape"),
 ], ids=["solve-stall", "polynomial-shape"])
@@ -431,6 +432,17 @@ def test_a_falsified_pipeline_exits_1_with_a_json_report(stub, pipeline, kind, d
     assert code == EXIT_FALSIFIED
     assert out == ""
     assert json.loads(err) == {"detail": detail, "falsified": True, "kind": kind}
+
+
+def test_running_out_of_memory_exits_3_with_a_json_error(capsys, monkeypatch):
+    def exhausted(r):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "spectral_polynomial_check", exhausted)
+    code, out, err = run_cli(capsys, "spectral", "--r", "1")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert json.loads(err) == {"error": "out of memory"}
 
 
 def test_module_entry_point_subprocess():

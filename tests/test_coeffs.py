@@ -12,7 +12,7 @@ from qonsager.coeffs import (
     CoefficientSystemError,
     CrossCheckReport,
     ShapeError,
-    _solve_unique,
+    _solve_triangular,
     c_closed,
     c_from_polynomial,
     c_recursive,
@@ -255,76 +255,99 @@ def test_solve_matches_closed_at_rank_four():
     assert c_solve(4) == c_closed(4)
 
 
+def _rows(*equations):
+    """Row maps of the equations sum coeff * cell = rhs, visited in the order given.
+
+    The right-hand side moves onto the known cell "1"; the first equation
+    gets the largest key, so the solver visits it first.
+    """
+    n = len(equations)
+    return {n - i: {**cols, **({"1": -rhs} if rhs else {})}
+            for i, (cols, rhs) in enumerate(equations)}
+
+
+def _solve(rows, unknowns):
+    return _solve_triangular(rows, unknowns, {"1": ONE})
+
+
 def test_solver_rejects_underdetermined():
-    rows = [({0: ONE, 1: ONE}, TWO)]
-    with pytest.raises(CoefficientSystemError, match="under-determined"):
-        _solve_unique(rows, 2)
+    # x = [2] fixes x, and no row mentions y.
+    with pytest.raises(CoefficientSystemError) as info:
+        _solve(_rows(({"x": ONE}, TWO)), ["x", "y"])
+    assert str(info.value) == "under-determined: no row fixes the unknowns ['y']"
 
 
 def test_solver_rejects_inconsistent():
-    rows = [
-        ({0: ONE}, ONE),
-        ({0: ONE}, TWO),
-    ]
-    with pytest.raises(CoefficientSystemError, match="inconsistent"):
-        _solve_unique(rows, 1)
+    rows = _rows(({"x": ONE}, ONE), ({"x": ONE}, TWO))
+    with pytest.raises(CoefficientSystemError, match="inconsistent system: row 1 fails"):
+        _solve(rows, ["x"])
 
 
 def test_solver_exact_rational_solution():
     # x*[2] = [6] has the Laurent-polynomial solution [6]/[2] = q^4 + 1 + q^-4.
-    rows = [({0: TWO}, q_int(6))]
-    (x,) = _solve_unique(rows, 1)
-    assert x == exact_div(q_int(6), TWO)
+    values = _solve(_rows(({"x": TWO}, q_int(6))), ["x"])
+    assert values == {"1": ONE, "x": exact_div(q_int(6), TWO)}
 
 
 def test_solver_rejects_a_solution_outside_laurent_polynomials():
     # x*[4] = [2] is solved only by 1/(q^2 + q^-2).
-    with pytest.raises(CoefficientSystemError, match="Laurent-polynomial"):
-        _solve_unique([({0: q_int(4)}, q_int(2))], 1)
+    with pytest.raises(CoefficientSystemError,
+                       match="unknown x has no Laurent-polynomial solution"):
+        _solve(_rows(({"x": q_int(4)}, q_int(2))), ["x"])
 
 
-def _stall(n_open: int, n_cols: int) -> str:
-    """The pinned message of a substitution that fixes nothing more."""
-    return (f"under-determined or not triangular: no row has exactly one of the "
-            f"{n_open} open unknowns (of {n_cols})")
+def _not_triangular(key, open_cells) -> str:
+    """The pinned message of a row that leaves two or more cells open."""
+    return f"not triangular: row {key} has the open unknowns {open_cells}"
 
 
 def test_solver_stalls_on_a_full_rank_system_without_singleton_rows():
-    # x + y = 2, x - y = 0 is full rank, but no row has one unknown, so
-    # substitution alone cannot solve it.
-    rows = [({0: ONE, 1: ONE}, ONE + ONE), ({0: ONE, 1: -ONE}, ZERO)]
+    # x + y = 2, x - y = 0 is full rank, but its first row leaves both
+    # unknowns open, so one pass cannot solve it.
+    rows = _rows(({"x": ONE, "y": ONE}, ONE + ONE), ({"x": ONE, "y": -ONE}, ZERO))
     with pytest.raises(CoefficientSystemError) as info:
-        _solve_unique(rows, 2)
-    assert str(info.value) == _stall(2, 2)
+        _solve(rows, ["x", "y"])
+    assert str(info.value) == _not_triangular(2, ["x", "y"])
 
 
 def test_solver_substitutes_singletons_then_stalls_on_the_rest():
     # [2] x = [2] fixes x = 1; then y + z = [2] + 1 and y - z = [2] - 1
-    # have no singleton row, so two of the three unknowns stay open.
-    rows = [
-        ({0: TWO, 1: ONE, 2: ONE}, TWO + TWO + ONE),
-        ({0: ONE, 1: ONE, 2: -ONE}, TWO),
-        ({0: TWO}, TWO),
-    ]
+    # both leave y and z open.
+    rows = _rows(
+        ({"x": TWO}, TWO),
+        ({"x": TWO, "y": ONE, "z": ONE}, TWO + TWO + ONE),
+        ({"x": ONE, "y": ONE, "z": -ONE}, TWO),
+    )
     with pytest.raises(CoefficientSystemError) as info:
-        _solve_unique(rows, 3)
-    assert str(info.value) == _stall(2, 3)
+        _solve(rows, ["x", "y", "z"])
+    assert str(info.value) == _not_triangular(2, ["y", "z"])
 
 
 def test_solver_rejects_disagreeing_singleton_rows():
-    # [2] x = [2] gives x = 1 and q x = q^2 gives x = q; x + y = [2] fixes y.
+    # [2] x = [2] gives x = 1, x + y = [2] fixes y, and q x = q^2 fails.
     q = L({1: 1})
-    rows = [({0: TWO}, TWO), ({0: ONE, 1: ONE}, TWO), ({0: q}, q * q)]
-    with pytest.raises(CoefficientSystemError, match="inconsistent"):
-        _solve_unique(rows, 2)
+    rows = _rows(({"x": TWO}, TWO), ({"x": ONE, "y": ONE}, TWO), ({"x": q}, q * q))
+    with pytest.raises(CoefficientSystemError, match="inconsistent system: row 1 fails"):
+        _solve(rows, ["x", "y"])
 
 
-def test_pivot_step_rejects_an_inconsistent_pair():
-    # x+y = 1 and x+y = 2 have no singleton row: the solve stalls.
-    rows = [({0: ONE, 1: ONE}, ONE), ({0: ONE, 1: ONE}, L({0: 2}))]
+def test_solver_refuses_an_inconsistent_pair_without_a_singleton_row():
+    # x+y = 1 and x+y = 2: the first row leaves both unknowns open.
+    rows = _rows(({"x": ONE, "y": ONE}, ONE), ({"x": ONE, "y": ONE}, L({0: 2})))
     with pytest.raises(CoefficientSystemError) as info:
-        _solve_unique(rows, 2)
-    assert str(info.value) == _stall(2, 2)
+        _solve(rows, ["x", "y"])
+    assert str(info.value) == _not_triangular(2, ["x", "y"])
+
+
+def test_solver_refuses_a_triangular_system_out_of_order():
+    # x = 1 then x + y = [2] solves; visited the other way round, the
+    # first row leaves both unknowns open.
+    rows = _rows(({"x": ONE}, ONE), ({"x": ONE, "y": ONE}, TWO))
+    assert _solve(rows, ["x", "y"]) == {"1": ONE, "x": ONE, "y": TWO - ONE}
+    reversed_rows = {3 - key: row for key, row in rows.items()}
+    with pytest.raises(CoefficientSystemError) as info:
+        _solve(reversed_rows, ["x", "y"])
+    assert str(info.value) == _not_triangular(2, ["x", "y"])
 
 
 def _random_laurent(rng):
@@ -338,8 +361,8 @@ def _random_system(seed: int, singletons: bool):
 
     The matrix is U, or L*U without singleton rows, for triangular L and U
     with unit monomials on the diagonal, so its determinant is a unit and
-    the solution lies in Z[q, q^-1].  Every row is stated twice (the copy
-    scaled by a unit), so dropping any one row keeps the rank full.
+    the solution lies in Z[q, q^-1].  The rows come in back-substitution
+    order, U's last row first, each followed by its copy scaled by a unit.
     """
     rng = random.Random(seed)
     n = rng.randint(2, 4)
@@ -359,40 +382,60 @@ def _random_system(seed: int, singletons: bool):
                 for j, v in upper[k].items():
                     row[j] = row.get(j, ZERO) + factor * v
             matrix.append({j: v for j, v in row.items() if not v.is_zero})
-    rows = []
-    for cols in matrix:
+    equations = []
+    for cols in reversed(matrix):
         rhs = sum((v * x[j] for j, v in cols.items()), ZERO)
         scale = unit()
-        rows += [(cols, rhs), ({j: scale * v for j, v in cols.items()}, scale * rhs)]
-    rng.shuffle(rows)
-    return rows, x, rng
+        equations += [(cols, rhs), ({j: scale * v for j, v in cols.items()}, scale * rhs)]
+    return equations, x, rng
 
 
 @pytest.mark.parametrize("singletons", [True, False], ids=["singletons", "no-singletons"])
 @pytest.mark.parametrize("seed", range(10))
 def test_solver_recovers_random_full_rank_systems(seed, singletons):
-    rows, x, rng = _random_system(seed, singletons)
+    equations, x, rng = _random_system(seed, singletons)
     n = len(x)
-    has_singleton = any(len(cols) == 1 for cols, _ in rows)
+    has_singleton = any(len(cols) == 1 for cols, _ in equations)
     assert has_singleton == singletons
     if not singletons:
-        with pytest.raises(CoefficientSystemError) as info:
-            _solve_unique(rows, n)
-        assert str(info.value) == _stall(n, n)
+        with pytest.raises(CoefficientSystemError, match="not triangular"):
+            _solve(_rows(*equations), range(n))
         return
-    assert _solve_unique(rows, n) == x
+    assert _solve(_rows(*equations), range(n)) == {"1": ONE, **dict(enumerate(x))}
     # One right-hand side off by one contradicts its scaled copy.
-    k = rng.randrange(len(rows))
-    rows[k] = (rows[k][0], rows[k][1] + 1)
-    with pytest.raises(CoefficientSystemError):
-        _solve_unique(rows, n)
+    k = rng.randrange(len(equations))
+    equations[k] = (equations[k][0], equations[k][1] + 1)
+    with pytest.raises(CoefficientSystemError, match="inconsistent"):
+        _solve(_rows(*equations), range(n))
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_singleton_substitution_fixes_every_unknown_of_the_relation(r):
-    # The rank-r cancellation system is triangular up to row order; a stall
-    # would raise, so equality shows that substitution finishes.
+    # Down the term order each row of the rank-r cancellation system leaves
+    # at most one cell open; a row with two would raise, so equality shows
+    # that the one pass finishes.
     assert c_solve(r) == c_from_polynomial(r)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, monkeypatch):
+    captured = []
+    solve = coeffs_mod._solve_triangular
+
+    def capture(rows, unknowns, known):
+        captured.append(rows)
+        return solve(rows, unknowns, known)
+
+    monkeypatch.setattr(coeffs_mod, "_solve_triangular", capture)
+    c_solve(r)
+    (rows,) = captured
+    fixed = {(0, 0)}
+    # keys are (normal word code, rho degree): the largest normal word first
+    for key in sorted(rows, reverse=True):
+        open_cells = set(rows[key]) - fixed
+        assert len(open_cells) <= 1, (key, open_cells)
+        fixed |= open_cells
+    assert fixed == set(cells(r))
 
 
 # ---------------------------------------------------------------------------

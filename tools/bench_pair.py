@@ -31,7 +31,14 @@ import sys
 from pathlib import Path
 
 def git_commit(root: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    """HEAD of the checkout at root, or None when it is not a git work tree."""
+    if not (root / ".git").exists():  # git would search the directories above
+        return None
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
