@@ -6,9 +6,11 @@ Subpackage map:
 * ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, and the products of
                   polynomials over q: multivariate (coeffs, repcheck) and in
                   rho (the free algebra's coefficients)
-* ``freealg``  -- free algebra on the two generators of one linked pair, with
-                  ``{rho_degree: poly dict}`` coefficients
-* ``reducer``  -- ordering prescription as a confluent rewriting system
+* ``freealg``  -- free algebra on the two generators of one linked pair: a
+                  word is its int code, a term ``{code: {rho_degree: poly
+                  dict}}``
+* ``reducer``  -- ordering prescription as a confluent rewriting system on
+                  those terms
 * ``coeffs``   -- the coefficient tables c[r,p,k] via four independent pipelines
 * ``verify``   -- builds the degree-(2r+1) relation and reduces it to zero
 * ``repcheck`` -- evaluation-representation and spectral evidence checks

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import NCPolynomial, Word, monomial
+from .freealg import NCPolynomial, monomial, word_from_exponents
 from .qcoeff import (
     ONE,
     ZERO,
@@ -168,12 +168,12 @@ def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
     if eta is None:
         eta = eta_table(m)
     terms = {
-        Word.from_exponents(1 - j, 1, m - 1 - 2 * p + j): {p: eta[(m, p, j)].num}
+        word_from_exponents(1 - j, 1, m - 1 - 2 * p + j): {p: eta[(m, p, j)].num}
         for p in range(0, (m - 1) // 2 + 1)
         for j in (0, 1)
     }
     if m % 2 == 0:
-        terms[Word.from_exponents(0, 1, 0)] = {m // 2: ONE.num}
+        terms[word_from_exponents(0, 1, 0)] = {m // 2: ONE.num}
     return NCPolynomial(terms)
 
 
@@ -476,7 +476,7 @@ def c_solve(r: int) -> CoeffTable:
         normal_form = reduce(monomial(r - 2 * p + 1 - k, r, k))
         for w, coeff in normal_form.terms.items():
             for d, num in coeff.items():
-                rows.setdefault((w.code, p + d), {})[(p, k)] = LaurentScalar._raw(
+                rows.setdefault((w, p + d), {})[(p, k)] = LaurentScalar._raw(
                     num if sign > 0 else _pneg(num))
     return CoeffTable(r, _solve_triangular(rows, cells(r), {(0, 0): ONE}), "solve")
 

@@ -1,17 +1,19 @@
 """Free associative algebra on the two generators of one linked pair.
 
 Words over the alphabet {I, J} stand for products of the generators A_i and
-A_j.  A word is stored packed into a single integer: ``code = (1 << n) | bits``
-where n is the length and bit (n-1-pos) is 1 for the letter I, 0 for J.  The
+A_j.  A word is its code, a plain int ``(1 << n) | bits`` where n is the
+length and bit (n-1-pos) is 1 for the letter I, 0 for J; ``word``,
+``word_from_exponents``, ``letters`` and ``concat`` build and read codes.  The
 sentinel bit makes the packing injective, and comparing codes as integers is
 exactly the graded lexicographic order with I > J, which is the term order
 used everywhere (iteration, rendering, and the reducer's termination measure).
 
-NCPolynomial is a finite linear combination of words.  A coefficient is a
-polynomial in rho over Laurent polynomials in q, stored as ``{rho_degree:
-nonzero poly dict in q}`` (see ``qcoeff``), the form the rewrite kernel reads
-and returns; zero coefficients are never stored.  Values are immutable and
-operations pure: coefficient dicts may be shared and are never mutated.
+NCPolynomial is a finite linear combination of words, ``{code: coefficient}``.
+A coefficient is a polynomial in rho over Laurent polynomials in q, stored as
+``{rho_degree: nonzero poly dict in q}`` (see ``qcoeff``).  So the terms are
+exactly the form the rewrite kernel reads and returns; zero coefficients are
+never stored.  Values are immutable and operations pure: coefficient dicts
+may be shared and are never mutated.
 """
 
 from __future__ import annotations
@@ -20,83 +22,43 @@ from typing import Iterable, Mapping
 
 from .qcoeff import _madd, _msub, _pneg, _poly_str, _rmul
 
-EMPTY_CODE = 1  # packed code of the empty word
+def word(spelling: Iterable[str]) -> int:
+    """The code of the word spelled by letters over {I, J}."""
+    code = 1
+    for ch in spelling:
+        if ch == "I":
+            code = (code << 1) | 1
+        elif ch == "J":
+            code = code << 1
+        else:
+            raise ValueError(f"letter must be 'I' or 'J', got {ch!r}")
+    return code
 
 
-class Word:
-    """An immutable word over {I, J}; the empty word is the unit monomial."""
-
-    __slots__ = ("code",)
-
-    def __init__(self, code: int = EMPTY_CODE):
-        if code < 1:
-            raise ValueError("invalid packed word code")
-        self.code = code
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[str]) -> "Word":
-        code = 1
-        for ch in letters:
-            if ch == "I":
-                code = (code << 1) | 1
-            elif ch == "J":
-                code = code << 1
-            else:
-                raise ValueError(f"letter must be 'I' or 'J', got {ch!r}")
-        return cls(code)
-
-    @classmethod
-    def from_exponents(cls, n_left: int, r_mid: int, n_right: int) -> "Word":
-        """The word I^n_left J^r_mid I^n_right."""
-        if n_left < 0 or r_mid < 0 or n_right < 0:
-            raise ValueError("exponents must be nonnegative")
-        n = n_left + r_mid + n_right
-        bits = (((1 << n_left) - 1) << (r_mid + n_right)) | ((1 << n_right) - 1)
-        return cls((1 << n) | bits)
-
-    @property
-    def letters(self) -> str:
-        n = self.code.bit_length() - 1
-        return "".join("I" if (self.code >> (n - 1 - i)) & 1 else "J" for i in range(n))
-
-    def __len__(self) -> int:
-        return self.code.bit_length() - 1
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        nb = other.code.bit_length() - 1
-        return Word((self.code << nb) | (other.code ^ (1 << nb)))
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    # Graded lex with I > J coincides with integer order on packed codes.
-    def __lt__(self, other: "Word") -> bool:
-        return self.code < other.code
-
-    def __le__(self, other: "Word") -> bool:
-        return self.code <= other.code
-
-    def __gt__(self, other: "Word") -> bool:
-        return self.code > other.code
-
-    def __ge__(self, other: "Word") -> bool:
-        return self.code >= other.code
-
-    def __str__(self):
-        if self.code == EMPTY_CODE:
-            return "1"
-        return "·".join("Ai" if ch == "I" else "Aj" for ch in self.letters)
-
-    def __repr__(self):
-        return f"Word({self.letters!r})"
+def word_from_exponents(n_left: int, r_mid: int, n_right: int) -> int:
+    """The code of I^n_left J^r_mid I^n_right."""
+    if n_left < 0 or r_mid < 0 or n_right < 0:
+        raise ValueError("exponents must be nonnegative")
+    n = n_left + r_mid + n_right
+    bits = (((1 << n_left) - 1) << (r_mid + n_right)) | ((1 << n_right) - 1)
+    return (1 << n) | bits
 
 
-EMPTY_WORD = Word(EMPTY_CODE)
+def letters(code: int) -> str:
+    """The letters of a word code, leftmost first."""
+    n = code.bit_length() - 1
+    return "".join("I" if (code >> (n - 1 - i)) & 1 else "J" for i in range(n))
+
+
+def concat(a: int, b: int) -> int:
+    """The code of the word a followed by the word b."""
+    nb = b.bit_length() - 1
+    return (a << nb) | (b ^ (1 << nb))
+
+
+def _word_str(code: int) -> str:
+    """The word as a product "·Ai·Aj…"; empty for the empty word."""
+    return "".join("·Ai" if ch == "I" else "·Aj" for ch in letters(code))
 
 
 UNIT = {0: {0: 1}}  # the coefficient 1
@@ -123,15 +85,20 @@ def _rho_str(c: dict) -> str:
 
 
 class NCPolynomial:
-    """Linear combination of words with ``{rho_degree: poly dict}`` coefficients."""
+    """Linear combination of words, ``{word code: {rho_degree: poly dict}}``."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, dict] | None = None):
-        """Drops zero integers, then zero q-polynomials, then empty coefficients."""
-        cleaned: dict[Word, dict] = {}
+    def __init__(self, terms: Mapping[int, dict] | None = None):
+        """Drops zero integers, then zero q-polynomials, then empty coefficients.
+
+        Every key must be a word code, an int >= 1.
+        """
+        cleaned: dict[int, dict] = {}
         if terms:
             for w, c in terms.items():
+                if type(w) is not int or w < 1:
+                    raise ValueError(f"invalid word code {w!r}")
                 c = {p: nz for p, v in c.items() if (nz := {e: n for e, n in v.items() if n})}
                 if c:
                     cleaned[w] = c
@@ -148,8 +115,8 @@ class NCPolynomial:
         return cls._raw({})
 
     @classmethod
-    def from_word(cls, word: Word, coeff: dict = UNIT) -> "NCPolynomial":
-        return cls._raw({word: coeff} if coeff else {})
+    def from_word(cls, code: int, coeff: dict = UNIT) -> "NCPolynomial":
+        return cls._raw({code: coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
@@ -173,10 +140,10 @@ class NCPolynomial:
     def __mul__(self, other):
         """Product with an NCPolynomial, or with a coefficient dict on the right."""
         if isinstance(other, NCPolynomial):
-            out: dict[Word, dict] = {}
+            out: dict[int, dict] = {}
             for wa, ca in self.terms.items():
                 # The words wa·wb are distinct, so one merge per left term.
-                row = {wa * wb: _rmul(ca, cb) for wb, cb in other.terms.items()}
+                row = {concat(wa, wb): _rmul(ca, cb) for wb, cb in other.terms.items()}
                 out = _merge(out, row, _madd)
             return NCPolynomial._raw(out)
         if isinstance(other, dict):
@@ -196,24 +163,20 @@ class NCPolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
         # Descending graded lex with I > J: the module term order.
-        for w, c in sorted(self.terms.items(), key=lambda t: t[0].code, reverse=True):
-            if w.code == EMPTY_CODE:
-                parts.append(f"({_rho_str(c)})")
-            else:
-                parts.append(f"({_rho_str(c)})·{w}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({_rho_str(c)}){_word_str(w)}" for w, c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __repr__(self):
         return f"NCPolynomial({str(self)})"
 
 
-ONE = NCPolynomial._raw({EMPTY_WORD: UNIT})
-AI = NCPolynomial._raw({Word.from_letters("I"): UNIT})
-AJ = NCPolynomial._raw({Word.from_letters("J"): UNIT})
+ONE = NCPolynomial._raw({word(""): UNIT})
+AI = NCPolynomial._raw({word("I"): UNIT})
+AJ = NCPolynomial._raw({word("J"): UNIT})
 
 
 def monomial(n_left: int, r_mid: int, n_right: int) -> NCPolynomial:
     """The single word I^n_left J^r_mid I^n_right with coefficient 1."""
-    return NCPolynomial.from_word(Word.from_exponents(n_left, r_mid, n_right))
+    return NCPolynomial.from_word(word_from_exponents(n_left, r_mid, n_right))

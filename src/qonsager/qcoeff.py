@@ -264,20 +264,6 @@ class LaurentScalar:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return ONE / (self ** (-n))
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- structure ----------------------------------------------------------
 
     def bar(self) -> "LaurentScalar":
@@ -340,7 +326,6 @@ def _poly_str(d: dict) -> str:
 
 ZERO = LaurentScalar._raw({})
 ONE = LaurentScalar._raw({0: 1})
-Q = LaurentScalar.q_power(1)
 
 
 # ---------------------------------------------------------------------------

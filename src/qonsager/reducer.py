@@ -8,13 +8,15 @@ with I > J, so the multiset of words strictly decreases and reduction
 terminates on every input.
 
 The kernel module ``_kernel_py`` does the reduction.  It takes and returns
-``{word.code: {rho_degree: {q_exponent: c}}}`` with nonzero int c, so
-``_pack`` hands it the terms' own coefficient dicts, which the kernel only
-reads, and ``_unpack`` wraps its result without conversion.  It holds each
-coefficient as one int with a slot per reachable q-exponent (they step by
-two, since ``e - inversions(word)`` keeps its parity under the rule), so
-every rewrite is a left shift, and keeps the result exact for any integer
-exponents and coefficients; see ``_kernel_py`` for how.
+``{word code: {rho_degree: {q_exponent: c}}}`` with nonzero int c, which is
+exactly ``NCPolynomial.terms``: a word is its int code (see ``freealg``).  So
+``_pack`` hands the kernel the terms themselves, which it only reads, and
+``_unpack`` wraps its result; both are identity wrappers, kept so that a
+profiler can time them as stages.  The kernel holds each coefficient as one
+int with a slot per reachable q-exponent (they step by two, since
+``e - inversions(word)`` keeps its parity under the rule), so every rewrite
+is a left shift, and keeps the result exact for any integer exponents and
+coefficients; see ``_kernel_py`` for how.
 
 ``reduce_randomized`` is an independent slow engine on the coefficient dicts
 that the tests use as the oracle for the kernel.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import _kernel_py
-from .freealg import NCPolynomial, Word
+from .freealg import NCPolynomial
 from .qcoeff import _madd, _pmul, _pneg
 
 _kernel = _kernel_py
@@ -47,10 +49,9 @@ class ReduceStats:
     passes: int
 
 
-def redex_positions(word: Word) -> list[int]:
+def redex_positions(code: int) -> list[int]:
     """All positions where IIJ occurs in the word."""
-    n = len(word)
-    code = word.code
+    n = code.bit_length() - 1
     return [i for i in range(n - 2) if (code >> (n - 3 - i)) & 7 == 0b110]
 
 
@@ -72,12 +73,12 @@ def _rewrite_codes(code: int, pos: int) -> tuple[int, int, int]:
 
 
 def _pack(x: NCPolynomial) -> dict:
-    """x in the kernel's form ``{word.code: {rho_degree: {q_exponent: c}}}``."""
-    return {w.code: c for w, c in x.terms.items()}
+    """x in the kernel's form, which is its own terms."""
+    return x.terms
 
 
 def _unpack(reduced: dict) -> NCPolynomial:
-    return NCPolynomial._raw({Word(code): by_rho for code, by_rho in reduced.items()})
+    return NCPolynomial._raw(reduced)
 
 
 def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolynomial, ReduceStats]:
@@ -102,7 +103,7 @@ def reduce_randomized(
     x: NCPolynomial,
     rng: random.Random,
     rho_zero: bool = False,
-    on_step: Callable[[Word, list[Word]], None] | None = None,
+    on_step: Callable[[int, tuple[int, ...]], None] | None = None,
 ) -> NCPolynomial:
     """Reduce with a randomized redex-selection order.
 
@@ -114,10 +115,10 @@ def reduce_randomized(
     terms = dict(x.terms)
     # The live words with a redex, as a swap-remove list plus each word's slot
     # in it, so a step costs time linear in the words it touches.
-    reducible: list[Word] = []
-    slot: dict[Word, int] = {}
+    reducible: list[int] = []
+    slot: dict[int, int] = {}
 
-    def sync(word: Word) -> None:
+    def sync(word: int) -> None:
         wanted = word in terms and bool(redex_positions(word))
         if wanted and word not in slot:
             slot[word] = len(reducible)
@@ -143,7 +144,7 @@ def reduce_randomized(
         ]
         if not rho_zero:
             parts.append({p + 1: v for p, v in coeff.items()})
-        produced = [Word(code) for code in _rewrite_codes(word.code, pos)[: len(parts)]]
+        produced = _rewrite_codes(word, pos)[: len(parts)]
         for tw, part in zip(produced, parts):
             n = _madd(terms.get(tw, {}), part)
             if n:

@@ -314,30 +314,6 @@ def sample_params(rng: random.Random) -> RepParams:
     return RepParams(s=s, z=z, c=c, cbar=cbar)
 
 
-def sample_params_with_w(rng: random.Random) -> RepParams:
-    """A point on the w != 0 branch, where every node needs
-    w_j^2 = -c_j cbar_j / (q + q^-1 - 2).
-
-    Arranged by picking c_j cbar_j = -t_j^2 so the square root is rational.
-    """
-    while True:
-        s = _random_fraction(rng)
-        if s not in (1, -1):
-            break
-    z = _random_fraction(rng)
-    denom = s - 1 / s  # (q + q^-1 - 2) = (s - 1/s)^2
-    c = []
-    cbar = []
-    w = []
-    for _ in range(3):
-        t = _random_fraction(rng)
-        cj = _random_fraction(rng)
-        c.append(cj)
-        cbar.append(-(t ** 2) / cj)
-        w.append(t / denom)
-    return RepParams(s=s, z=z, c=tuple(c), cbar=tuple(cbar), w=tuple(w))
-
-
 # ---------------------------------------------------------------------------
 # matrix evidence for the higher-order relation
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .coeffs import CoeffTable, PIPELINES, delta_indices
-from .freealg import NCPolynomial, Word
+from .freealg import NCPolynomial, word_from_exponents
 from .qcoeff import LaurentScalar, _pneg
 from .reducer import reduce_with_stats
 
@@ -59,13 +59,12 @@ def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomi
     """
     if table.r != r:
         raise ValueError(f"table is for rank {table.r}, not {r}")
-    terms: dict[Word, dict] = {}
+    terms: dict[int, dict] = {}
     for (p, k, sign) in delta_indices(r):
         if rho_zero and p > 0:
             continue
         num = table.entry(p, k).num
-        word = Word.from_exponents(r - 2 * p + 1 - k, r, k)
-        terms[word] = {p: num if sign > 0 else _pneg(num)}
+        terms[word_from_exponents(r - 2 * p + 1 - k, r, k)] = {p: num if sign > 0 else _pneg(num)}
     return NCPolynomial(terms)
 
 

@@ -17,6 +17,11 @@ def L(d):
 TWO = q_int(2)
 THREE = q_int(3)
 
+
+def _sq(x):
+    return x * x
+
+
 _EXPLICIT = {
     2: {
         (1, 0): L({2: 1, 0: 2, -2: 1}),
@@ -25,12 +30,12 @@ _EXPLICIT = {
     3: {
         (1, 0): L({4: 1, 2: 2, 0: 4, -2: 2, -4: 1}),
         (1, 1): q_int(4) * L({2: 1, 0: 3, -2: 1}),
-        (2, 0): L({2: 1, 0: 1, -2: 1}) ** 2,
+        (2, 0): _sq(L({2: 1, 0: 1, -2: 1})),
     },
     4: {
-        (1, 0): L({4: 1, 0: 3, -4: 1}) * TWO ** 2,
-        (1, 1): q_int(5) * THREE * TWO ** 2,
-        (2, 0): L({2: 1, -2: 1}) ** 2 * TWO ** 4,
+        (1, 0): L({4: 1, 0: 3, -4: 1}) * _sq(TWO),
+        (1, 1): q_int(5) * THREE * _sq(TWO),
+        (2, 0): _sq(L({2: 1, -2: 1})) * _sq(_sq(TWO)),
     },
     5: {
         (1, 0): L({8: 1, 6: 2, 4: 4, 2: 6, 0: 9, -2: 6, -4: 4, -6: 2, -8: 1}),
@@ -42,7 +47,7 @@ _EXPLICIT = {
         (2, 1): exact_div(q_int(6), THREE)
         * L({10: 1, 8: 6, 6: 17, 4: 32, 2: 47, 0: 53,
              -2: 47, -4: 32, -6: 17, -8: 6, -10: 1}),
-        (3, 0): THREE ** 2 * q_int(5) ** 2,
+        (3, 0): _sq(THREE * q_int(5)),
     },
 }
 

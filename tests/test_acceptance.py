@@ -23,7 +23,7 @@ from qonsager.coeffs import (
     eta_expansion,
     eta_table,
 )
-from qonsager.freealg import NCPolynomial, Word, monomial
+from qonsager.freealg import NCPolynomial, monomial, word, word_from_exponents
 from qonsager.qcoeff import LaurentScalar, q_binomial, q_int
 from qonsager.reducer import (
     kernel_backend,
@@ -151,7 +151,7 @@ def test_criterion_06_rho_zero_degeneration():
         delta = build_delta(r, t, rho_zero=True)
         # coefficient of I^(r+1-k) J^r I^k must be (-1)^k (r+1 choose k)_q
         for k in range(0, r + 2):
-            w = Word.from_exponents(r + 1 - k, r, k)
+            w = word_from_exponents(r + 1 - k, r, k)
             expected = q_binomial(r + 1, k)
             got = delta.terms[w][0]
             assert got == (expected if k % 2 == 0 else -expected).num, (r, k)
@@ -224,7 +224,7 @@ def test_criterion_10_reducer_properties():
     start = time.perf_counter()
     rng = random.Random(20240815)
     corpus = [
-        Word.from_letters("".join(rng.choice("IJ") for _ in range(rng.randint(0, 14))))
+        word("".join(rng.choice("IJ") for _ in range(rng.randint(0, 14))))
         for _ in range(1000)
     ]
 
@@ -233,8 +233,8 @@ def test_criterion_10_reducer_properties():
             assert w < redex
 
     normal_forms = []
-    for i, word in enumerate(corpus):
-        poly = NCPolynomial.from_word(word)
+    for i, w in enumerate(corpus):
+        poly = NCPolynomial.from_word(w)
         nf, _ = reduce_with_stats(poly)
         normal_forms.append(nf)
         # idempotence

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -445,15 +446,28 @@ def test_running_out_of_memory_exits_3_with_a_json_error(capsys, monkeypatch):
     assert json.loads(err) == {"error": "out of memory"}
 
 
-def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qonsager", "verify", "--r", "1"],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == EXIT_PASS
-    assert "zero=True" in proc.stdout
+def _zero_ms(text):
+    return re.sub(r'"ms": \d+', '"ms": 0', text)
+
+
+def test_module_entry_point_subprocess(capsys):
+    # python -m qonsager runs __main__.py: the same output as main in
+    # process, and main's exit code.
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qonsager", *argv],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
+        )
+
+    argv = ("verify", "--r", "3", "--format", "json")
+    proc = run_module(*argv)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    assert _zero_ms(proc.stdout) == _zero_ms(out)
+    assert run_module("verify", "--r", "0").returncode == EXIT_USAGE
 
 
 def test_cli_import_loads_no_process_pool():

@@ -157,7 +157,7 @@ def test_m_table_odd_rank_printed_lines(r):
 
 
 def test_closed_examples():
-    assert c_closed(4).entry(1, 1) == q_int(5) * THREE * TWO ** 2
+    assert c_closed(4).entry(1, 1) == q_int(5) * THREE * TWO * TWO
     assert c_closed(3).entry(1, 1) == q_int(4) * L({2: 1, 0: 3, -2: 1})
 
 
@@ -193,7 +193,7 @@ def test_expand_rank_two_matches_manual_product():
     # x^3 - (mid + 1) x^2 y + (mid + 1) x y^2 - y^3 - rho [2]^2 (x - y),
     # with mid = q^2 + q^-2.
     mid = L({2: 1, -2: 1})
-    rho_term = TWO ** 2
+    rho_term = TWO * TWO
     expected = {
         (3, 0, 0): ONE.num,
         (2, 1, 0): (-(mid + ONE)).num,

@@ -6,25 +6,37 @@ import pytest
 
 from coefficients import rho
 
-from qonsager.freealg import AI, AJ, EMPTY_WORD, ONE, NCPolynomial, Word, monomial
+from qonsager.freealg import (
+    AI,
+    AJ,
+    ONE,
+    NCPolynomial,
+    concat,
+    letters,
+    monomial,
+    word,
+    word_from_exponents,
+)
 from qonsager.qcoeff import q_int
 
-
-def W(letters):
-    return Word.from_letters(letters)
+W = word
 
 
 def test_word_round_trip_and_degrees():
     w = W("IIJIJ")
-    assert w.letters == "IIJIJ"
-    assert len(w) == 5
-    assert len(EMPTY_WORD) == 0
+    assert letters(w) == "IIJIJ"
+    assert w == 0b111010
+    assert letters(W("")) == ""
+    assert W("") == 1
+    assert word_from_exponents(2, 1, 3) == W("IIJIII")
+    with pytest.raises(ValueError):
+        word_from_exponents(0, -1, 0)
 
 
 def test_word_concatenation():
-    assert W("IIJ") * W("JI") == W("IIJJI")
-    assert EMPTY_WORD * W("IJ") == W("IJ")
-    assert W("IJ") * EMPTY_WORD == W("IJ")
+    assert concat(W("IIJ"), W("JI")) == W("IIJJI")
+    assert concat(W(""), W("IJ")) == W("IJ")
+    assert concat(W("IJ"), W("")) == W("IJ")
 
 
 def test_word_order_is_graded_lex_with_i_above_j():
@@ -38,7 +50,14 @@ def test_word_order_is_graded_lex_with_i_above_j():
 
 def test_word_rejects_bad_letters():
     with pytest.raises(ValueError):
-        Word.from_letters("IXJ")
+        W("IXJ")
+
+
+def test_terms_are_keyed_by_word_codes():
+    for bad in (0, -3, "IJ", 1.0, None):
+        with pytest.raises(ValueError):
+            NCPolynomial({bad: {0: {0: 1}}})
+    assert NCPolynomial({W(""): {0: {0: 1}}}) == ONE
 
 
 def test_nc_multiply_examples():

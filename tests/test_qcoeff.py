@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qonsager.qcoeff import (
     ONE,
-    Q,
     ZERO,
     LaurentScalar,
     _madd,
@@ -228,15 +227,6 @@ def test_bar_symmetry_of_q_quantities():
 
 def test_substitute_exact_rational():
     assert q_int(3).substitute(Fraction(2)) == Fraction(21, 4)
-
-
-def test_power_including_negative():
-    x = q_int(2)
-    assert x ** 0 == ONE
-    assert x ** 3 == x * x * x
-    assert Q ** -2 == LaurentScalar.q_power(-2)
-    with pytest.raises(ArithmeticError):
-        x ** -1  # [2] is not a unit of Z[q, q^-1]
 
 
 # ---------------------------------------------------------------------------

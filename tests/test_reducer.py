@@ -1,6 +1,7 @@
 """Tests for the rewriting engine: examples, properties, strategy independence,
 and the packed kernel against the randomized-order oracle and its exactness guard."""
 
+import copy
 import random
 import time
 
@@ -10,10 +11,9 @@ from coefficients import rho
 
 from qonsager import _kernel_py
 from qonsager.coeffs import c_recursive, cells
-from qonsager.freealg import AI, AJ, UNIT, NCPolynomial, Word, monomial
+from qonsager.freealg import AI, AJ, UNIT, NCPolynomial, letters, monomial, word
 from qonsager.qcoeff import ONE, ZERO, LaurentScalar, q_int
 from qonsager.reducer import (
-    _pack,
     _rewrite_codes,
     redex_positions,
     reduce,
@@ -23,12 +23,11 @@ from qonsager.reducer import (
 from qonsager.verify import build_delta, perturbed_table
 
 
-def W(letters):
-    return Word.from_letters(letters)
+W = word
 
 
-def word_poly(letters, coeff=UNIT):
-    return NCPolynomial.from_word(W(letters), coeff)
+def word_poly(spelling, coeff=UNIT):
+    return NCPolynomial.from_word(W(spelling), coeff)
 
 
 TWO = q_int(2)
@@ -40,7 +39,7 @@ RULE_TRUNCATED = word_poly("IJI", rho(TWO)) - word_poly("JII")
 def test_rule_shape():
     assert redex_positions(W("IIJ")) == [0]
     assert redex_positions(W("JJII")) == []
-    assert _rewrite_codes(W("IIJ").code, 0) == (W("IJI").code, W("JII").code, W("J").code)
+    assert _rewrite_codes(W("IIJ"), 0) == (W("IJI"), W("JII"), W("J"))
 
 
 def test_reduce_iij_matches_rule():
@@ -99,9 +98,9 @@ def test_replacement_words_strictly_below_redex():
     for _ in range(200):
         w = _random_word(rng, 12)
         for pos in redex_positions(w):
-            produced = [Word(code) for code in _rewrite_codes(w.code, pos)]
-            head, tail = w.letters[:pos], w.letters[pos + 3:]
-            assert [u.letters for u in produced] == [head + x + tail for x in ("IJI", "JII", "J")]
+            produced = _rewrite_codes(w, pos)
+            head, tail = letters(w)[:pos], letters(w)[pos + 3:]
+            assert [letters(u) for u in produced] == [head + x + tail for x in ("IJI", "JII", "J")]
             for u in produced:
                 assert u < w
 
@@ -227,7 +226,7 @@ def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_
     # Every lane starts at a width too narrow to hold its coefficients; the
     # three checks (encode, drop of a zero, decode) must catch it and the
     # widened rerun must give the kernel's usual result and counts.
-    packed = _pack(make(width))
+    packed = make(width).terms
     expected = _kernel_py.reduce_packed(packed, rho_zero)
     runs = []
     real_run = _kernel_py._run
@@ -243,10 +242,42 @@ def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_
     assert max(runs[1]) > width
 
 
+@pytest.mark.parametrize("rho_zero", [False, True])
+@pytest.mark.parametrize(
+    "make, width",
+    [
+        (lambda: build_delta(5, perturbed_table(c_recursive(5), 0, 1)), None),  # two parity lanes
+        (_delta_plus_big_coefficients, 1),  # too narrow: one failed run, then the rerun
+    ],
+    ids=["delta5-q(0,1)", "delta4+2^70-narrow"],
+)
+def test_the_kernel_only_reads_its_input(monkeypatch, make, width, rho_zero):
+    # reduce_with_stats hands the kernel the terms themselves, so neither
+    # the outer dict nor any coefficient dict may change.
+    x = make()
+    before = copy.deepcopy(x.terms)
+    runs = []
+    real_run, real_lanes = _kernel_py._run, _kernel_py._lanes
+
+    def counting_run(lanes, rz):
+        runs.append(len(lanes))
+        return real_run(lanes, rz)
+
+    monkeypatch.setattr(_kernel_py, "_run", counting_run)
+    if width is not None:
+        monkeypatch.setattr(
+            _kernel_py, "_lanes",
+            lambda terms: [(wt, base, width, words) for wt, base, _, words in real_lanes(terms)],
+        )
+    reduce_with_stats(x, rho_zero=rho_zero)
+    assert len(runs) == (1 if width is None else 2)
+    assert x.terms == before
+
+
 def test_a_term_that_encodes_to_zero_is_caught():
     # 2^16 - q^2 sits in one parity lane as 2^16 X^s - X^(s+1), which is 0
     # at X = 2^16.
-    (lane,) = _kernel_py._lanes(_pack(word_poly("JIIJ", _scalar({0: 1 << 16, 2: -1}))))
+    (lane,) = _kernel_py._lanes(word_poly("JIIJ", _scalar({0: 1 << 16, 2: -1})).terms)
     assert lane[2] > 16
     assert _kernel_py._Lane(lane[3], 16).bad == (1 << 16) + 1
     assert not _kernel_py._Lane(lane[3], lane[2]).bad
@@ -267,11 +298,11 @@ def test_lane_base_follows_each_words_own_inversions():
     # e - inversions(word), here -9, not the least exponent minus the lane's
     # most inversions (-14); a word's slot is (e - inversions(word) - base) / 2.
     x = word_poly("IIIJJJ") + word_poly("JJJIIJ", _scalar({-5: 1}))
-    packed = _pack(x)
+    packed = x.terms
     ((_, base, _, words),) = _kernel_py._lanes(packed)
     want = min(e - _kernel_py._inversions(code) for code, c in packed.items() for e in c[0])
     assert base == want == -9
-    assert words == {W("IIIJJJ").code: {0: 1}, W("JJJIIJ").code: {1: 1}}
+    assert words == {W("IIIJJJ"): {0: 1}, W("JJJIIJ"): {1: 1}}
     for rho_zero in (False, True):
         assert reduce(x, rho_zero=rho_zero) == reduce_randomized(x, random.Random(5), rho_zero=rho_zero)
 
@@ -281,7 +312,7 @@ def test_mixed_parity_input_is_split_into_two_lanes():
     # e - inversions(word) now takes both parities, and each parity is its
     # own lane.  The lanes hold exactly the input terms.
     delta = build_delta(5, perturbed_table(c_recursive(5), 0, 1))
-    packed = _pack(delta)
+    packed = delta.terms
     lanes = _kernel_py._lanes(packed)
     parities = {}
     terms = {}

@@ -19,7 +19,6 @@ from qonsager.repcheck import (
     matrix_point,
     rho_calibration_oracle,
     sample_params,
-    sample_params_with_w,
     spectral_polynomial_check,
     spectral_rho_constant,
 )
@@ -55,6 +54,24 @@ def generic_params(**overrides):
     )
     base.update(overrides)
     return RepParams(**base)
+
+
+def w_branch_params():
+    """A fixed point on the w != 0 branch, where every node needs
+    w_j^2 = -c_j cbar_j / (q + q^-1 - 2), and q + q^-1 - 2 = (s - 1/s)^2.
+
+    Picking c_j cbar_j = -t_j^2 makes w_j = t_j / (s - 1/s) rational.
+    """
+    s = Fraction(1, 2)
+    t = (Fraction(-1, 3), Fraction(1), Fraction(-5))
+    c = (Fraction(-2, 3), Fraction(4, 3), Fraction(-3, 4))
+    return RepParams(
+        s=s,
+        z=Fraction(2),
+        c=c,
+        cbar=tuple(-(tj ** 2) / cj for tj, cj in zip(t, c)),
+        w=tuple(tj / (s - 1 / s) for tj in t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +113,7 @@ def _diag(values):
         generic_params(),
         generic_params(z=Fraction(-2, 7), s=Fraction(-3, 5)),
         sample_params(random.Random(3)),
-        sample_params_with_w(random.Random(17)),
+        w_branch_params(),
     ],
     ids=["generic", "negative", "sampled", "w-branch"],
 )
@@ -205,8 +222,7 @@ def test_calibration_depends_on_product_only():
 
 
 def test_calibration_w_branch():
-    rng = random.Random(17)
-    params = sample_params_with_w(rng)
+    params = w_branch_params()
     mats = build_evaluation_rep(params)
     cal = calibrate_rho(mats, params, (0, 1))
     assert cal.matches_product
@@ -242,7 +258,7 @@ def _calibration_oracle(matrices, params, pair):
 @pytest.mark.parametrize(
     "params",
     [sample_params(random.Random(f"calibration:{n}")) for n in range(6)]
-    + [sample_params_with_w(random.Random(17)),
+    + [w_branch_params(),
        generic_params(c=(Fraction(0), Fraction(0), Fraction(0)))],
     ids=[f"sampled-{n}" for n in range(6)] + ["w-branch", "c-zero"],
 )
@@ -369,7 +385,7 @@ def test_integer_zero_test_matches_oracle_unmutated(r):
 
 
 def test_integer_zero_test_matches_oracle_on_the_w_branch():
-    params = sample_params_with_w(random.Random(17))
+    params = w_branch_params()
     assert any(w != 0 for w in params.w)
     for r in range(1, 6):
         assert _zero_both_ways(r, c_recursive(r), params) == (True, True)
