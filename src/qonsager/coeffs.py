@@ -30,6 +30,7 @@ from .qcoeff import (
     ZERO,
     LaurentScalar,
     _mmul,
+    _pdot,
     _pneg,
     q_int,
 )
@@ -230,40 +231,41 @@ def _next_table(
         k even: sum_{p <= l} sign(p+l) M(p, 2(h-p)) E1(2(h-p), l-p)
                 + c1 sum_{p <= min(l, h-2)} sign(p+l) prev(p, 2(h-p)-1) E1(2(h-p)-1, l-p)
 
-    Every read of M, prev and eta is strict: an index outside its table raises.
+    Each cell is one _pdot over its (sign, M, eta) triples plus c1 times its
+    prev sum, itself one _pdot over the (sign, prev, eta) triples.  Every
+    read of M, prev and eta is strict: an index outside its table raises.
     """
     em = m_table(prev)
-    M = lambda p, k: em[(r - 1, p, k)]  # noqa: E731
-    E1 = lambda m, p: eta[(m, p, 1)]  # noqa: E731
-    P = prev.entry
-
-    def alt(l: int, top: int, term) -> LaurentScalar:
-        """sum_{p <= top} sign(p+l) term(p)."""
-        return sum((term(p) if (p + l) % 2 == 0 else -term(p) for p in range(top + 1)), ZERO)
+    M = lambda p, k: em[(r - 1, p, k)].num  # noqa: E731
+    E1 = lambda m, p: eta[(m, p, 1)].num  # noqa: E731
+    P = lambda p, k: prev.entry(p, k).num  # noqa: E731
+    one = ONE.num
 
     c1 = q_int(r + 1)
     c: dict[tuple[int, int], LaurentScalar] = {(0, 0): ONE, (0, 1): c1}
     for (l, k) in cells(r):
+        if l == 0 and k < 2:
+            continue
         h = l + k // 2
+        sign = [1 if (p + l) % 2 == 0 else -1 for p in range(l + 1)]
         if l == 0:
-            if k >= 2:
-                c[(0, k)] = M(0, k) * E1(k, 0)
-            if k >= 3:
-                c[(0, k)] = c[(0, k)] + c1 * P(0, k - 1) * E1(k - 1, 0)
+            m_terms = [(1, M(0, k), E1(k, 0))]
+            p_terms = [(1, P(0, k - 1), E1(k - 1, 0))] if k >= 3 else []
         elif k == 0:
-            c[(l, 0)] = alt(l, min(l, r // 2), lambda p: M(p, 2 * (l - p)))
+            m_terms = [(sign[p], M(p, 2 * (l - p)), one) for p in range(min(l, r // 2) + 1)]
+            p_terms = []
         elif k % 2:
-            c[(l, k)] = alt(
-                l, min(l, h - 1), lambda p: M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, l - p)
-            ) + c1 * alt(
-                l, l, lambda p: P(p, 2 * (h - p)) * (E1(2 * (h - p), l - p) if k > 1 else ONE)
-            )
+            m_terms = [(sign[p], M(p, 2 * (h - p) + 1), E1(2 * (h - p) + 1, l - p))
+                       for p in range(min(l, h - 1) + 1)]
+            p_terms = [(sign[p], P(p, 2 * (h - p)), E1(2 * (h - p), l - p) if k > 1 else one)
+                       for p in range(l + 1)]
         else:
-            c[(l, k)] = alt(
-                l, l, lambda p: M(p, 2 * (h - p)) * E1(2 * (h - p), l - p)
-            ) + c1 * alt(
-                l, min(l, h - 2), lambda p: P(p, 2 * (h - p) - 1) * E1(2 * (h - p) - 1, l - p)
-            )
+            m_terms = [(sign[p], M(p, 2 * (h - p)), E1(2 * (h - p), l - p))
+                       for p in range(l + 1)]
+            p_terms = [(sign[p], P(p, 2 * (h - p) - 1), E1(2 * (h - p) - 1, l - p))
+                       for p in range(min(l, h - 2) + 1)]
+        m_terms.append((1, c1.num, _pdot(p_terms)))
+        c[(l, k)] = LaurentScalar._raw(_pdot(m_terms))
     return c
 
 
@@ -426,8 +428,9 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
 
     rows maps a sortable key to {cell: nonzero coefficient}; known holds the
     cells fixed in advance.  The rows are visited once in descending key
-    order.  A row with one open cell fixes it by one exact division, a row
-    with none is checked, and a row with two or more raises (not
+    order.  The known part of a row is one _pdot over its (coefficient,
+    value) pairs.  A row with one open cell fixes it by one exact division,
+    a row with none is checked, and a row with two or more raises (not
     triangular).  Each unknown is fixed by a row in which it was the only
     open cell, so the solution is unique; each row was either used, and
     holds with the final values, or checked, so the solution exists.
@@ -444,11 +447,11 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
             raise CoefficientSystemError(
                 f"not triangular: row {key} has the open unknowns {open_cells}"
             )
-        acc = sum((v * values[cell] for cell, v in row.items() if cell in values), ZERO)
+        rest = _pdot([(-1, v.num, values[cell].num) for cell, v in row.items() if cell in values])
         if open_cells:
             (cell,) = open_cells
-            values[cell] = _divide(-acc, row[cell], cell)
-        elif not acc.is_zero:
+            values[cell] = _divide(LaurentScalar._raw(rest), row[cell], cell)
+        elif rest:
             raise CoefficientSystemError(f"inconsistent system: row {key} fails")
     missing = [cell for cell in unknowns if cell not in values]
     if missing:

@@ -7,7 +7,11 @@ divide.
 
 Representation: a "poly dict" maps an integer q-exponent to a nonzero integer
 coefficient; the empty dict is zero.  A LaurentScalar stores one poly dict,
-so equal values have identical representations.  A polynomial in further
+so equal values have identical representations.  Products go through one
+sum of products, ``_pdot``: it adds every pair product of its (int scale,
+poly dict, poly dict) triples into one dense accumulator over their exponent
+span and builds the result dict once.  ``_pmul`` is a one-term ``_pdot``, or
+a scale-and-shift when an operand has a single term.  A polynomial in further
 variables maps the exponents of those variables to nonzero poly dicts in q
 (``_madd``, ``_msub``): a 3-int exponent tuple for the multivariate
 polynomials of coeffs and repcheck (``_mmul``), or the rho degree for the
@@ -54,18 +58,52 @@ def _psub(a: dict, b: dict) -> dict:
     return out
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    if not a or not b:
+def _pdot(terms) -> dict:
+    """The poly dict of sum s*a*b over (int s, poly dict a, poly dict b) triples.
+
+    Every pair product is added into one dense list of integers over the
+    exponent span min(min a + min b) .. max(max a + max b) of all triples,
+    and the dict of nonzero entries is built once at the end, so no partial
+    sum is ever a dict.  Cost and memory therefore grow with that span as
+    well as with the number of pairs; for this package's q-polynomials the
+    span is O(r^2).  Triples with s == 0 or an empty operand are skipped.
+    """
+    lo = hi = None
+    live = []
+    for s, a, b in terms:
+        if s and a and b:
+            live.append((s, a, b))
+            low, high = min(a) + min(b), max(a) + max(b)
+            if lo is None or low < lo:
+                lo = low
+            if hi is None or high > hi:
+                hi = high
+    if lo is None:
         return {}
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            n = out.get(e, 0) + ca * cb
-            if n:
-                out[e] = n
-            elif e in out:
-                del out[e]
+    acc = [0] * (hi - lo + 1)
+    for s, a, b in live:
+        if len(a) > len(b):
+            a, b = b, a
+        shifted = [(e - lo, c) for e, c in b.items()]
+        for ea, ca in a.items():
+            ca *= s
+            for eb, cb in shifted:
+                acc[ea + eb] += ca * cb
+    return {e: c for e, c in enumerate(acc, lo) if c}
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    """The product a*b: a one-term _pdot, or a scale-and-shift when one
+    operand has a single term (most products outside the coefficient
+    pipelines, so it is a plain loop: a comprehension costs a frame per call)."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) != 1:
+        return _pdot(((1, a, b),))
+    ((ea, ca),) = a.items()
+    out = {}
+    for e, c in b.items():
+        out[ea + e] = ca * c
     return out
 
 
