@@ -93,9 +93,12 @@ def _pdot(terms) -> dict:
 
 
 def _pmul(a: dict, b: dict) -> dict:
-    """The product a*b: a one-term _pdot, or a scale-and-shift when one
-    operand has a single term (most products outside the coefficient
-    pipelines, so it is a plain loop: a comprehension costs a frame per call)."""
+    """The product a*b as a one-term _pdot.
+
+    An operand with a single term is scaled and shifted directly instead.
+    Most products outside the coefficient pipelines are of that kind, so it
+    is a plain loop: a comprehension would cost a frame per call.
+    """
     if len(b) == 1:
         a, b = b, a
     if len(a) != 1:

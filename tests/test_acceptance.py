@@ -27,7 +27,6 @@ from qonsager.freealg import NCPolynomial, monomial, word, word_from_exponents
 from qonsager.qcoeff import LaurentScalar, q_binomial, q_int
 from qonsager.reducer import (
     kernel_backend,
-    redex_positions,
     reduce,
     reduce_randomized,
     reduce_with_stats,

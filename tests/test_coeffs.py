@@ -468,6 +468,15 @@ def test_recursive_chain_takes_one_step_per_rank(monkeypatch):
     assert tables[-1] == c_from_polynomial(14)
 
 
+def test_next_table_reads_strictly():
+    # The step to rank 5 reads eta row 6; a table that stops at row 5 must
+    # raise instead of reading the missing entries as zero.
+    with pytest.raises(KeyError) as caught:
+        coeffs_mod._next_table(5, c_recursive(4), eta_table(5))
+    assert caught.value.args[0][0] == 6
+    assert coeffs_mod._next_table(5, c_recursive(4), eta_table(6)) == c_recursive(5).entries
+
+
 # ---------------------------------------------------------------------------
 # table invariants and serialization
 # ---------------------------------------------------------------------------

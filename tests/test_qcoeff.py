@@ -13,6 +13,8 @@ from qonsager.qcoeff import (
     _madd,
     _mmul,
     _msub,
+    _pdot,
+    _pmul,
     _rmul,
     exact_div,
     q_binomial,
@@ -215,6 +217,80 @@ def test_mmul_matches_the_flat_product(a, b, c, x, y):
         _flatten(_one_slot(x)), _flatten(_one_slot(y))
     )
     assert all(rho_product.values())
+
+
+# ---------------------------------------------------------------------------
+# the dense-accumulator products _pmul and _pdot against a per-pair oracle
+# ---------------------------------------------------------------------------
+
+
+def _naive_pmul(a, b):
+    """a*b one pair of terms at a time in a dict, deleting zeros as they appear."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            n = out.get(e, 0) + ca * cb
+            if n:
+                out[e] = n
+            elif e in out:
+                del out[e]
+    return out
+
+
+def _naive_pdot(terms):
+    """sum s*a*b, each product by _naive_pmul, added term by term in a dict."""
+    out = {}
+    for s, a, b in terms:
+        for e, c in _naive_pmul(a, b).items():
+            n = out.get(e, 0) + s * c
+            if n:
+                out[e] = n
+            elif e in out:
+                del out[e]
+    return out
+
+
+# Small, negative and far-apart exponents (a sparse span up to 2 * 10^5), and
+# coefficients both small and beyond 2^64.
+wide_dicts = st.dictionaries(
+    st.integers(min_value=-6, max_value=6) | st.just(10**5),
+    (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2**80, max_value=2**80))
+    .filter(bool),
+    max_size=5,
+)
+scales = st.integers(min_value=-5, max_value=5) | st.integers(min_value=-2**70, max_value=2**70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_dicts, wide_dicts)
+def test_pmul_matches_the_per_pair_product(a, b):
+    result = _pmul(a, b)
+    assert result == _naive_pmul(a, b)
+    assert all(result.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(scales, wide_dicts, wide_dicts), max_size=4))
+def test_pdot_matches_the_per_pair_sum_of_products(terms):
+    result = _pdot(terms)
+    assert result == _naive_pdot(terms)
+    assert all(result.values())
+
+
+def test_pdot_edge_cases():
+    one_plus_q, one_minus_q = {0: 1, 1: 1}, {0: 1, 1: -1}
+    assert _pmul({}, one_plus_q) == _pmul(one_plus_q, {}) == _pmul({}, {}) == {}
+    assert _pdot([]) == {} and _pdot([(0, one_plus_q, one_minus_q)]) == {}
+    # one-term operands: scale and shift, negative exponents included
+    assert _pmul({-3: -2}, {1: 5, 4: 1}) == _pmul({1: 5, 4: 1}, {-3: -2}) == {-2: -10, 1: -2}
+    # (1 + q)(1 - q) = 1 - q^2 holds no zero entry at q^1
+    assert _pmul(one_plus_q, one_minus_q) == {0: 1, 2: -1}
+    # a sum that cancels completely: (1 + q)(1 - q) + q^2 - 1
+    assert _pdot([(1, one_plus_q, one_minus_q), (1, {2: 1}, {0: 1}), (-1, {0: 1}, {0: 1})]) == {}
+    big = 2**64 + 3
+    assert _pdot([(3, {0: big, 10**5: 1}, {0: big, -7: -1})]) == {
+        -7: -3 * big, 0: 3 * big * big, 10**5 - 7: -3, 10**5: 3 * big}
 
 
 def test_bar_symmetry_of_q_quantities():
