@@ -29,7 +29,13 @@ from .qcoeff import (
     ONE,
     ZERO,
     LaurentScalar,
-    _mmul,
+    _kdot,
+    _kpack,
+    _kunpack,
+    _kwidth,
+    _l1,
+    _mnorm,
+    _mprod,
     _pdot,
     _pneg,
     q_int,
@@ -139,24 +145,29 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
         eta[m,p,1] = eta[m-1,p-1,0] - eta[m-1,p,0]
 
     except that the top entry eta[m,(m-1)/2,0] of an odd row is 1.  Built
-    strictly from the initial values at m = 2; the reducer provides the
-    independent cross-check.
+    strictly from the initial values at m = 2, each row once per process;
+    the reducer provides the independent cross-check.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
+    return {(m, p, j): v for m in range(2, m_max + 1) for (p, j), v in _eta_row(m).items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_row(m: int) -> dict[tuple[int, int], LaurentScalar]:
+    """Row m >= 2 of the eta table, keyed (p, j).  Callers must not mutate it."""
+    if m == 2:
+        return {(0, 0): q_int(2), (0, 1): -ONE}
     two = q_int(2)
-    eta: dict[tuple[int, int, int], LaurentScalar] = {
-        (2, 0, 0): two,
-        (2, 0, 1): -ONE,
-    }
-    for m in range(3, m_max + 1):
-        prev = lambda p, j: eta.get((m - 1, p, j), ZERO)  # noqa: E731
-        for p in range(0, (m - 1) // 2 + 1):
-            eta[(m, p, 0)] = two * prev(p, 0) + prev(p, 1)
-            eta[(m, p, 1)] = prev(p - 1, 0) - prev(p, 0)
-        if m % 2:
-            eta[(m, (m - 1) // 2, 0)] = ONE
-    return eta
+    prev_row = _eta_row(m - 1)
+    prev = lambda p, j: prev_row.get((p, j), ZERO)  # noqa: E731
+    row = {}
+    for p in range(0, (m - 1) // 2 + 1):
+        row[(p, 0)] = two * prev(p, 0) + prev(p, 1)
+        row[(p, 1)] = prev(p - 1, 0) - prev(p, 0)
+    if m % 2:
+        row[((m - 1) // 2, 0)] = ONE
+    return row
 
 
 def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
@@ -179,28 +190,6 @@ def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# M tables
-# ---------------------------------------------------------------------------
-
-
-def m_table(base: CoeffTable) -> dict[tuple[int, int, int], LaurentScalar]:
-    """The M coefficients built from one rank's table, keyed (r, p, k).
-
-    All six printed variants (even/odd rank, boundary k) collapse to the one
-    formula M[r,p,k] = c[r,p,k] - c[r,0,1]*c[r,p,k-1] with out-of-range c
-    read as zero; the boundary cases are asserted against this form in the
-    test suite.  Indices run 0 <= k <= r + 2 - 2p.
-    """
-    r = base.r
-    c1 = base.entry(0, 1)
-    em: dict[tuple[int, int, int], LaurentScalar] = {}
-    for p in range(0, (r + 1) // 2 + 1):
-        for k in range(0, r + 3 - 2 * p):
-            em[(r, p, k)] = base.get(p, k) - c1 * base.get(p, k - 1)
-    return em
-
-
-# ---------------------------------------------------------------------------
 # pipeline 1: recursion family
 # ---------------------------------------------------------------------------
 
@@ -214,14 +203,36 @@ def _rank_one_table() -> dict[tuple[int, int], LaurentScalar]:
     }
 
 
+def _m_cells(rank: int) -> Iterator[tuple[int, int]]:
+    """The (p, k) index pairs of a rank's M table: p <= (rank+1)//2, k <= rank + 2 - 2p."""
+    for p in range(0, (rank + 1) // 2 + 1):
+        for k in range(0, rank + 3 - 2 * p):
+            yield (p, k)
+
+
+def _m_packed(packed: dict, rank: int, nb: int) -> dict:
+    """The M table of one rank from its packed entries, packed at width 8*nb.
+
+    M[p,k] = c[p,k] - c[0,1] c[p,k-1] over _m_cells(rank), with c read as
+    zero outside the table: the one formula that all six printed variants
+    (even/odd rank, boundary k) collapse to.
+    """
+    c1 = packed[(0, 1)]
+    zero, one = (0, 0), (1, 0)
+    return {
+        (p, k): _kdot(((1, packed.get((p, k), zero), one), (-1, c1, packed.get((p, k - 1), zero))), nb)
+        for (p, k) in _m_cells(rank)
+    }
+
+
 def _next_table(
     r: int, prev: CoeffTable, eta: dict[tuple[int, int, int], LaurentScalar]
 ) -> dict[tuple[int, int], LaurentScalar]:
     """One induction step: the rank-r entries from the rank-(r-1) table.
 
     One rule per cell (l, k) for both parities of r, with c1 = [r+1]_q,
-    M = m_table(prev), E1(m, p) = eta[m, p, 1], sign(n) = (-1)^n and
-    h = l + k//2 (sums run over p >= 0):
+    M the M table of prev (_m_packed), E1(m, p) = eta[m, p, 1],
+    sign(n) = (-1)^n and h = l + k//2 (sums run over p >= 0):
 
         c[0,0] = 1,  c[0,1] = c1
         c[l,0] = sum_{p <= min(l, r//2)} sign(p+l) M(p, 2(l-p))
@@ -231,41 +242,66 @@ def _next_table(
         k even: sum_{p <= l} sign(p+l) M(p, 2(h-p)) E1(2(h-p), l-p)
                 + c1 sum_{p <= min(l, h-2)} sign(p+l) prev(p, 2(h-p)-1) E1(2(h-p)-1, l-p)
 
-    Each cell is one _pdot over its (sign, M, eta) triples plus c1 times its
-    prev sum, itself one _pdot over the (sign, prev, eta) triples.  Every
-    read of M, prev and eta is strict: an index outside its table raises.
+    The step runs on qcoeff's packed layer.  A first pass lists each cell's
+    (sign, M cell, E1 index) and (sign, prev cell, E1 index) terms and
+    bounds the cell by sum ||M||_1 ||E1||_1 + ||c1||_1 sum ||prev||_1 ||E1||_1,
+    with ||M||_1 bounded through its formula.  The largest bound fixes one
+    width, every prev entry, E1 entry and c1 is packed once at it, each
+    cell is one packed sum of products plus c1 times its prev sum, and each
+    is decoded once against its own bound.  Every read of M, prev and eta is
+    strict: an index outside its table raises.
     """
-    em = m_table(prev)
-    M = lambda p, k: em[(r - 1, p, k)].num  # noqa: E731
-    E1 = lambda m, p: eta[(m, p, 1)].num  # noqa: E731
-    P = lambda p, k: prev.entry(p, k).num  # noqa: E731
-    one = ONE.num
-
     c1 = q_int(r + 1)
-    c: dict[tuple[int, int], LaurentScalar] = {(0, 0): ONE, (0, 1): c1}
+    terms = {}  # cell -> (M terms, prev terms); the E1 index None is the factor 1
     for (l, k) in cells(r):
         if l == 0 and k < 2:
             continue
         h = l + k // 2
         sign = [1 if (p + l) % 2 == 0 else -1 for p in range(l + 1)]
         if l == 0:
-            m_terms = [(1, M(0, k), E1(k, 0))]
-            p_terms = [(1, P(0, k - 1), E1(k - 1, 0))] if k >= 3 else []
+            m_terms = [(1, (0, k), (k, 0))]
+            p_terms = [(1, (0, k - 1), (k - 1, 0))] if k >= 3 else []
         elif k == 0:
-            m_terms = [(sign[p], M(p, 2 * (l - p)), one) for p in range(min(l, r // 2) + 1)]
+            m_terms = [(sign[p], (p, 2 * (l - p)), None) for p in range(min(l, r // 2) + 1)]
             p_terms = []
         elif k % 2:
-            m_terms = [(sign[p], M(p, 2 * (h - p) + 1), E1(2 * (h - p) + 1, l - p))
+            m_terms = [(sign[p], (p, 2 * (h - p) + 1), (2 * (h - p) + 1, l - p))
                        for p in range(min(l, h - 1) + 1)]
-            p_terms = [(sign[p], P(p, 2 * (h - p)), E1(2 * (h - p), l - p) if k > 1 else one)
+            p_terms = [(sign[p], (p, 2 * (h - p)), (2 * (h - p), l - p) if k > 1 else None)
                        for p in range(l + 1)]
         else:
-            m_terms = [(sign[p], M(p, 2 * (h - p)), E1(2 * (h - p), l - p))
+            m_terms = [(sign[p], (p, 2 * (h - p)), (2 * (h - p), l - p))
                        for p in range(l + 1)]
-            p_terms = [(sign[p], P(p, 2 * (h - p) - 1), E1(2 * (h - p) - 1, l - p))
+            p_terms = [(sign[p], (p, 2 * (h - p) - 1), (2 * (h - p) - 1, l - p))
                        for p in range(min(l, h - 2) + 1)]
-        m_terms.append((1, c1.num, _pdot(p_terms)))
-        c[(l, k)] = LaurentScalar._raw(_pdot(m_terms))
+        terms[(l, k)] = (m_terms, p_terms)
+
+    e1 = {None: ONE.num}
+    for m_terms, p_terms in terms.values():
+        for _, _, i in m_terms + p_terms:
+            if i not in e1:
+                e1[i] = eta[(*i, 1)].num
+    n_prev = {cell: _l1(v.num) for cell, v in prev.entries.items()}
+    n_e1 = {i: _l1(a) for i, a in e1.items()}
+    n_c1 = _l1(c1.num)
+    n_m = {(p, k): n_prev.get((p, k), 0) + n_prev[(0, 1)] * n_prev.get((p, k - 1), 0)
+           for (p, k) in _m_cells(r - 1)}
+    bounds = {
+        cell: sum(n_m[a] * n_e1[i] for _, a, i in m_terms)
+        + n_c1 * sum(n_prev[a] * n_e1[i] for _, a, i in p_terms)
+        for cell, (m_terms, p_terms) in terms.items()
+    }
+    nb = _kwidth(max(*bounds.values(), *n_prev.values(), *n_e1.values(), n_c1))
+
+    P = {cell: _kpack(v.num, nb) for cell, v in prev.entries.items()}
+    E1 = {i: _kpack(a, nb) for i, a in e1.items()}
+    M = _m_packed(P, r - 1, nb)
+    packed_c1 = _kpack(c1.num, nb)
+    c: dict[tuple[int, int], LaurentScalar] = {(0, 0): ONE, (0, 1): c1}
+    for cell, (m_terms, p_terms) in terms.items():
+        p_sum = _kdot([(s, P[a], E1[i]) for s, a, i in p_terms], nb)
+        total = _kdot([(s, M[a], E1[i]) for s, a, i in m_terms] + [(1, packed_c1, p_sum)], nb)
+        c[cell] = LaurentScalar._raw(_kunpack(*total, nb, bounds[cell]))
     return c
 
 
@@ -312,6 +348,10 @@ def c_closed(r: int) -> CoeffTable:
         inner sum = coefficient of x^p y^(k-alpha*l) in prod_s (1 + x[s]^2 + y[2s]/[s]),
 
     a multivariate polynomial keyed (x_deg, y_deg, 0) over poly dicts in q.
+    It is multiplied out on qcoeff's packed layer (_mprod) at one width,
+    from the largest cell bound prod_s ||factor_s||_1 * sum_l binom; each
+    cell's sum over l is one packed sum with the binomials as scales,
+    decoded once.
 
     The binomial is an ordinary integer binomial, read as zero whenever its
     arguments leave 0 <= m <= n (the factorial form is undefined there, and
@@ -321,23 +361,27 @@ def c_closed(r: int) -> CoeffTable:
         raise ValueError("rank must be >= 1")
     alpha = 2 if r % 2 else 1
     half = (r + 1) // 2
-    families = {(0, 0, 0): {0: 1}}
-    for s in _support(r):
-        families = _mmul(families, {
-            (0, 0, 0): {0: 1}, (1, 0, 0): (q_int(s) * q_int(s)).num,
-            (0, 1, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num,
-        })
-
-    entries: dict[tuple[int, int], LaurentScalar] = {}
+    factors = [{
+        (0, 0, 0): {0: 1}, (1, 0, 0): (q_int(s) * q_int(s)).num,
+        (0, 1, 0): (LaurentScalar.q_power(s) + LaurentScalar.q_power(-s)).num,
+    } for s in _support(r)]
+    terms = {}  # cell -> (binomial, family key) pairs
     for (p, k) in cells(r):
-        total = ZERO
+        terms[(p, k)] = []
         for l in range(0, k // alpha + 1):
             n_bin = half - k + alpha * l - p
             m_bin = (alpha * l) // 2
-            inner = families.get((p, k - alpha * l, 0))
-            if 0 <= m_bin <= n_bin and inner is not None:
-                total = total + math.comb(n_bin, m_bin) * LaurentScalar._raw(inner)
-        entries[(p, k)] = total
+            if 0 <= m_bin <= n_bin:
+                terms[(p, k)].append((math.comb(n_bin, m_bin), (p, k - alpha * l, 0)))
+    norm = math.prod(map(_mnorm, factors))
+    bounds = {cell: norm * sum(b for b, _ in t) for cell, t in terms.items()}
+    nb = _kwidth(max(bounds.values()))
+    families = _mprod(factors, nb)
+    zero, one = (0, 0), (1, 0)
+    entries: dict[tuple[int, int], LaurentScalar] = {}
+    for cell, t in terms.items():
+        total = _kdot([(b, families.get(key, zero), one) for b, key in t], nb)
+        entries[cell] = LaurentScalar._raw(_kunpack(*total, nb, bounds[cell]))
     return CoeffTable(r, entries, "closed")
 
 
@@ -374,10 +418,19 @@ def _factor_poly(desc: tuple) -> dict:
 
 
 def expand_generating_polynomial(r: int) -> dict:
-    """Fully expanded rank-r generating polynomial, {(x_deg, y_deg, rho_deg): poly dict}."""
-    out = {(0, 0, 0): {0: 1}}
-    for desc in generating_factors(r):
-        out = _mmul(out, _factor_poly(desc))
+    """Fully expanded rank-r generating polynomial, {(x_deg, y_deg, rho_deg): poly dict}.
+
+    The factors are multiplied out on qcoeff's packed layer (_mprod) at one
+    width, from the bound prod ||factor||_1, and each key is decoded once.
+    """
+    factors = [_factor_poly(desc) for desc in generating_factors(r)]
+    bound = math.prod(map(_mnorm, factors))
+    nb = _kwidth(bound)
+    out = {}
+    for key, value in _mprod(factors, nb).items():
+        poly = _kunpack(*value, nb, bound)
+        if poly:
+            out[key] = poly
     return out
 
 

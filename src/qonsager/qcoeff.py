@@ -17,6 +17,26 @@ variables maps the exponents of those variables to nonzero poly dicts in q
 polynomials of coeffs and repcheck (``_mmul``), or the rho degree for the
 rho-polynomials that are the free algebra's coefficients (``_rmul``).
 
+The packed layer (Kronecker substitution) serves the coefficient pipelines.
+A poly dict a whose exponents all have the parity of its least one, low, is
+held as the pair (v, low) with v = (q^-low a)(q^2 = 2^B): one B-bit slot per
+two exponents, B = 8*nb, built with ``int.from_bytes`` (``_kpack``).
+Evaluation at q^2 = 2^B is a ring homomorphism, so the int of a product is
+the product of the ints (the lows add), and the int of a sum is the sum of
+the ints once each is shifted by whole slots to the least low (``_kdot``,
+and ``_mprod`` for polynomials in further variables).  Exactness: when no
+coefficient of a result reaches 2^(B-1) in absolute value, its
+coefficients are the balanced base-2^B digits of its int, and those digits
+are unique, so decoding them back (``_kunpack``) recovers the result.  The
+ints of intermediate values need no such bound.  A caller bounds every
+result from the l1 norms of its operands (|(ab)_e| <= ||a||_1 ||b||_1 for
+each exponent e), takes B from the largest bound (``_kwidth``), packs each
+operand once and decodes each result once; ``_kunpack`` raises
+OverflowError unless 2^(B-1) exceeds the bound it is given, so a width too
+narrow for its bound cannot alias silently.  Every q-polynomial of the
+pipelines has one exponent parity, and so do the terms of each of their
+sums; an operand or a sum that does not raises ValueError.
+
 Everything is exact; no floats appear anywhere.  Values are immutable after
 construction and all operations are pure, so they are safe to share between
 threads without synchronization.
@@ -157,6 +177,118 @@ def _rmul(a: dict, b: dict) -> dict:
                 out[p] = n
             else:
                 out.pop(p, None)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the packed layer: a one-parity q-polynomial as one int (Kronecker substitution)
+# ---------------------------------------------------------------------------
+# The layout and its exactness argument are in the module docstring.
+
+
+def _l1(a: dict) -> int:
+    """The l1 norm of a poly dict, the sum of its absolute coefficients."""
+    return sum(map(abs, a.values()))
+
+
+def _kwidth(bound: int) -> int:
+    """The least byte count nb whose slot width B = 8*nb has 2^(B-1) > bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _kpack(a: dict, nb: int) -> tuple[int, int]:
+    """The packed form (v, low) of a poly dict at slot width B = 8*nb.
+
+    low is the least exponent of a and every exponent must have its parity
+    (ValueError otherwise).  Each coefficient fills nb bytes of one of two
+    buffers, by sign, so |c| must be below 2^B: int.to_bytes raises
+    OverflowError otherwise.  Zero packs as (0, 0).
+    """
+    if not a:
+        return 0, 0
+    low = min(a)
+    size = ((max(a) - low) // 2 + 1) * nb
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for e, c in a.items():
+        if (e - low) & 1:
+            raise ValueError(f"packed exponents {low} and {e} differ in parity")
+        i = (e - low) // 2 * nb
+        if c > 0:
+            pos[i:i + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[i:i + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), low
+
+
+def _kunpack(v: int, low: int, nb: int, bound: int) -> dict:
+    """The poly dict whose packed form at slot width B = 8*nb is (v, low).
+
+    bound must bound the absolute value of every coefficient.  The balanced
+    base-2^B digits of v are the coefficients only when 2^(B-1) > bound, so a
+    narrower width raises OverflowError instead of returning an alias.  The
+    digits are read after adding 2^(B-1) to every slot, which makes each one
+    an unsigned nb-byte field of one to_bytes.
+    """
+    half = 1 << (8 * nb - 1)
+    if bound >= half:
+        raise OverflowError(f"a {8 * nb}-bit slot cannot hold a packed coefficient bound of {bound}")
+    if not v:
+        return {}
+    n = abs(v).bit_length() // (8 * nb) + 1  # at least the number of digits
+    raw = (v + int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")).to_bytes(n * nb, "little")
+    out = {}
+    e = low
+    for i in range(0, n * nb, nb):
+        d = int.from_bytes(raw[i:i + nb], "little") - half
+        if d:
+            out[e] = d
+        e += 2
+    return out
+
+
+def _kdot(terms, nb: int) -> tuple[int, int]:
+    """The packed sum s*a*b over (int s, packed a, packed b) triples at width 8*nb.
+
+    Each product is one int multiply.  The products are shifted by whole
+    slots to their least low and added, so their lows must share a parity
+    (ValueError otherwise).
+    """
+    prods = [(s * (va * vb), la + lb) for s, (va, la), (vb, lb) in terms if s and va and vb]
+    if not prods:
+        return 0, 0
+    low = min(lp for _, lp in prods)
+    width = 8 * nb
+    total = 0
+    for vp, lp in prods:
+        if (lp - low) & 1:
+            raise ValueError(f"packed terms with lows {low} and {lp} differ in parity")
+        total += vp << (width * ((lp - low) >> 1))
+    return total, low
+
+
+def _mnorm(f: dict) -> int:
+    """The l1 norm of a polynomial {key: poly dict}, summed over all its keys."""
+    return sum(_l1(a) for a in f.values())
+
+
+def _mprod(factors, nb: int) -> dict:
+    """The product of polynomials {3-int exponent tuple: poly dict}, packed.
+
+    Returns {key: packed value at width 8*nb}, and a value may be zero.  No
+    coefficient of the product exceeds the product of the factors' _mnorm,
+    the bound to decode it against.  Each factor is packed once, so its
+    coefficients must fit a slot, and each key of a step is one _kdot over
+    its key pairs.
+    """
+    out = {(0, 0, 0): (1, 0)}
+    for f in factors:
+        packed = [(key, _kpack(a, nb)) for key, a in f.items()]
+        terms: dict = {}
+        for (a0, a1, a2), x in out.items():
+            for (b0, b1, b2), y in packed:
+                terms.setdefault((a0 + b0, a1 + b1, a2 + b2), []).append((1, x, y))
+        out = {key: _kdot(t, nb) for key, t in terms.items()}
     return out
 
 

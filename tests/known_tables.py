@@ -73,6 +73,26 @@ def fixture_table(r: int) -> CoeffTable:
     return CoeffTable(r, entries, "fixture")
 
 
+# -- the M table, cell by cell: the oracle for the packed M of coeffs -----------
+
+
+def m_table(base: CoeffTable) -> dict:
+    """The M coefficients built from one rank's table, keyed (r, p, k).
+
+    All six printed variants (even/odd rank, boundary k) collapse to the one
+    formula M[r,p,k] = c[r,p,k] - c[r,0,1]*c[r,p,k-1] with out-of-range c
+    read as zero; the boundary cases are asserted against this form in the
+    test suite.  Indices run 0 <= k <= r + 2 - 2p.
+    """
+    r = base.r
+    c1 = base.entry(0, 1)
+    em = {}
+    for p in range(0, (r + 1) // 2 + 1):
+        for k in range(0, r + 3 - 2 * p):
+            em[(r, p, k)] = base.get(p, k) - c1 * base.get(p, k - 1)
+    return em
+
+
 # -- structural invariants every table must have ------------------------------
 
 

@@ -22,15 +22,25 @@ from qonsager.coeffs import (
     eta_table,
     expand_generating_polynomial,
     generating_factors,
-    m_table,
     pipelines_agree,
 )
-from qonsager.qcoeff import ONE, ZERO, LaurentScalar, exact_div, q_binomial, q_int
+from qonsager.qcoeff import (
+    ONE,
+    ZERO,
+    LaurentScalar,
+    _kpack,
+    _kunpack,
+    _kwidth,
+    _l1,
+    exact_div,
+    q_binomial,
+    q_int,
+)
 from qonsager.reducer import reduce
 from qonsager.freealg import monomial
 
 
-from known_tables import bar_invariant_ok, binomial_row_ok, fixture_table, palindromic_ok
+from known_tables import bar_invariant_ok, binomial_row_ok, fixture_table, m_table, palindromic_ok
 
 
 def L(d):
@@ -49,12 +59,13 @@ def test_displayed_block_all_pipelines(pipeline, r):
 
 @pytest.mark.parametrize(
     "pipeline, r",
-    [pytest.param(c_recursive, r, id=str(r)) for r in range(13, 17)]
-    + [pytest.param(c_closed, r, id=f"closed-{r}") for r in range(13, 17)],
+    [pytest.param(c_recursive, r, id=str(r)) for r in (*range(13, 17), 20, 24)]
+    + [pytest.param(c_closed, r, id=f"closed-{r}") for r in (*range(13, 17), 20, 24)],
 )
 def test_recursive_matches_polynomial_up_to_cross_check_bound(pipeline, r):
     # the acceptance suite compares pipelines up to rank 12; cross-check
-    # reaches 16, so the recursion and the closed formula are guarded there too
+    # reaches 16, so the recursion and the closed formula are guarded there
+    # too.  At ranks 20 and 24 every packed slot is wider than 64 bits.
     assert pipeline(r) == c_from_polynomial(r)
 
 
@@ -102,6 +113,19 @@ def test_eta_expansion_matches_displayed_m3():
     assert got == expected
 
 
+def test_eta_rows_are_built_once_per_process():
+    coeffs_mod._eta_row.cache_clear()
+    first = eta_table(12)
+    built = coeffs_mod._eta_row.cache_info().misses
+    assert built == 11  # rows 2..12
+    assert eta_table(12) == first
+    assert eta_table(6).items() <= first.items()
+    assert coeffs_mod._eta_row.cache_info().misses == built
+    # each call returns its own dict
+    first[(2, 0, 0)] = ZERO
+    assert eta_table(2)[(2, 0, 0)] == TWO
+
+
 def test_eta_against_reducer_small():
     eta = eta_table(8)
     for m in range(2, 9):
@@ -120,6 +144,18 @@ def test_m_table_examples():
     assert em[(2, 1, 0)] == base.entry(1, 0)
     # M[2,0,1] = c[2,0,1] - c[2,0,1]*c[2,0,0] = [3] - [3] = 0
     assert em[(2, 0, 1)] == ZERO
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_packed_m_matches_the_m_table(r):
+    table = c_recursive(r)
+    em = m_table(table)
+    bound = max(_l1(v.num) for v in em.values())
+    nb = _kwidth(max(bound, *(_l1(v.num) for v in table.entries.values())))
+    packed = {cell: _kpack(v.num, nb) for cell, v in table.entries.items()}
+    got = {(r, p, k): LaurentScalar._raw(_kunpack(*value, nb, bound))
+           for (p, k), value in coeffs_mod._m_packed(packed, r, nb).items()}
+    assert got == em
 
 
 @pytest.mark.parametrize("r", [2, 4, 6])

@@ -1,5 +1,6 @@
 """Tests for the exact q-arithmetic layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,15 @@ from qonsager.qcoeff import (
     ONE,
     ZERO,
     LaurentScalar,
+    _kdot,
+    _kpack,
+    _kunpack,
+    _kwidth,
+    _l1,
     _madd,
     _mmul,
+    _mnorm,
+    _mprod,
     _msub,
     _pdot,
     _pmul,
@@ -291,6 +299,115 @@ def test_pdot_edge_cases():
     big = 2**64 + 3
     assert _pdot([(3, {0: big, 10**5: 1}, {0: big, -7: -1})]) == {
         -7: -3 * big, 0: 3 * big * big, 10**5 - 7: -3, 10**5: 3 * big}
+
+
+# ---------------------------------------------------------------------------
+# the packed layer against the poly-dict products
+# ---------------------------------------------------------------------------
+
+packed_coeffs = (st.integers(min_value=-9, max_value=9)
+                 | st.integers(min_value=-2**100, max_value=2**100)).filter(bool)
+
+
+@st.composite
+def one_parity_dicts(draw, parity=None):
+    """A poly dict whose exponents share one parity: negative ones, gaps, or none."""
+    if parity is None:
+        parity = draw(st.integers(min_value=0, max_value=1))
+    return draw(st.dictionaries(
+        st.integers(min_value=-8, max_value=8).map(lambda k: 2 * k + parity),
+        packed_coeffs, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_parity_dicts(), st.integers(min_value=0, max_value=3))
+def test_pack_unpack_round_trip(a, extra_bytes):
+    bound = max(map(abs, a.values()), default=0)
+    nb = _kwidth(bound) + extra_bytes
+    v, low = _kpack(a, nb)
+    assert _kunpack(v, low, nb, bound) == a
+    if a:
+        assert low == min(a)
+    else:
+        assert (v, low) == (0, 0)
+
+
+@st.composite
+def packed_terms(draw):
+    """(s, a, b) triples whose products share one exponent parity."""
+    parity = draw(st.integers(min_value=0, max_value=1))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        pa = draw(st.integers(min_value=0, max_value=1))
+        s = draw(st.integers(min_value=-3, max_value=3))
+        terms.append((s, draw(one_parity_dicts(pa)), draw(one_parity_dicts(parity ^ pa))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_terms())
+def test_packed_sum_of_products_matches_the_per_pair_sum(terms):
+    bound = sum(abs(s) * _l1(a) * _l1(b) for s, a, b in terms)
+    nb = _kwidth(max(bound, *(_l1(a) + _l1(b) for _, a, b in terms), 0))
+    packed = [(s, _kpack(a, nb), _kpack(b, nb)) for s, a, b in terms]
+    assert _kunpack(*_kdot(packed, nb), nb, bound) == _naive_pdot(terms)
+
+
+@st.composite
+def graded_factors(draw):
+    """Polynomials {3-int key: poly dict} whose value at key k has the parity
+    of g.k + d, with g shared by every factor; then every key of their product
+    has one parity, as in the coefficient pipelines."""
+    g = draw(st.tuples(*(st.integers(min_value=0, max_value=1),) * 3))
+    factors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        d = draw(st.integers(min_value=0, max_value=1))
+        keys = draw(st.lists(st.tuples(*(st.integers(min_value=-1, max_value=2),) * 3),
+                             max_size=3, unique=True))
+        f = {}
+        for key in keys:
+            parity = (sum(x * y for x, y in zip(g, key)) + d) % 2
+            poly = draw(one_parity_dicts(parity).filter(bool))
+            f[key] = poly
+        factors.append(f)
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_factors())
+def test_packed_product_matches_mmul(factors):
+    expected = {(0, 0, 0): {0: 1}}
+    for f in factors:
+        expected = _mmul(expected, f)
+    norms = [_mnorm(f) for f in factors]
+    bound = math.prod(norms)
+    nb = _kwidth(max(bound, *norms, 0))  # a zero factor makes the bound 0
+    got = {key: _kunpack(*value, nb, bound) for key, value in _mprod(factors, nb).items()}
+    assert {key: a for key, a in got.items() if a} == expected
+
+
+def test_an_undersized_width_raises():
+    # 2^15 needs 17 bits with its sign: read at 16 bits, v is -2^15, whose one
+    # balanced digit would give {-2: -2^15}.
+    a = {-2: 2**15, 0: -1}
+    assert _kunpack(*_kpack(a, 3), 3, 2**15) == a
+    v, low = _kpack(a, 2)
+    with pytest.raises(OverflowError, match="16-bit slot"):
+        _kunpack(v, low, 2, 2**15)
+    # a too-small bound is caught at any width where it does not hold
+    with pytest.raises(OverflowError):
+        _kunpack(v, low, 1, 200)
+    # a coefficient that does not fit its slot does not pack at all
+    with pytest.raises(OverflowError):
+        _kpack({0: 2**16}, 2)
+
+
+def test_mixed_parity_does_not_pack():
+    with pytest.raises(ValueError, match="parity"):
+        _kpack({0: 1, 1: 1}, 1)
+    even, odd = _kpack({0: 1}, 1), _kpack({1: 1}, 1)
+    with pytest.raises(ValueError, match="parity"):
+        _kdot([(1, even, even), (1, even, odd)], 1)
 
 
 def test_bar_symmetry_of_q_quantities():
