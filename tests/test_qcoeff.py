@@ -394,7 +394,7 @@ def test_an_undersized_width_raises():
     v, low = _kpack(a, 2)
     with pytest.raises(OverflowError, match="16-bit slot"):
         _kunpack(v, low, 2, 2**15)
-    # a too-small bound is caught at any width where it does not hold
+    # at 8 bits a bound of 200 does not fit either
     with pytest.raises(OverflowError):
         _kunpack(v, low, 1, 200)
     # a coefficient that does not fit its slot does not pack at all
