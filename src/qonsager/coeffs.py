@@ -276,11 +276,8 @@ def _next_table(
                        for p in range(min(l, h - 2) + 1)]
         terms[(l, k)] = (m_terms, p_terms)
 
-    e1 = {None: ONE.num}
-    for m_terms, p_terms in terms.values():
-        for _, _, i in m_terms + p_terms:
-            if i not in e1:
-                e1[i] = eta[(*i, 1)].num
+    e1 = {(m, p): v.num for (m, p, j), v in eta.items() if j == 1}
+    e1[None] = ONE.num
     n_prev = {cell: _l1(v.num) for cell, v in prev.entries.items()}
     n_e1 = {i: _l1(a) for i, a in e1.items()}
     n_c1 = _l1(c1.num)
