@@ -4,8 +4,9 @@ A table at rank r holds one Laurent polynomial per admissible cell (p, k),
 0 <= p <= (r+1)//2 and 0 <= k <= r - 2p + 1.  The four routes to the same
 table are deliberately independent so they can cross-check each other:
 
-* ``c_recursive``   -- the one-rule-per-cell recursion driven by the eta and M
-                       auxiliary tables, seeded from the rank-1 relation;
+* ``c_recursive``   -- one recursion rule for every cell, driven by the eta
+                       and M auxiliary tables, seeded from the trivial
+                       rank-0 relation;
 * ``c_closed``      -- the closed double-sum formula over index families;
 * ``c_from_polynomial`` -- expansion of the factorized generating
                        polynomial in x, y and rho;
@@ -137,16 +138,18 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
     """The eta coefficients for 2 <= m <= m_max, keyed (m, p, j).
 
     eta[m, p, j] is the coefficient of rho^p on the j-th normal shape in the
-    expansion of I^m J: j = 0 selects the words I J I^..., j = 1 the words
-    J I^....  Row m holds 0 <= p <= (m-1)//2 and follows from row m-1 by one
-    rule for both parities of m (entries outside row m-1 read as zero):
+    normal form of I^m J: j = 0 selects the word I J I^(m-1-2p), j = 1 the
+    word J I^(m-2p).  Row m holds the p whose word exists, p <= (m-1+j)//2,
+    so an even row ends in eta[m, m/2, 1] = 1, the coefficient of
+    rho^(m/2) J.  Row 2 is the rewrite rule IIJ = [2] IJI - JII + rho J;
+    every later row follows from row m-1 by one rule, which rewrites
+    I (I^(m-1) J) (entries outside row m-1 read as zero):
 
         eta[m,p,0] = [2] eta[m-1,p,0] + eta[m-1,p,1]
         eta[m,p,1] = eta[m-1,p-1,0] - eta[m-1,p,0]
 
-    except that the top entry eta[m,(m-1)/2,0] of an odd row is 1.  Built
-    strictly from the initial values at m = 2, each row once per process;
-    the reducer provides the independent cross-check.
+    Each row is built once per process; the reducer provides the
+    independent cross-check.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -157,50 +160,34 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
 def _eta_row(m: int) -> dict[tuple[int, int], LaurentScalar]:
     """Row m >= 2 of the eta table, keyed (p, j).  Callers must not mutate it."""
     if m == 2:
-        return {(0, 0): q_int(2), (0, 1): -ONE}
+        return {(0, 0): q_int(2), (0, 1): -ONE, (1, 1): ONE}
     two = q_int(2)
     prev_row = _eta_row(m - 1)
     prev = lambda p, j: prev_row.get((p, j), ZERO)  # noqa: E731
-    row = {}
-    for p in range(0, (m - 1) // 2 + 1):
-        row[(p, 0)] = two * prev(p, 0) + prev(p, 1)
-        row[(p, 1)] = prev(p - 1, 0) - prev(p, 0)
-    if m % 2:
-        row[((m - 1) // 2, 0)] = ONE
+    row = {(p, 0): two * prev(p, 0) + prev(p, 1) for p in range((m + 1) // 2)}
+    row.update({(p, 1): prev(p - 1, 0) - prev(p, 0) for p in range(m // 2 + 1)})
     return row
 
 
 def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
     """The claimed normal form of I^m J assembled from the eta table:
 
-        sum_{p, j} rho^p eta[m,p,j] I^(1-j) J I^(m-1-2p+j)  (+ rho^(m/2) J for even m)
+        sum_{j, p <= (m-1+j)//2} rho^p eta[m,p,j] I^(1-j) J I^(m-1-2p+j)
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if eta is None:
         eta = eta_table(m)
-    terms = {
+    return NCPolynomial({
         word_from_exponents(1 - j, 1, m - 1 - 2 * p + j): {p: eta[(m, p, j)].num}
-        for p in range(0, (m - 1) // 2 + 1)
         for j in (0, 1)
-    }
-    if m % 2 == 0:
-        terms[word_from_exponents(0, 1, 0)] = {m // 2: ONE.num}
-    return NCPolynomial(terms)
+        for p in range((m - 1 + j) // 2 + 1)
+    })
 
 
 # ---------------------------------------------------------------------------
 # pipeline 1: recursion family
 # ---------------------------------------------------------------------------
-
-
-def _rank_one_table() -> dict[tuple[int, int], LaurentScalar]:
-    return {
-        (0, 0): ONE,
-        (0, 1): q_int(2),
-        (0, 2): ONE,
-        (1, 0): ONE,
-    }
 
 
 def _m_cells(rank: int) -> Iterator[tuple[int, int]]:
@@ -226,59 +213,45 @@ def _m_packed(packed: dict, rank: int, nb: int) -> dict:
 
 
 def _next_table(
-    r: int, prev: CoeffTable, eta: dict[tuple[int, int, int], LaurentScalar]
+    r: int, prev: dict[tuple[int, int], LaurentScalar], eta: dict[tuple[int, int, int], LaurentScalar]
 ) -> dict[tuple[int, int], LaurentScalar]:
-    """One induction step: the rank-r entries from the rank-(r-1) table.
+    """One induction step: the rank-r entries from the rank-(r-1) entries prev.
 
-    One rule per cell (l, k) for both parities of r, with c1 = [r+1]_q,
-    M the M table of prev (_m_packed), E1(m, p) = eta[m, p, 1],
-    sign(n) = (-1)^n and h = l + k//2 (sums run over p >= 0):
+    Every cell (l, k) follows one rule, with c1 = [r+1]_q, M the M table of
+    prev (_m_packed), E(n, j) = eta[n, j, 1] and m = k + 2(l-p):
 
-        c[0,0] = 1,  c[0,1] = c1
-        c[l,0] = sum_{p <= min(l, r//2)} sign(p+l) M(p, 2(l-p))
-        c[0,k] = M(0,k) E1(k,0) [+ c1 prev(0,k-1) E1(k-1,0) if k >= 3]
-        k odd:  sum_{p <= min(l, h-1)} sign(p+l) M(p, 2(h-p)+1) E1(2(h-p)+1, l-p)
-                + c1 sum_{p <= l} sign(p+l) prev(p, 2(h-p)) [E1(2(h-p), l-p) if k > 1]
-        k even: sum_{p <= l} sign(p+l) M(p, 2(h-p)) E1(2(h-p), l-p)
-                + c1 sum_{p <= min(l, h-2)} sign(p+l) prev(p, 2(h-p)-1) E1(2(h-p)-1, l-p)
+        c[l,k] = sum_{p <= min(l, r//2)} (-1)^(p+l) [M(p, m) E(m, l-p)
+                                                    + c1 prev(p, m-1) E(m-1, l-p)]
+
+    keeping only the terms whose eta index (n, j) lies in the triangle
+    0 <= j <= n//2.  Above row 1 that is the j = 1 part of eta_table; below
+    it E(0,0) = 1 (J is normal) and E(1,0) = 0 (IJ is normal).
 
     The step runs on qcoeff's packed layer.  A first pass lists each cell's
-    (sign, M cell, E1 index) and (sign, prev cell, E1 index) terms and
-    bounds the cell by sum ||M||_1 ||E1||_1 + ||c1||_1 sum ||prev||_1 ||E1||_1,
+    (sign, M cell, E index) and (sign, prev cell, E index) terms and
+    bounds the cell by sum ||M||_1 ||E||_1 + ||c1||_1 sum ||prev||_1 ||E||_1,
     with ||M||_1 bounded through its formula.  The largest bound fixes one
-    width, every prev entry, E1 entry and c1 is packed once at it, each
+    width, every prev entry, E entry and c1 is packed once at it, each
     cell is one packed sum of products plus c1 times its prev sum, and each
-    is decoded once against its own bound.  Every read of M, prev and eta is
-    strict: an index outside its table raises.
+    is decoded once against its own bound.  Which terms exist is decided by
+    index arithmetic alone, and every read of M, prev and eta is strict: an
+    index outside its table raises.
     """
     c1 = q_int(r + 1)
-    terms = {}  # cell -> (M terms, prev terms); the E1 index None is the factor 1
+    terms = {}  # cell -> (M terms, prev terms), each (sign, table cell, E index)
     for (l, k) in cells(r):
-        if l == 0 and k < 2:
-            continue
-        h = l + k // 2
-        sign = [1 if (p + l) % 2 == 0 else -1 for p in range(l + 1)]
-        if l == 0:
-            m_terms = [(1, (0, k), (k, 0))]
-            p_terms = [(1, (0, k - 1), (k - 1, 0))] if k >= 3 else []
-        elif k == 0:
-            m_terms = [(sign[p], (p, 2 * (l - p)), None) for p in range(min(l, r // 2) + 1)]
-            p_terms = []
-        elif k % 2:
-            m_terms = [(sign[p], (p, 2 * (h - p) + 1), (2 * (h - p) + 1, l - p))
-                       for p in range(min(l, h - 1) + 1)]
-            p_terms = [(sign[p], (p, 2 * (h - p)), (2 * (h - p), l - p) if k > 1 else None)
-                       for p in range(l + 1)]
-        else:
-            m_terms = [(sign[p], (p, 2 * (h - p)), (2 * (h - p), l - p))
-                       for p in range(l + 1)]
-            p_terms = [(sign[p], (p, 2 * (h - p) - 1), (2 * (h - p) - 1, l - p))
-                       for p in range(min(l, h - 2) + 1)]
+        m_terms, p_terms = [], []
+        for p in range(min(l, r // 2) + 1):
+            sign, m, j = (-1) ** (p + l), k + 2 * (l - p), l - p
+            if j <= m // 2:
+                m_terms.append((sign, (p, m), (m, j)))
+            if j <= (m - 1) // 2:
+                p_terms.append((sign, (p, m - 1), (m - 1, j)))
         terms[(l, k)] = (m_terms, p_terms)
 
-    e1 = {(m, p): v.num for (m, p, j), v in eta.items() if j == 1}
-    e1[None] = ONE.num
-    n_prev = {cell: _l1(v.num) for cell, v in prev.entries.items()}
+    e1 = {(0, 0): ONE.num, (1, 0): {}}
+    e1.update({(m, p): v.num for (m, p, j), v in eta.items() if j == 1})
+    n_prev = {cell: _l1(v.num) for cell, v in prev.items()}
     n_e1 = {i: _l1(a) for i, a in e1.items()}
     n_c1 = _l1(c1.num)
     n_m = {(p, k): n_prev.get((p, k), 0) + n_prev[(0, 1)] * n_prev.get((p, k - 1), 0)
@@ -290,11 +263,11 @@ def _next_table(
     }
     nb = _kwidth(max(*bounds.values(), *n_prev.values(), *n_e1.values(), n_c1))
 
-    P = {cell: _kpack(v.num, nb) for cell, v in prev.entries.items()}
+    P = {cell: _kpack(v.num, nb) for cell, v in prev.items()}
     E1 = {i: _kpack(a, nb) for i, a in e1.items()}
     M = _m_packed(P, r - 1, nb)
     packed_c1 = _kpack(c1.num, nb)
-    c: dict[tuple[int, int], LaurentScalar] = {(0, 0): ONE, (0, 1): c1}
+    c: dict[tuple[int, int], LaurentScalar] = {}
     for cell, (m_terms, p_terms) in terms.items():
         p_sum = _kdot([(s, P[a], E1[i]) for s, a, i in p_terms], nb)
         total = _kdot([(s, M[a], E1[i]) for s, a, i in m_terms] + [(1, packed_c1, p_sum)], nb)
@@ -306,18 +279,19 @@ def _next_table(
 def _recursive_entries(r: int) -> dict[tuple[int, int], LaurentScalar]:
     """The rank-r entries, one _next_table step past the cached rank r-1.
 
-    One chain per process: every rank built so far is kept, so the ranks
-    1..r cost r-1 steps in all.  Callers must not mutate the result.
+    The chain starts from the trivial rank-0 relation A_i - A_i = 0, that is
+    c[0,0,0] = c[0,0,1] = 1, so the rank-1 defining relation is its first
+    step.  One chain per process: every rank built so far is kept, so the
+    ranks 1..r cost r steps in all.  Callers must not mutate the result.
     """
-    if r == 1:
-        return _rank_one_table()
-    prev = CoeffTable(r - 1, _recursive_entries(r - 1), "recursive")
+    if r == 0:
+        return {(0, 0): ONE, (0, 1): ONE}
     # the induction step to rank r reads eta rows m <= r + 1 only
-    return _next_table(r, prev, eta_table(r + 1))
+    return _next_table(r, _recursive_entries(r - 1), eta_table(r + 1))
 
 
 def c_recursive(r: int) -> CoeffTable:
-    """The rank-r table built strictly bottom-up from the rank-1 seed."""
+    """The rank-r table built strictly bottom-up from the rank-0 seed."""
     if r < 1:
         raise ValueError("rank must be >= 1")
     return CoeffTable(r, _recursive_entries(r), "recursive")

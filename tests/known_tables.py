@@ -93,6 +93,66 @@ def m_table(base: CoeffTable) -> dict:
     return em
 
 
+def next_table_by_cases(r: int, prev: dict, eta: dict) -> dict:
+    """The paper's induction step to rank r, cell case by cell case.
+
+    The slow oracle for the one-rule step coeffs._next_table, on
+    LaurentScalar.  prev holds the rank-(r-1) entries, c1 = [r+1]_q,
+    M(p,k) = prev(p,k) - prev(0,1) prev(p,k-1) with prev read as zero
+    outside its table (the formula of m_table), E1(m,p) = eta[m,p,1],
+    sign(n) = (-1)^n and h = l + k//2; the sums run over p >= 0:
+
+        c[0,0] = prev(0,0),  c[0,1] = c1 prev(0,0)
+        c[l,0] = sum_{p <= min(l, r//2)} sign(p+l) M(p, 2(l-p))
+        c[0,k] = M(0,k) E1(k,0) [+ c1 prev(0,k-1) E1(k-1,0) if k >= 3]
+        k odd:  sum_{p <= min(l, h-1)} sign(p+l) M(p, 2(h-p)+1) E1(2(h-p)+1, l-p)
+                + c1 sum_{p <= l} sign(p+l) prev(p, 2(h-p)) [E1(2(h-p), l-p) if k > 1]
+        k even: sum_{p <= l} sign(p+l) M(p, 2(h-p)) E1(2(h-p), l-p)
+                + c1 sum_{p <= min(l, h-2)} sign(p+l) prev(p, 2(h-p)-1) E1(2(h-p)-1, l-p)
+
+    On the genuine rank-(r-1) table c[0,0] = 1 and c[0,1] = c1.
+    """
+    c1 = q_int(r + 1)
+    zero = LaurentScalar(0)
+
+    def M(p, k):
+        return prev.get((p, k), zero) - prev[(0, 1)] * prev.get((p, k - 1), zero)
+
+    def E1(m, p):
+        return eta[(m, p, 1)]
+
+    def sign(n):
+        return 1 if n % 2 == 0 else -1
+
+    c = {}
+    for (l, k) in cells(r):
+        h = l + k // 2
+        if l == 0 and k < 2:
+            c[(0, k)] = prev[(0, 0)] * (c1 if k else 1)
+        elif l == 0:
+            c[(0, k)] = M(0, k) * E1(k, 0)
+            if k >= 3:
+                c[(0, k)] += c1 * prev[(0, k - 1)] * E1(k - 1, 0)
+        elif k == 0:
+            c[(l, 0)] = sum((M(p, 2 * (l - p)) * sign(p + l) for p in range(min(l, r // 2) + 1)), zero)
+        elif k % 2:
+            c[(l, k)] = sum(
+                (M(p, 2 * (h - p) + 1) * E1(2 * (h - p) + 1, l - p) * sign(p + l)
+                 for p in range(min(l, h - 1) + 1)), zero,
+            ) + c1 * sum(
+                (prev[(p, 2 * (h - p))] * (E1(2 * (h - p), l - p) if k > 1 else 1) * sign(p + l)
+                 for p in range(l + 1)), zero,
+            )
+        else:
+            c[(l, k)] = sum(
+                (M(p, 2 * (h - p)) * E1(2 * (h - p), l - p) * sign(p + l) for p in range(l + 1)), zero,
+            ) + c1 * sum(
+                (prev[(p, 2 * (h - p) - 1)] * E1(2 * (h - p) - 1, l - p) * sign(p + l)
+                 for p in range(min(l, h - 2) + 1)), zero,
+            )
+    return c
+
+
 # -- structural invariants every table must have ------------------------------
 
 

@@ -40,7 +40,14 @@ from qonsager.reducer import reduce
 from qonsager.freealg import monomial
 
 
-from known_tables import bar_invariant_ok, binomial_row_ok, fixture_table, m_table, palindromic_ok
+from known_tables import (
+    bar_invariant_ok,
+    binomial_row_ok,
+    fixture_table,
+    m_table,
+    next_table_by_cases,
+    palindromic_ok,
+)
 
 
 def L(d):
@@ -94,6 +101,8 @@ def test_eta_small_values():
     assert eta[(3, 0, 0)] == TWO * TWO - ONE  # cross-checked against I^3 J below
     assert eta[(3, 0, 1)] == -TWO
     assert eta[(3, 1, 1)] == TWO
+    assert eta[(2, 1, 1)] == ONE
+    assert eta[(4, 2, 1)] == ONE
 
 
 def test_eta_expansion_matches_rank_one_rule_at_m2():
@@ -500,7 +509,7 @@ def test_recursive_chain_takes_one_step_per_rank(monkeypatch):
         tables = [c_recursive(r) for r in range(1, 15)]
     finally:
         coeffs_mod._recursive_entries.cache_clear()
-    assert steps == list(range(2, 15))
+    assert steps == list(range(1, 15))
     assert tables[-1] == c_from_polynomial(14)
 
 
@@ -508,9 +517,47 @@ def test_next_table_reads_strictly():
     # The step to rank 5 reads eta row 6; a table that stops at row 5 must
     # raise instead of reading the missing entries as zero.
     with pytest.raises(KeyError) as caught:
-        coeffs_mod._next_table(5, c_recursive(4), eta_table(5))
+        coeffs_mod._next_table(5, c_recursive(4).entries, eta_table(5))
     assert caught.value.args[0][0] == 6
-    assert coeffs_mod._next_table(5, c_recursive(4), eta_table(6)) == c_recursive(5).entries
+    assert coeffs_mod._next_table(5, c_recursive(4).entries, eta_table(6)) == c_recursive(5).entries
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["genuine", "scaled"])
+@pytest.mark.parametrize("r", range(1, 13))
+def test_next_table_matches_the_four_case_step(r, scaled):
+    # Scaling each prev entry by a nonzero integer keeps its exponent parity
+    # but leaves the fixed point, so the rule itself is compared.
+    prev = coeffs_mod._recursive_entries(r - 1)
+    if scaled:
+        rng = random.Random(r)
+        prev = {cell: v * rng.choice((-3, -2, -1, 2, 3, 5)) for cell, v in prev.items()}
+    eta = eta_table(r + 1)
+    assert coeffs_mod._next_table(r, prev, eta) == next_table_by_cases(r, prev, eta)
+
+
+def test_packed_bounds_hold_for_every_decode(monkeypatch):
+    # Every packed decode in the three non-solve pipelines is given an l1
+    # bound of the sum it decodes; an under-estimate could alias silently
+    # once the byte-rounded width runs out of slack.
+    unpack = coeffs_mod._kunpack
+    decodes = []
+
+    def checked(v, low, nb, bound):
+        out = unpack(v, low, nb, bound)
+        assert bound >= _l1(out), (bound, _l1(out))
+        decodes.append(bound)
+        return out
+
+    monkeypatch.setattr(coeffs_mod, "_kunpack", checked)
+    coeffs_mod._recursive_entries.cache_clear()
+    try:
+        for r in range(1, 17):
+            for pipeline in (c_recursive, c_closed, c_from_polynomial):
+                before = len(decodes)
+                pipeline(r)
+                assert len(decodes) > before, (pipeline.__name__, r)
+    finally:
+        coeffs_mod._recursive_entries.cache_clear()
 
 
 # ---------------------------------------------------------------------------
