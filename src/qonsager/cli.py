@@ -49,11 +49,11 @@ EXIT_RESOURCE = 3
 
 _BOUNDS = {
     "coeffs": 32,
-    "coeffs_solve": 8,
+    "coeffs_solve": 10,
     "verify": 6,
     "verify_extended": 8,
     "cross_check": 16,
-    "cross_check_solve": 8,
+    "cross_check_solve": 10,
     "repcheck_default": 5,
     "spectral": 10,
 }

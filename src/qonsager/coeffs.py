@@ -11,9 +11,11 @@ table are deliberately independent so they can cross-check each other:
 * ``c_from_polynomial`` -- expansion of the factorized generating
                        polynomial in x, y and rho;
 * ``c_solve``       -- treating all entries as unknowns, reducing the
-                       candidate relation with the rewriting engine and
-                       solving the resulting linear system exactly, in one
-                       pass down the term order (it is triangular there).
+                       candidate relation by the rewrite rule alone (the
+                       normal forms of I^a J^r, built one J at a time from
+                       the reducer's normal forms of I^a J) and solving the
+                       resulting linear system exactly, in one pass down the
+                       term order (it is triangular there).
 
 Exact agreement of all pipelines is the core evidence this package produces.
 """
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import NCPolynomial, monomial, word_from_exponents
+from .freealg import NCPolynomial, concat, letters, monomial, word_from_exponents
 from .qcoeff import (
     ONE,
     ZERO,
@@ -483,27 +485,104 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
     return values
 
 
+_IJ, _J = word_from_exponents(1, 1, 0), word_from_exponents(0, 1, 0)
+
+
+def _moves(a: int) -> list[tuple[int, int, int, dict]]:
+    """The moves of NF(I^a J), a >= 2, read off the reducer.
+
+    Every word of that normal form must be a block IJ or J followed by I^m;
+    each (word, rho degree) term is the move (block code, m, rho degree,
+    poly dict in q).  A word of any other shape raises
+    CoefficientSystemError.
+    """
+    moves = []
+    for w, coeff in reduce(monomial(a, 1, 0)).terms.items():
+        n = w.bit_length() - 1
+        if n >= 1 and w == word_from_exponents(0, 1, n - 1):
+            block, m = _J, n - 1
+        elif n >= 2 and w == word_from_exponents(1, 1, n - 2):
+            block, m = _IJ, n - 2
+        else:
+            raise CoefficientSystemError(
+                f"NF(I^{a} J) has the word {letters(w)!r}, not IJ I^m or J I^m"
+            )
+        moves += [(block, m, d, poly) for d, poly in coeff.items()]
+    return moves
+
+
+def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
+    """N(a, r) = NF(I^a J^r) for 0 <= a <= r + 1, each as reduce's terms.
+
+    Two facts share the work between all a: a block IJ or J followed by a
+    normal word is normal (the block ends in J, so no IIJ crosses the
+    seam), and the two-sided ideal lets NF(I^a J^t) reduce I^a J first.  So
+    N(a, 0) = I^a, N(0, t) = J^t, N(1, t) = IJ^t, and for a >= 2
+
+        N(a, t) = sum over the moves (block, m, d, c) of I^a J: rho^d c block N(m, t-1),
+
+    with m <= a, built one level per t and keeping only the previous one.
+    Every level runs on qcoeff's packed layer: each move is packed once and
+    each (word code, rho degree) key of a level is one _kdot.  N(a, r) is
+    decoded once per entry against its l1 mass bound T(a, r), where
+    T(a, t) = sum over the moves of ||c||_1 T(m, t-1) and T = 1 for a < 2 or
+    t = 0 (triangle inequality).  T never falls with t, so T(a, r) >= T(a, 1)
+    bounds every move coefficient, and the one width from the largest
+    T(a, r) packs them all.  The ints in between need no bound, since
+    evaluation at q^2 = 2^B is a ring homomorphism.
+    """
+    moves = {a: _moves(a) for a in range(2, r + 2)}
+    bound = [1] * (r + 2)
+    for _ in range(r):
+        bound = [1, 1] + [sum(_l1(c) * bound[m] for _, m, _, c in moves[a]) for a in range(2, r + 2)]
+    nb = _kwidth(max(bound))
+    packed = {a: [(block, m, d, _kpack(c, nb)) for block, m, d, c in mv] for a, mv in moves.items()}
+    one = _kpack({0: 1}, nb)
+    level = {a: {(word_from_exponents(a, 0, 0), 0): one} for a in range(r + 2)}
+    for t in range(1, r + 1):
+        nxt = {a: {(word_from_exponents(a, t, 0), 0): one} for a in (0, 1)}
+        for a in range(2, r + 2):
+            sums: dict = {}
+            for block, m, d, c in packed[a]:
+                for (w, e), v in level[m].items():
+                    sums.setdefault((concat(block, w), d + e), []).append((1, c, v))
+            nxt[a] = {key: v for key, prods in sums.items() if (v := _kdot(prods, nb))[0]}
+        level = nxt
+    forms: dict[int, dict[int, dict]] = {}
+    for a, entries in level.items():
+        forms[a] = {}
+        for (w, d), v in entries.items():
+            forms[a].setdefault(w, {})[d] = _kunpack(*v, nb, bound[a])
+    return forms
+
+
 def c_solve(r: int) -> CoeffTable:
     """The rank-r table as the unique solution of the cancellation system.
 
-    Every entry is an unknown except c[r,0,0] = 1.  Each cell's monomial of
-    the candidate relation is reduced to normal form, and the coefficient of
-    every residual (normal word, rho degree) pair must vanish.  Read from
+    Every entry is an unknown except c[r,0,0] = 1.  Cell (p, k) carries the
+    monomial I^a J^r I^k, a = r - 2p + 1 - k, whose normal form is
+    N(a, r) I^k: appending I's never creates a factor IIJ.  The coefficient
+    of every residual (normal word, rho degree) pair must vanish.  Read from
     the largest normal word down, that system is triangular: each row
     leaves at most one cell open (checked at r = 1..10), so
-    _solve_triangular solves it in one pass.  Most of the time at r >= 8 is
-    the per-cell reduce.  Any failure raises CoefficientSystemError; an
-    inconsistency would falsify the relation's existence at this rank, a
-    row with two open cells only that one pass cannot decide it.
+    _solve_triangular solves it in one pass, and checks every row it does
+    not use.  The normal forms come from the rewrite rule alone
+    (_normal_forms, whose moves are read off the reducer), so this pipeline
+    shares nothing with the other three.  Any failure raises
+    CoefficientSystemError; an inconsistency would falsify the relation's
+    existence at this rank, a row with two open cells only that one pass
+    cannot decide it.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
+    forms = _normal_forms(r)
     rows: dict[tuple[int, int], dict[tuple[int, int], LaurentScalar]] = {}
     for (p, k, sign) in delta_indices(r):
-        normal_form = reduce(monomial(r - 2 * p + 1 - k, r, k))
-        for w, coeff in normal_form.terms.items():
+        tail = word_from_exponents(0, 0, k)
+        for w, coeff in forms[r - 2 * p + 1 - k].items():
+            code = concat(w, tail)
             for d, num in coeff.items():
-                rows.setdefault((w, p + d), {})[(p, k)] = LaurentScalar._raw(
+                rows.setdefault((code, p + d), {})[(p, k)] = LaurentScalar._raw(
                     num if sign > 0 else _pneg(num))
     return CoeffTable(r, _solve_triangular(rows, cells(r), {(0, 0): ONE}), "solve")
 

@@ -6,8 +6,10 @@ completion c[r,p,k] = c[r,p,r-2p+1-k] filling the halves that are not
 written out.  Every pipeline must reproduce these tables exactly.
 """
 
-from qonsager.coeffs import CoeffTable, cells
-from qonsager.qcoeff import LaurentScalar, exact_div, q_binomial, q_int
+from qonsager.coeffs import CoeffTable, cells, delta_indices
+from qonsager.freealg import monomial
+from qonsager.qcoeff import LaurentScalar, _pneg, exact_div, q_binomial, q_int
+from qonsager.reducer import reduce
 
 
 def L(d):
@@ -151,6 +153,28 @@ def next_table_by_cases(r: int, prev: dict, eta: dict) -> dict:
                  for p in range(min(l, h - 2) + 1)), zero,
             )
     return c
+
+
+# -- the solve rows, one kernel run per cell: the oracle for c_solve's rows ----
+
+
+def solve_rows_by_cells(r: int) -> dict:
+    """The rows of the rank-r cancellation system, one reduction per cell.
+
+    The slow oracle for the shared normal forms of coeffs._normal_forms:
+    cell (p, k) reduces its monomial I^(r-2p+1-k) J^r I^k with the rewrite
+    kernel, and every (normal word, rho degree) term of that normal form
+    adds the cell with its sign (-1)^(p+k) times the coefficient to the row
+    of that key.  Rows are {(word code, rho degree): {cell: LaurentScalar}},
+    their cells in delta_indices order.
+    """
+    rows = {}
+    for (p, k, sign) in delta_indices(r):
+        for w, coeff in reduce(monomial(r - 2 * p + 1 - k, r, k)).terms.items():
+            for d, num in coeff.items():
+                rows.setdefault((w, p + d), {})[(p, k)] = LaurentScalar._raw(
+                    num if sign > 0 else _pneg(num))
+    return rows
 
 
 # -- structural invariants every table must have ------------------------------

@@ -16,7 +16,6 @@ import pytest
 from qonsager import cli, repcheck
 from qonsager.cli import EXIT_FALSIFIED, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from qonsager.coeffs import PIPELINES
-from qonsager.freealg import NCPolynomial
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -275,9 +274,9 @@ def test_repcheck_solve_pipeline_keeps_the_solve_rank_cap(capsys, monkeypatch):
         raise AssertionError(f"c_solve({r}) started")
 
     monkeypatch.setitem(PIPELINES, "solve", refuse)
-    code, _, err = run_cli(capsys, "repcheck", "--r", "9", "--bound", "9", "--pipeline", "solve")
+    code, _, err = run_cli(capsys, "repcheck", "--r", "11", "--bound", "11", "--pipeline", "solve")
     assert code == EXIT_USAGE and "pipeline solve" in err
-    code, _, err = run_cli(capsys, "coeffs", "--r", "9", "--pipeline", "solve")
+    code, _, err = run_cli(capsys, "coeffs", "--r", "11", "--pipeline", "solve")
     assert code == EXIT_USAGE and "pipeline solve" in err
 
 
@@ -407,8 +406,8 @@ def test_cross_check_falsified_exit(capsys, monkeypatch):
 
 
 def _zero_normal_forms(monkeypatch, coeffs):
-    # every monomial reduces to zero, so the solve has no row at all
-    monkeypatch.setattr(coeffs, "reduce", lambda poly: NCPolynomial.zero())
+    # every normal form N(a, r) is zero, so the solve has no row at all
+    monkeypatch.setattr(coeffs, "_normal_forms", lambda r: {a: {} for a in range(r + 2)})
 
 
 def _stray_monomial(monkeypatch, coeffs):

@@ -36,8 +36,8 @@ from qonsager.qcoeff import (
     q_binomial,
     q_int,
 )
-from qonsager.reducer import reduce
-from qonsager.freealg import monomial
+from qonsager.reducer import redex_positions, reduce
+from qonsager.freealg import NCPolynomial, concat, monomial, word
 
 
 from known_tables import (
@@ -47,6 +47,7 @@ from known_tables import (
     m_table,
     next_table_by_cases,
     palindromic_ok,
+    solve_rows_by_cells,
 )
 
 
@@ -462,8 +463,8 @@ def test_singleton_substitution_fixes_every_unknown_of_the_relation(r):
     assert c_solve(r) == c_from_polynomial(r)
 
 
-@pytest.mark.parametrize("r", range(1, 9))
-def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, monkeypatch):
+def _solve_rows(r, monkeypatch):
+    """The rows c_solve(r) hands to _solve_triangular."""
     captured = []
     solve = coeffs_mod._solve_triangular
 
@@ -474,6 +475,12 @@ def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, mon
     monkeypatch.setattr(coeffs_mod, "_solve_triangular", capture)
     c_solve(r)
     (rows,) = captured
+    return rows
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, monkeypatch):
+    rows = _solve_rows(r, monkeypatch)
     fixed = {(0, 0)}
     # keys are (normal word code, rho degree): the largest normal word first
     for key in sorted(rows, reverse=True):
@@ -481,6 +488,95 @@ def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, mon
         assert len(open_cells) <= 1, (key, open_cells)
         fixed |= open_cells
     assert fixed == set(cells(r))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_solve_rows_match_one_kernel_run_per_cell(r, monkeypatch):
+    # Same keys, same values, and each row's cells in the same order, which
+    # fixes the order of the open unknowns in a "not triangular" message.
+    rows = _solve_rows(r, monkeypatch)
+    oracle = solve_rows_by_cells(r)
+    assert rows == oracle
+    assert {key: list(row) for key, row in rows.items()} == {key: list(row) for key, row in oracle.items()}
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_shared_normal_forms_match_the_kernel(t):
+    forms = coeffs_mod._normal_forms(t)
+    assert sorted(forms) == list(range(t + 2))
+    for a in range(t + 2):
+        assert forms[a] == reduce(monomial(a, t, 0)).terms, a
+
+
+def _random_word(rng, n):
+    return word(rng.choice("IJ") for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_appending_i_commutes_with_the_normal_form(seed):
+    # NF(X I^k) = NF(X) I^k: a trailing I never completes a factor IIJ.
+    rng = random.Random(seed)
+    for _ in range(20):
+        x = NCPolynomial.from_word(_random_word(rng, rng.randint(1, 9)))
+        tail = monomial(0, 0, rng.randint(1, 4))
+        assert reduce(x * tail) == reduce(x) * tail
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_block_before_a_normal_word_is_normal(seed):
+    # IJ w and J w are normal for normal w: both blocks end in J, so no
+    # factor IIJ crosses the seam.
+    rng = random.Random(seed)
+    normal = [w for w in (_random_word(rng, rng.randint(0, 10)) for _ in range(200))
+              if not redex_positions(w)]
+    assert len(normal) >= 20
+    for w in normal:
+        for block in (word("IJ"), word("J")):
+            bw = NCPolynomial.from_word(concat(block, w))
+            assert not redex_positions(concat(block, w))
+            assert reduce(bw) == bw
+
+
+def test_solve_reads_nothing_of_the_recursive_pipeline(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("c_solve read the recursive pipeline")
+
+    expected = c_closed(6)
+    for name in ("eta_table", "_eta_row", "c_recursive"):
+        monkeypatch.setattr(coeffs_mod, name, refuse)
+    assert c_solve(6) == expected
+
+
+def test_a_move_of_another_shape_raises(monkeypatch):
+    honest = coeffs_mod.reduce
+
+    def stray(poly):
+        out = honest(poly)
+        return out + NCPolynomial.from_word(word("JJ"))
+
+    monkeypatch.setattr(coeffs_mod, "reduce", stray)
+    with pytest.raises(CoefficientSystemError) as info:
+        c_solve(3)
+    assert str(info.value) == "NF(I^2 J) has the word 'JJ', not IJ I^m or J I^m"
+
+
+@pytest.mark.parametrize("a, i", [(2, i) for i in range(3)] + [(3, i) for i in range(4)])
+def test_a_perturbed_move_makes_the_system_inconsistent(a, i, monkeypatch):
+    # One move scaled by q^2 (scaling by q would mix exponent parities,
+    # which the packed sum refuses first): some row that fixes no unknown
+    # must then fail its check.
+    honest = coeffs_mod._moves
+
+    def perturbed(m):
+        moves = honest(m)
+        if m == a:
+            block, n, d, c = moves[i]
+            moves[i] = (block, n, d, {e + 2: v for e, v in c.items()})
+        return moves
+
+    monkeypatch.setattr(coeffs_mod, "_moves", perturbed)
+    with pytest.raises(CoefficientSystemError, match="inconsistent system"):
+        c_solve(6)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +632,10 @@ def test_next_table_matches_the_four_case_step(r, scaled):
 
 
 def test_packed_bounds_hold_for_every_decode(monkeypatch):
-    # Every packed decode in the three non-solve pipelines is given an l1
-    # bound of the sum it decodes; an under-estimate could alias silently
-    # once the byte-rounded width runs out of slack.
+    # Every packed decode in the four pipelines is given an l1 bound of the
+    # sum it decodes; an under-estimate could alias silently once the
+    # byte-rounded width runs out of slack.  The solve's decodes are the
+    # entries of its normal forms N(a, r).
     unpack = coeffs_mod._kunpack
     decodes = []
 
@@ -552,7 +649,8 @@ def test_packed_bounds_hold_for_every_decode(monkeypatch):
     coeffs_mod._recursive_entries.cache_clear()
     try:
         for r in range(1, 17):
-            for pipeline in (c_recursive, c_closed, c_from_polynomial):
+            pipelines = (c_recursive, c_closed, c_from_polynomial) + ((c_solve,) if r <= 9 else ())
+            for pipeline in pipelines:
                 before = len(decodes)
                 pipeline(r)
                 assert len(decodes) > before, (pipeline.__name__, r)
