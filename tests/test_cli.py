@@ -1,6 +1,8 @@
 """CLI tests: exit-code taxonomy, schemas, reproducibility."""
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -446,7 +448,56 @@ def test_running_out_of_memory_exits_3_with_a_json_error(capsys, monkeypatch):
 
 
 def _zero_ms(text):
-    return re.sub(r'"ms": \d+', '"ms": 0', text)
+    return re.sub(r"\bms=\d+", "ms=0", re.sub(r'"ms": \d+', '"ms": 0', text))
+
+
+# Every output format of every command at small ranks, recorded in
+# cli_golden.json: the exit code, stdout with its timings zeroed, and stderr.
+# Re-record after a deliberate output change with
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN_ARGV = {
+    **{
+        f"coeffs-{pipeline}-{fmt}": ["coeffs", "--r", "4", "--pipeline", pipeline, "--format", fmt]
+        for pipeline in ("recursive", "solve")
+        for fmt in ("text", "json", "csv")
+    },
+    **{
+        f"verify-{name}-{fmt}": ["verify", *argv, "--format", fmt]
+        for name, argv in [
+            ("r", ["--r", "3"]),
+            ("max-r", ["--max-r", "3"]),
+            ("rho-zero", ["--max-r", "3", "--rho-zero"]),
+            ("mutate", ["--r", "3", "--mutate", "0,1"]),
+        ]
+        for fmt in ("text", "json")
+    },
+    **{
+        f"{argv[0]}-{fmt}": [*argv, "--format", fmt]
+        for argv in [
+            ["cross-check", "--max-r", "4", "--solve-max-r", "3"],
+            ["repcheck", "--r", "2", "--samples", "3", "--seed", "1"],
+            ["spectral", "--r", "3"],
+        ]
+        for fmt in ("text", "json")
+    },
+    "verify-time-budget-0": ["verify", "--max-r", "3", "--time-budget", "0"],
+    "cross-check-time-budget-0": ["cross-check", "--max-r", "3", "--time-budget", "0"],
+}
+
+
+def _golden_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "code": code, "out": _zero_ms(out.getvalue()), "err": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_every_output_matches_its_recording(name, monkeypatch):
+    monkeypatch.setenv("QONSAGER_WORKERS", "1")
+    recorded = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    assert _golden_run(GOLDEN_ARGV[name]) == recorded
 
 
 def test_module_entry_point_subprocess(capsys):
@@ -484,3 +535,11 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps({name: _golden_run(argv) for name, argv in sorted(GOLDEN_ARGV.items())},
+                   indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
