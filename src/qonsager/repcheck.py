@@ -341,7 +341,8 @@ class MatrixReport:
     points: list[PointResult]
 
     @property
-    def all_zero(self) -> bool:
+    def ok(self) -> bool:
+        """The relation vanished at every sample point."""
         return all(p.zero for p in self.points)
 
     def to_json_obj(self) -> dict:
@@ -350,9 +351,18 @@ class MatrixReport:
             "seed": self.seed,
             "pair": list(self.pair),
             "samples": len(self.points),
-            "all_zero": self.all_zero,
+            "all_zero": self.ok,
             "points": [p.to_json_obj() for p in self.points],
         }
+
+    def to_text(self) -> str:
+        lines = [
+            f"point {i}: zero={p.zero} rho={p.calibration.rho} "
+            f"matches_c_cbar={p.calibration.matches_product}"
+            for i, p in enumerate(self.points)
+        ]
+        lines.append(f"all {len(self.points)} points zero: {self.ok}")
+        return "\n".join(lines)
 
 
 IMat = tuple[tuple[int, ...], ...]
@@ -559,6 +569,12 @@ class SpectralReport:
                 for d, zero in self.offsets
             ],
         }
+
+    def to_text(self) -> str:
+        lines = [f"oracle ok: {self.oracle.ok} (rho/C^2 = {self.oracle.rho_over_c2})"]
+        lines.extend(f"offset {d:+d}: zero={z} allowed={self.allowed(d)}" for d, z in self.offsets)
+        lines.append(f"band structure consistent: {self.ok}")
+        return "\n".join(lines)
 
 
 def spectral_polynomial_check(r: int) -> SpectralReport:

@@ -51,6 +51,31 @@ class RelationCertificate:
         }
 
 
+@dataclass
+class VerifyReport:
+    """The certificates of one verify run, in rank order."""
+
+    certificates: list[RelationCertificate]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.zero for c in self.certificates)
+
+    def to_json_obj(self) -> dict | list[dict]:
+        """One certificate's object, or the list of them for more than one rank."""
+        objs = [c.to_json_obj() for c in self.certificates]
+        return objs if len(objs) > 1 else objs[0]
+
+    def to_text(self) -> str:
+        lines = [
+            "r={r} pipeline={pipeline} zero={zero} residual_terms={residual_terms} "
+            "peak_terms={peak_terms} ms={ms}".format(**c.to_json_obj())
+            for c in self.certificates
+        ]
+        lines.append(f"verified: {sum(c.zero for c in self.certificates)}/{len(self.certificates)}")
+        return "\n".join(lines)
+
+
 def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomial:
     """The exact double sum of the rank-r relation over the given table.
 
@@ -109,6 +134,7 @@ def perturbed_table(table: CoeffTable, p: int, k: int) -> CoeffTable:
 
 __all__ = [
     "RelationCertificate",
+    "VerifyReport",
     "build_delta",
     "verify_relation",
     "perturbed_table",

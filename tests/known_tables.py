@@ -6,9 +6,9 @@ completion c[r,p,k] = c[r,p,r-2p+1-k] filling the halves that are not
 written out.  Every pipeline must reproduce these tables exactly.
 """
 
-from qonsager.coeffs import CoeffTable, cells, delta_indices
-from qonsager.freealg import monomial
-from qonsager.qcoeff import LaurentScalar, _pneg, exact_div, q_binomial, q_int
+from qonsager.coeffs import CoeffTable, _moves, cells, delta_indices
+from qonsager.freealg import monomial, word_from_exponents
+from qonsager.qcoeff import ZERO, LaurentScalar, _pneg, exact_div, q_binomial, q_int
 from qonsager.reducer import reduce
 
 
@@ -91,8 +91,27 @@ def m_table(base: CoeffTable) -> dict:
     em = {}
     for p in range(0, (r + 1) // 2 + 1):
         for k in range(0, r + 3 - 2 * p):
-            em[(r, p, k)] = base.get(p, k) - c1 * base.get(p, k - 1)
+            em[(r, p, k)] = base.entries.get((p, k), ZERO) - c1 * base.entries.get((p, k - 1), ZERO)
     return em
+
+
+def eta_moves(eta: dict, m: int) -> dict:
+    """Row m of the eta table as moves of NF(I^m J), keyed like coeffs._moves.
+
+    Entry (m, p, 0) is the move (block IJ, m - 1 - 2p, rho^p) and (m, p, 1)
+    the move (block J, m - 2p, rho^p); the value is the entry's poly dict.
+    """
+    blocks = (word_from_exponents(1, 1, 0), word_from_exponents(0, 1, 0))
+    return {
+        (blocks[j], m - 1 - 2 * p + j, p): eta[(m, p, j)].num
+        for j in (0, 1)
+        for p in range((m - 1 + j) // 2 + 1)
+    }
+
+
+def reducer_moves(m: int) -> dict:
+    """coeffs._moves(m), the reducer's reading of NF(I^m J), as a dict."""
+    return {(block, n, d): poly for block, n, d, poly in _moves(m)}
 
 
 def next_table_by_cases(r: int, prev: dict, eta: dict) -> dict:

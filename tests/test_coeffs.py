@@ -1,9 +1,10 @@
 """Tests for the four coefficient pipelines and their auxiliary tables."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from coefficients import rho
 
 import qonsager.coeffs as coeffs_mod
 
@@ -18,7 +19,6 @@ from qonsager.coeffs import (
     c_recursive,
     c_solve,
     cells,
-    eta_expansion,
     eta_table,
     expand_generating_polynomial,
     generating_factors,
@@ -43,10 +43,12 @@ from qonsager.freealg import NCPolynomial, concat, monomial, word
 from known_tables import (
     bar_invariant_ok,
     binomial_row_ok,
+    eta_moves,
     fixture_table,
     m_table,
     next_table_by_cases,
     palindromic_ok,
+    reducer_moves,
     solve_rows_by_cells,
 )
 
@@ -107,20 +109,19 @@ def test_eta_small_values():
 
 
 def test_eta_expansion_matches_rank_one_rule_at_m2():
-    got = eta_expansion(2)
-    expected = reduce(monomial(2, 1, 0))
-    assert got == expected
+    assert eta_moves(eta_table(2), 2) == reducer_moves(2)
 
 
 def test_eta_expansion_matches_displayed_m3():
-    got = eta_expansion(3)
-    expected = (
-        monomial(1, 1, 2) * rho(TWO * TWO - ONE)
-        - monomial(0, 1, 3) * rho(TWO)
-        + monomial(0, 1, 1) * rho(0, TWO)
-        + monomial(1, 1, 0) * rho(0, ONE)
-    )
-    assert got == expected
+    # NF(I^3 J) = ([2]^2 - 1) IJ I^2 - [2] J I^3 + rho [2] J I + rho IJ, as moves
+    ij, j = word("IJ"), word("J")
+    expected = {
+        (ij, 2, 0): (TWO * TWO - ONE).num,
+        (j, 3, 0): (-TWO).num,
+        (j, 1, 1): TWO.num,
+        (ij, 0, 1): ONE.num,
+    }
+    assert eta_moves(eta_table(3), 3) == expected
 
 
 def test_eta_rows_are_built_once_per_process():
@@ -139,7 +140,7 @@ def test_eta_rows_are_built_once_per_process():
 def test_eta_against_reducer_small():
     eta = eta_table(8)
     for m in range(2, 9):
-        assert reduce(monomial(m, 1, 0)) == eta_expansion(m, eta), m
+        assert eta_moves(eta, m) == reducer_moves(m), m
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,8 @@ def test_m_table_odd_rank_printed_lines(r):
         assert em[(r, p, 0)] == base.entry(p, 0)
         assert em[(r, p, 2 * t + 3 - 2 * p)] == -c1 * base.entry(p, 2 * t + 2 - 2 * p)
         for k in range(1, 2 * t + 3 - 2 * p):
-            assert em[(r, p, k)] == -c1 * base.get(p, k - 1) + base.get(p, k)
+            assert em[(r, p, k)] == (-c1 * base.entries.get((p, k - 1), ZERO)
+                                     + base.entries.get((p, k), ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +658,20 @@ def test_packed_bounds_hold_for_every_decode(monkeypatch):
                 assert len(decodes) > before, (pipeline.__name__, r)
     finally:
         coeffs_mod._recursive_entries.cache_clear()
+
+
+def test_closed_bound_scales_with_its_binomials(monkeypatch):
+    # Every closed cell is linear in its binomials, so scaling each binomial
+    # by 2^64 scales the table by 2^64.  The unscaled values sit far below
+    # the bound (at least 1.75 times under it at r <= 32), so only operands
+    # this large show a bound that drops its binomial sum: the values then
+    # outgrow the packed width and the decode aliases.
+    unscaled = {r: c_closed(r) for r in range(1, 13)}
+    scaled_comb = SimpleNamespace(comb=lambda n, m: math.comb(n, m) << 64, prod=math.prod)
+    monkeypatch.setattr(coeffs_mod, "math", scaled_comb)
+    for r, table in unscaled.items():
+        expected = {cell: {e: c << 64 for e, c in v.num.items()} for cell, v in table.entries.items()}
+        assert {cell: v.num for cell, v in c_closed(r).entries.items()} == expected, r
 
 
 # ---------------------------------------------------------------------------

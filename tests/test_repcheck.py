@@ -300,25 +300,25 @@ def matrix_report(r, table, samples, seed):
 
 def test_matrix_check_rank_one_any_point():
     report = matrix_report(1, c_recursive(1), samples=3, seed=11)
-    assert report.all_zero
+    assert report.ok
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_matrix_check_small_ranks(r):
     report = matrix_report(r, c_closed(r), samples=4, seed=5)
-    assert report.all_zero
+    assert report.ok
     assert len(report.points) == 4
 
 
 def test_matrix_check_stable_across_seeds():
     for seed in (0, 1, 2):
-        assert matrix_report(2, c_recursive(2), samples=3, seed=seed).all_zero
+        assert matrix_report(2, c_recursive(2), samples=3, seed=seed).ok
 
 
 def test_matrix_check_detects_perturbed_table():
     table = perturbed_table(c_recursive(3), 1, 0)
     report = matrix_report(3, table, samples=3, seed=9)
-    assert not report.all_zero
+    assert not report.ok
 
 
 def test_matrix_report_json():
