@@ -222,19 +222,19 @@ def _cmd_verify(args) -> int:
         for r in ranks:
             if mutate not in cells(r):
                 return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")
-    report = VerifyReport([])
+    certificates = []
     try:
         with _time_budget(args.time_budget):
             for r in ranks:
                 table = PIPELINES[args.pipeline](r)
                 if mutate is not None:
                     table = perturbed_table(table, *mutate)
-                report.certificates.append(verify_relation(r, table=table, rho_zero=args.rho_zero))
+                certificates.append(verify_relation(r, table=table, rho_zero=args.rho_zero))
     except TimeBudgetExceeded:
-        completed = [c.to_json_obj() for c in report.certificates]
+        completed = [c.to_json_obj() for c in certificates]
         _emit(args, _json_dump({"error": "time budget exceeded", "completed": completed}))
         return EXIT_RESOURCE
-    return _render(args, report)
+    return _render(args, VerifyReport(certificates))
 
 
 # ---------------------------------------------------------------------------
