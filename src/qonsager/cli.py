@@ -15,8 +15,11 @@ serialization path sorts its keys and the sample points are derived from
 a process pool, of at most one process per sub-check and per CPU, without
 changing any output; a pool worker that dies is exit 3 (WorkerLost).
 
---time-budget is one SIGALRM timer around the computation (_time_budget), so
-it also holds inside a rank; no library layer takes a deadline.
+No command caps its ranks: time bounds the cost instead.  Every command
+takes --time-budget, one SIGALRM timer around the computation
+(_time_budget), so it also holds inside a rank; no library layer takes a
+deadline.  There is no default budget, so a long run is never cut unasked,
+and a budget that runs out, like running out of memory, is exit 3.
 """
 
 from __future__ import annotations
@@ -50,18 +53,6 @@ EXIT_PASS = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-_BOUNDS = {
-    "coeffs": 32,
-    "coeffs_solve": 10,
-    "verify": 6,
-    "verify_extended": 8,
-    "cross_check": 16,
-    "cross_check_solve": 10,
-    "repcheck_default": 5,
-    "spectral": 10,
-}
-
 
 class TimeBudgetExceeded(Exception):
     """Raised by the --time-budget timer wherever the computation is when it expires."""
@@ -183,16 +174,26 @@ def _render(args, report) -> int:
     return EXIT_PASS if report.ok else EXIT_FALSIFIED
 
 
+def _budgeted(args, compute) -> int:
+    """Render compute()'s report, or exit 3 if --time-budget runs out first."""
+    try:
+        with _time_budget(args.time_budget):
+            report = compute()
+    except TimeBudgetExceeded:
+        _emit(args, _json_dump({"error": "time budget exceeded"}))
+        return EXIT_RESOURCE
+    return _render(args, report)
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
 
 
 def _cmd_coeffs(args) -> int:
-    limit = _BOUNDS["coeffs_solve"] if args.pipeline == "solve" else _BOUNDS["coeffs"]
-    if not 1 <= args.r <= limit:
-        return _usage(f"coeffs --r must be in 1..{limit} for pipeline {args.pipeline}")
-    return _render(args, PIPELINES[args.pipeline](args.r))
+    if args.r < 1:
+        return _usage("coeffs --r must be positive")
+    return _budgeted(args, lambda: PIPELINES[args.pipeline](args.r))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +202,13 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bound = _BOUNDS["verify_extended"] if args.extended else _BOUNDS["verify"]
     if args.r is not None and args.max_r is not None:
         return _usage("verify takes --r or --max-r, not both")
     if args.r is None and args.max_r is None:
         return _usage("verify needs --r or --max-r")
-    ranks = [args.r] if args.r is not None else list(range(1, args.max_r + 1))
-    if not ranks or any(not 1 <= r <= bound for r in ranks):
-        hint = "" if args.extended else f" (use --extended for {_BOUNDS['verify_extended']})"
-        return _usage(f"verify ranks must be in 1..{bound}{hint}")
+    ranks = range(1, args.max_r + 1) if args.r is None else range(args.r, args.r + 1)
+    if not ranks or ranks[0] < 1:
+        return _usage("verify ranks must be positive")
     mutate = None
     if args.mutate:
         try:
@@ -219,9 +218,9 @@ def _cmd_verify(args) -> int:
             return _usage("--mutate expects 'p,k' with integers")
         if args.rho_zero and p > 0:
             return _usage(f"--mutate cell {mutate} has p > 0, which --rho-zero never reads")
-        for r in ranks:
-            if mutate not in cells(r):
-                return _usage(f"--mutate cell {mutate} is not in the rank-{r} table")
+        # the tables grow with the rank, so the lowest rank's table decides
+        if mutate not in cells(ranks[0]):
+            return _usage(f"--mutate cell {mutate} is not in the rank-{ranks[0]} table")
     certificates = []
     try:
         with _time_budget(args.time_budget):
@@ -243,18 +242,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cross_check(args) -> int:
-    if not 1 <= args.max_r <= _BOUNDS["cross_check"]:
-        return _usage(f"cross-check --max-r must be in 1..{_BOUNDS['cross_check']}")
-    if not 0 <= args.solve_max_r <= _BOUNDS["cross_check_solve"]:
-        return _usage(f"--solve-max-r must be in 0..{_BOUNDS['cross_check_solve']}")
-    ranks = range(1, args.max_r + 1)
-    try:
-        with _time_budget(args.time_budget):
-            agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks])
-    except TimeBudgetExceeded:
-        _emit(args, _json_dump({"error": "time budget exceeded"}))
-        return EXIT_RESOURCE
-    return _render(args, CrossCheckReport(args.max_r, args.solve_max_r, dict(zip(ranks, agree))))
+    if args.max_r < 1:
+        return _usage("cross-check --max-r must be positive")
+    if args.solve_max_r < 0:
+        return _usage("--solve-max-r must not be negative")
+
+    def check():
+        ranks = range(1, args.max_r + 1)
+        agree = _pmap(pipelines_agree, [(r, r <= args.solve_max_r) for r in ranks])
+        return CrossCheckReport(args.max_r, args.solve_max_r, dict(zip(ranks, agree)))
+
+    return _budgeted(args, check)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +261,17 @@ def _cmd_cross_check(args) -> int:
 
 
 def _cmd_repcheck(args) -> int:
-    if args.bound < 1:
-        return _usage("--bound must be positive")
-    if not 1 <= args.r <= args.bound:
-        return _usage(f"repcheck --r must be in 1..{args.bound} (see --bound)")
-    if args.pipeline == "solve" and args.r > _BOUNDS["coeffs_solve"]:
-        return _usage(f"repcheck --r must be in 1..{_BOUNDS['coeffs_solve']} for pipeline solve")
+    if args.r < 1:
+        return _usage("repcheck --r must be positive")
     if args.samples < 1:
         return _usage("--samples must be positive")
-    table = PIPELINES[args.pipeline](args.r)
-    tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
-    return _render(args, MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks)))
+
+    def check():
+        table = PIPELINES[args.pipeline](args.r)
+        tasks = [(args.r, table, args.seed, i) for i in range(args.samples)]
+        return MatrixReport(args.r, args.seed, (0, 1), _pmap(matrix_point, tasks))
+
+    return _budgeted(args, check)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,9 @@ def _cmd_repcheck(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    if not 1 <= args.r <= _BOUNDS["spectral"]:
-        return _usage(f"spectral --r must be in 1..{_BOUNDS['spectral']}")
-    return _render(args, spectral_polynomial_check(args.r))
+    if args.r < 1:
+        return _usage("spectral --r must be positive")
+    return _budgeted(args, lambda: spectral_polynomial_check(args.r))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_choices=("text", "json")):
         p.add_argument("--format", choices=fmt_choices, default="text")
         p.add_argument("--output", default=None, help="write output to this path")
+        p.add_argument("--time-budget", type=float, default=None, dest="time_budget",
+                       metavar="SECONDS", help="exit 3 once this much wall time has passed")
 
     p = sub.add_parser("coeffs", help="emit one rank's coefficient table")
     p.add_argument("--r", type=int, required=True)
@@ -317,17 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-zero", action="store_true", dest="rho_zero",
                    help="verify the q-Serre degeneration with the truncated rule")
     p.add_argument("--extended", action="store_true",
-                   help=f"lift the rank bound from {_BOUNDS['verify']} to {_BOUNDS['verify_extended']}")
+                   help="accepted and ignored: no rank is capped any more")
     p.add_argument("--mutate", default=None, metavar="p,k",
                    help="perturb one table entry by q (falsification drill)")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cross-check", help="compare the coefficient pipelines")
     p.add_argument("--max-r", type=int, required=True, dest="max_r")
     p.add_argument("--solve-max-r", type=int, default=0, dest="solve_max_r")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
     common(p)
     p.set_defaults(func=_cmd_cross_check)
 
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", choices=sorted(PIPELINES), default="recursive")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=_BOUNDS["repcheck_default"])
     common(p)
     p.set_defaults(func=_cmd_repcheck)
 

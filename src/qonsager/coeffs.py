@@ -22,7 +22,6 @@ Exact agreement of all pipelines is the core evidence this package produces.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -162,17 +161,26 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
     return {(m, p, j): v for m in range(2, m_max + 1) for (p, j), v in _eta_row(m).items()}
 
 
-@functools.lru_cache(maxsize=None)
+# The eta rows built so far in this process, row m at index m - 2.
+_eta_rows = [{(0, 0): q_int(2), (0, 1): -ONE, (1, 1): ONE}]
+
+
 def _eta_row(m: int) -> dict[tuple[int, int], LaurentScalar]:
-    """Row m >= 2 of the eta table, keyed (p, j).  Callers must not mutate it."""
-    if m == 2:
-        return {(0, 0): q_int(2), (0, 1): -ONE, (1, 1): ONE}
+    """Row m >= 2 of the eta table, keyed (p, j).  Callers must not mutate it.
+
+    The missing rows up to m are built bottom-up in a loop, so a deep row
+    does not deepen the stack.
+    """
+    if m < 2:
+        raise ValueError("eta rows start at m = 2")
     two = q_int(2)
-    prev_row = _eta_row(m - 1)
-    prev = lambda p, j: prev_row.get((p, j), ZERO)  # noqa: E731
-    row = {(p, 0): two * prev(p, 0) + prev(p, 1) for p in range((m + 1) // 2)}
-    row.update({(p, 1): prev(p - 1, 0) - prev(p, 0) for p in range(m // 2 + 1)})
-    return row
+    for n in range(len(_eta_rows) + 2, m + 1):
+        prev_row = _eta_rows[-1]
+        prev = lambda p, j: prev_row.get((p, j), ZERO)  # noqa: E731
+        row = {(p, 0): two * prev(p, 0) + prev(p, 1) for p in range((n + 1) // 2)}
+        row.update({(p, 1): prev(p - 1, 0) - prev(p, 0) for p in range(n // 2 + 1)})
+        _eta_rows.append(row)
+    return _eta_rows[m - 2]
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +273,25 @@ def _next_table(
     return c
 
 
-@functools.lru_cache(maxsize=None)
+# The recursive chain built so far in this process, rank r at index r.
+_recursive_chain = [{(0, 0): ONE, (0, 1): ONE}]
+
+
 def _recursive_entries(r: int) -> dict[tuple[int, int], LaurentScalar]:
-    """The rank-r entries, one _next_table step past the cached rank r-1.
+    """The rank-r entries, built one _next_table step per rank past the chain's top.
 
     The chain starts from the trivial rank-0 relation A_i - A_i = 0, that is
     c[0,0,0] = c[0,0,1] = 1, so the rank-1 defining relation is its first
-    step.  One chain per process: every rank built so far is kept, so the
-    ranks 1..r cost r steps in all.  Callers must not mutate the result.
+    step.  One chain per process, extended bottom-up in a loop: every rank
+    built so far is kept, so the ranks 1..r cost r steps in all and no rank
+    deepens the stack.  Callers must not mutate the result.
     """
-    if r == 0:
-        return {(0, 0): ONE, (0, 1): ONE}
-    # the induction step to rank r reads eta rows m <= r + 1 only
-    return _next_table(r, _recursive_entries(r - 1), eta_table(r + 1))
+    if r < 0:
+        raise ValueError("rank must be >= 0")
+    for n in range(len(_recursive_chain), r + 1):
+        # the induction step to rank n reads eta rows m <= n + 1 only
+        _recursive_chain.append(_next_table(n, _recursive_chain[-1], eta_table(n + 1)))
+    return _recursive_chain[r]
 
 
 def c_recursive(r: int) -> CoeffTable:

@@ -14,6 +14,7 @@ import time
 
 from coefficients import rho
 from known_tables import bar_invariant_ok, eta_moves, fixture_table, palindromic_ok, reducer_moves
+from slow_reducer import reduce_randomized
 
 from qonsager.coeffs import (
     c_closed,
@@ -24,12 +25,7 @@ from qonsager.coeffs import (
 )
 from qonsager.freealg import NCPolynomial, word, word_from_exponents
 from qonsager.qcoeff import LaurentScalar, q_binomial, q_int
-from qonsager.reducer import (
-    kernel_backend,
-    reduce,
-    reduce_randomized,
-    reduce_with_stats,
-)
+from qonsager.reducer import kernel_backend, reduce, reduce_with_stats
 from qonsager.repcheck import (
     MatrixReport,
     matrix_point,

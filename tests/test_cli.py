@@ -50,9 +50,21 @@ def test_coeffs_csv(capsys):
 
 
 def test_coeffs_rejects_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "coeffs", "--r", "99")
-    assert code == EXIT_USAGE
-    assert "1..32" in err
+    for r in ("0", "-4"):
+        code, out, err = run_cli(capsys, "coeffs", "--r", r)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "qonsager: error: coeffs --r must be positive\n"
+
+
+def test_a_rank_past_the_recursion_limit_runs_out_of_time_not_stack(capsys):
+    # No cap refuses rank 1100 (the old one was 32), and the recursive chain
+    # and the eta rows are built in a loop, so only its budget stops it:
+    # exit 3, never 1 for an uncaught RecursionError.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "coeffs", "--r", "1100", "--time-budget", "0.5")
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_RESOURCE and err == ""
+    assert json.loads(out) == {"error": "time budget exceeded"}
 
 
 def test_verify_single_rank(capsys):
@@ -70,11 +82,14 @@ def test_verify_requires_rank(capsys):
 
 
 def test_verify_bound_and_extended_flag(capsys):
-    code, _, err = run_cli(capsys, "verify", "--r", "7")
-    assert code == EXIT_USAGE and "--extended" in err
-    # --extended lifts the bound to 8; rank 9 stays out regardless.
-    code, _, err = run_cli(capsys, "verify", "--r", "9", "--extended")
-    assert code == EXIT_USAGE
+    # No rank cap: rank 7, past the old cap of 6 without --extended, runs.
+    code, out, _ = run_cli(capsys, "verify", "--r", "7")
+    assert code == EXIT_PASS and out.endswith("verified: 1/1\n")
+    # --extended is accepted and changes nothing (timings zeroed).
+    code, out, err = run_cli(capsys, "verify", "--max-r", "3")
+    extended = run_cli(capsys, "verify", "--max-r", "3", "--extended")
+    assert code == EXIT_PASS
+    assert (extended[0], _zero_ms(extended[1]), extended[2]) == (code, _zero_ms(out), err)
 
 
 def test_verify_mutation_falsifies(capsys):
@@ -114,7 +129,7 @@ def test_verify_rho_zero_mutate_unread_cell_is_usage_error(capsys):
 def test_verify_max_r_below_one_is_usage_error(capsys, fmt):
     code, out, err = run_cli(capsys, "verify", "--max-r", "0", "--format", fmt)
     assert code == EXIT_USAGE and out == ""
-    assert err.startswith("qonsager: error: verify ranks must be in 1..")
+    assert err == "qonsager: error: verify ranks must be positive\n"
 
 
 def test_verify_rho_zero(capsys):
@@ -133,8 +148,9 @@ def test_verify_time_budget_exhaustion(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--max-r", "2"], ["cross-check", "--max-r", "2"]],
-    ids=["verify", "cross-check"],
+    [["verify", "--max-r", "2"], ["cross-check", "--max-r", "2"], ["coeffs", "--r", "2"],
+     ["repcheck", "--r", "2"], ["spectral", "--r", "2"]],
+    ids=["verify", "cross-check", "coeffs", "repcheck", "spectral"],
 )
 def test_nan_time_budget_is_usage_error(argv, capsys):
     # time.monotonic() > nan is never true, so a NaN budget would never run out.
@@ -180,6 +196,23 @@ def test_verify_time_budget_runs_out_inside_a_rank(capsys, monkeypatch):
     assert json.loads(out) == {"error": "time budget exceeded", "completed": []}
 
 
+@pytest.mark.parametrize("command", ["coeffs", "repcheck", "spectral"])
+def test_time_budget_runs_out_inside_the_computation(command, capsys, monkeypatch):
+    # Each command's one long call would take five seconds; the timer stops
+    # it within half a second of the budget.
+    if command == "coeffs":
+        monkeypatch.setitem(PIPELINES, "recursive", _spin)
+    elif command == "repcheck":
+        monkeypatch.setattr(cli, "matrix_point", _spin)
+    else:
+        monkeypatch.setattr(cli, "spectral_polynomial_check", _spin)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, command, "--r", "2", "--time-budget", "0.2")
+    assert time.monotonic() - start < 0.7
+    assert code == EXIT_RESOURCE and err == ""
+    assert json.loads(out) == {"error": "time budget exceeded"}
+
+
 def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
     # Both workers are inside a five-second call when the budget runs out;
     # leaving the pool terminates them instead of waiting.
@@ -188,6 +221,20 @@ def test_cross_check_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pipelines_agree", _spin)
     start = time.monotonic()
     code, out, _ = run_cli(capsys, "cross-check", "--max-r", "4", "--time-budget", "0.3")
+    assert time.monotonic() - start < 3.0
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {"error": "time budget exceeded"}
+    assert multiprocessing.active_children() == []
+
+
+def test_repcheck_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
+    # As for cross-check: both workers are inside a five-second sample point
+    # when the budget runs out, and none is left running.
+    monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(cli, "matrix_point", _spin)
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "repcheck", "--r", "2", "--samples", "4", "--time-budget", "0.3")
     assert time.monotonic() - start < 3.0
     assert code == EXIT_RESOURCE
     assert json.loads(out) == {"error": "time budget exceeded"}
@@ -258,28 +305,40 @@ def test_repcheck_json(capsys):
 
 
 def test_repcheck_bound(capsys):
-    code, _, err = run_cli(capsys, "repcheck", "--r", "6")
-    assert code == EXIT_USAGE and "--bound" in err
+    # No rank cap: rank 6, past the old default cap of 5, runs; --bound,
+    # which used to lift that cap, is gone and is an argparse usage error.
+    code, out, _ = run_cli(capsys, "repcheck", "--r", "6", "--samples", "1")
+    assert code == EXIT_PASS and "zero=True" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["repcheck", "--r", "1", "--bound", "6"])
+    assert exc.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_repcheck_bound_must_be_positive(bound, capsys):
-    code, out, err = run_cli(capsys, "repcheck", "--r", "1", "--bound", bound)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_repcheck_rank_and_samples_must_be_positive(value, capsys):
+    code, out, err = run_cli(capsys, "repcheck", "--r", value)
     assert code == EXIT_USAGE and out == ""
-    assert err == "qonsager: error: --bound must be positive\n"
+    assert err == "qonsager: error: repcheck --r must be positive\n"
+    code, out, err = run_cli(capsys, "repcheck", "--r", "1", "--samples", value)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "qonsager: error: --samples must be positive\n"
 
 
-def test_repcheck_solve_pipeline_keeps_the_solve_rank_cap(capsys, monkeypatch):
-    # --bound lifts only the repcheck cap; the solve pipeline must still
-    # refuse a rank that coeffs --pipeline solve refuses, before it starts.
-    def refuse(r):
-        raise AssertionError(f"c_solve({r}) started")
+def test_repcheck_solve_pipeline_has_no_rank_cap(capsys, monkeypatch):
+    # Rank 11, past the old solve cap of 10, reaches the solve pipeline in
+    # repcheck and in coeffs (here a stand-in with the recursive table).
+    ranks = []
 
-    monkeypatch.setitem(PIPELINES, "solve", refuse)
-    code, _, err = run_cli(capsys, "repcheck", "--r", "11", "--bound", "11", "--pipeline", "solve")
-    assert code == EXIT_USAGE and "pipeline solve" in err
-    code, _, err = run_cli(capsys, "coeffs", "--r", "11", "--pipeline", "solve")
-    assert code == EXIT_USAGE and "pipeline solve" in err
+    def solve(r):
+        ranks.append(r)
+        return PIPELINES["recursive"](r)
+
+    monkeypatch.setitem(PIPELINES, "solve", solve)
+    code, _, _ = run_cli(capsys, "repcheck", "--r", "11", "--samples", "1", "--pipeline", "solve")
+    assert code == EXIT_PASS
+    code, _, _ = run_cli(capsys, "coeffs", "--r", "11", "--pipeline", "solve")
+    assert code == EXIT_PASS
+    assert ranks == [11, 11]
 
 
 def test_spectral(capsys):
@@ -483,6 +542,9 @@ GOLDEN_ARGV = {
     },
     "verify-time-budget-0": ["verify", "--max-r", "3", "--time-budget", "0"],
     "cross-check-time-budget-0": ["cross-check", "--max-r", "3", "--time-budget", "0"],
+    "coeffs-time-budget-0": ["coeffs", "--r", "4", "--time-budget", "0"],
+    "repcheck-time-budget-0": ["repcheck", "--r", "2", "--time-budget", "0"],
+    "spectral-time-budget-0": ["spectral", "--r", "3", "--time-budget", "0"],
 }
 
 

@@ -36,7 +36,7 @@ from qonsager.qcoeff import (
     q_binomial,
     q_int,
 )
-from qonsager.reducer import redex_positions, reduce
+from qonsager.reducer import reduce
 from qonsager.freealg import NCPolynomial, concat, monomial, word
 
 
@@ -51,6 +51,7 @@ from known_tables import (
     reducer_moves,
     solve_rows_by_cells,
 )
+from slow_reducer import redex_positions
 
 
 def L(d):
@@ -124,14 +125,16 @@ def test_eta_expansion_matches_displayed_m3():
     assert eta_moves(eta_table(3), 3) == expected
 
 
-def test_eta_rows_are_built_once_per_process():
-    coeffs_mod._eta_row.cache_clear()
+def test_eta_rows_are_built_once_per_process(monkeypatch):
+    monkeypatch.setattr(coeffs_mod, "_eta_rows", coeffs_mod._eta_rows[:1])
     first = eta_table(12)
-    built = coeffs_mod._eta_row.cache_info().misses
-    assert built == 11  # rows 2..12
+    rows = list(coeffs_mod._eta_rows)
+    assert len(rows) == 11  # rows 2..12
     assert eta_table(12) == first
     assert eta_table(6).items() <= first.items()
-    assert coeffs_mod._eta_row.cache_info().misses == built
+    # no row is built again: every read returns the kept row
+    assert coeffs_mod._eta_rows == rows
+    assert all(coeffs_mod._eta_row(m) is rows[m - 2] for m in range(2, 13))
     # each call returns its own dict
     first[(2, 0, 0)] = ZERO
     assert eta_table(2)[(2, 0, 0)] == TWO
@@ -602,11 +605,8 @@ def test_recursive_chain_takes_one_step_per_rank(monkeypatch):
         return step(r, prev, eta)
 
     monkeypatch.setattr(coeffs_mod, "_next_table", counted)
-    coeffs_mod._recursive_entries.cache_clear()
-    try:
-        tables = [c_recursive(r) for r in range(1, 15)]
-    finally:
-        coeffs_mod._recursive_entries.cache_clear()
+    monkeypatch.setattr(coeffs_mod, "_recursive_chain", coeffs_mod._recursive_chain[:1])
+    tables = [c_recursive(r) for r in range(1, 15)]
     assert steps == list(range(1, 15))
     assert tables[-1] == c_from_polynomial(14)
 
@@ -648,16 +648,13 @@ def test_packed_bounds_hold_for_every_decode(monkeypatch):
         return out
 
     monkeypatch.setattr(coeffs_mod, "_kunpack", checked)
-    coeffs_mod._recursive_entries.cache_clear()
-    try:
-        for r in range(1, 17):
-            pipelines = (c_recursive, c_closed, c_from_polynomial) + ((c_solve,) if r <= 9 else ())
-            for pipeline in pipelines:
-                before = len(decodes)
-                pipeline(r)
-                assert len(decodes) > before, (pipeline.__name__, r)
-    finally:
-        coeffs_mod._recursive_entries.cache_clear()
+    monkeypatch.setattr(coeffs_mod, "_recursive_chain", coeffs_mod._recursive_chain[:1])
+    for r in range(1, 17):
+        pipelines = (c_recursive, c_closed, c_from_polynomial) + ((c_solve,) if r <= 9 else ())
+        for pipeline in pipelines:
+            before = len(decodes)
+            pipeline(r)
+            assert len(decodes) > before, (pipeline.__name__, r)
 
 
 def test_closed_bound_scales_with_its_binomials(monkeypatch):

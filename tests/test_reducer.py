@@ -13,14 +13,9 @@ from qonsager import _kernel_py
 from qonsager.coeffs import c_recursive, cells
 from qonsager.freealg import AI, AJ, UNIT, NCPolynomial, letters, monomial, word
 from qonsager.qcoeff import ONE, ZERO, LaurentScalar, q_int
-from qonsager.reducer import (
-    _rewrite_codes,
-    redex_positions,
-    reduce,
-    reduce_randomized,
-    reduce_with_stats,
-)
+from qonsager.reducer import reduce, reduce_with_stats
 from qonsager.verify import build_delta, perturbed_table
+from slow_reducer import _rewrite_codes, redex_positions, reduce_randomized
 
 
 W = word
