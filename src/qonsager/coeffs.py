@@ -38,7 +38,6 @@ from .qcoeff import (
     _l1,
     _mnorm,
     _mprod,
-    _pdot,
     _pneg,
     q_int,
 )
@@ -440,47 +439,82 @@ def delta_indices(r: int) -> list[tuple[int, int, int]]:
     return [(p, k, (-1) ** (p + k)) for (p, k) in cells(r)]
 
 
-def _divide(acc: LaurentScalar, lead: LaurentScalar, cell) -> LaurentScalar:
-    """acc / lead for an unknown cell; the table lives in Z[q, q^-1], so a
-    division that is not exact means no Laurent-polynomial solution."""
+def _halves(a: dict, nb: int) -> list[tuple[int, tuple[int, int]]]:
+    """(parity, packed half) for each nonzero parity half of a at width 8*nb."""
     try:
-        return acc / lead
-    except ArithmeticError as exc:
-        raise CoefficientSystemError(
-            f"unknown {cell} has no Laurent-polynomial solution"
-        ) from exc
+        return [(min(a) & 1, _kpack(a, nb))] if a else []
+    except ValueError:  # both parities: pack each half apart
+        halves = ({}, {})
+        for e, c in a.items():
+            halves[e & 1][e] = c
+        return [(parity, _kpack(h, nb)) for parity, h in enumerate(halves)]
+
+
+def _residual(rows: dict, values: dict) -> dict:
+    """Each row's nonzero sum of coeff * value, as {key: poly dict}.
+
+    rows maps a key to {cell: LaurentScalar coefficient}; values holds every
+    cell of every row.  The sums run on qcoeff's packed layer at one width,
+    from the largest row bound sum ||coeff||_1 ||value||_1.  Each operand is
+    split into its even- and odd-exponent halves, so any Laurent polynomial
+    is accepted, and a row is one _kdot per product parity; each nonzero sum
+    is decoded against its row's bound.
+    """
+    norms = {cell: _l1(v.num) for cell, v in values.items()}
+    bounds = {key: sum(_l1(coeff.num) * norms[cell] for cell, coeff in row.items())
+              for key, row in rows.items()}
+    nb = _kwidth(max([*bounds.values(), *norms.values()], default=0))
+    packed = {cell: _halves(v.num, nb) for cell, v in values.items()}
+    out = {}
+    for key, row in rows.items():
+        sums = ([], [])
+        for cell, coeff in row.items():
+            if packed[cell]:  # a zero value leaves its coefficient unbounded and unused
+                for pa, a in _halves(coeff.num, nb):
+                    for pb, b in packed[cell]:
+                        sums[pa ^ pb].append((1, a, b))
+        for terms in sums:
+            v, low = _kdot(terms, nb)
+            if v:
+                out.setdefault(key, {}).update(_kunpack(v, low, nb, bounds[key]))
+    return out
 
 
 def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
     """Solve the homogeneous rows sum_cell coeff * value = 0 in one pass.
 
     rows maps a sortable key to {cell: nonzero coefficient}; known holds the
-    cells fixed in advance.  The rows are visited once in descending key
-    order.  The known part of a row is one _pdot over its (coefficient,
-    value) pairs.  A row with one open cell fixes it by one exact division,
-    a row with none is checked, and a row with two or more raises (not
-    triangular).  Each unknown is fixed by a row in which it was the only
-    open cell, so the solution is unique; each row was either used, and
-    holds with the final values, or checked, so the solution exists.
-    Returns every value, known ones included.  Raises
-    CoefficientSystemError when the rows are not triangular in this order,
-    when a value is not a Laurent polynomial, when a row fails, or when no
-    row fixes an unknown (under-determined).
+    cells fixed in advance.  Visited in descending key order, a row with one
+    open cell fixes it by an exact division, so the solution is unique; a
+    row with two or more stops the pass (not triangular), and so does a
+    quotient outside Z[q, q^-1].  One _residual over the rows visited then
+    proves existence, a failing row taking precedence as a check at each
+    row would.  Returns every value, known ones included, or raises
+    CoefficientSystemError, also when no row fixes an unknown.
     """
+    order = sorted(rows, reverse=True)
     values = dict(known)
-    for key in sorted(rows, reverse=True):
+    error = None
+    for i, key in enumerate(order):
         row = rows[key]
         open_cells = [cell for cell in row if cell not in values]
-        if len(open_cells) > 1:
-            raise CoefficientSystemError(
-                f"not triangular: row {key} has the open unknowns {open_cells}"
-            )
-        rest = _pdot([(-1, v.num, values[cell].num) for cell, v in row.items() if cell in values])
-        if open_cells:
+        if len(open_cells) == 1:
             (cell,) = open_cells
-            values[cell] = _divide(LaurentScalar._raw(rest), row[cell], cell)
-        elif rest:
-            raise CoefficientSystemError(f"inconsistent system: row {key} fails")
+            rest = sum((v * values[c] for c, v in row.items() if c != cell), ZERO)
+            try:
+                values[cell] = -rest / row[cell]
+            except ArithmeticError:  # the table lives in Z[q, q^-1]
+                error = f"unknown {cell} has no Laurent-polynomial solution"
+        elif open_cells:
+            error = f"not triangular: row {key} has the open unknowns {open_cells}"
+        if error:
+            order = order[:i]
+            break
+    failing = _residual({key: rows[key] for key in order}, values)
+    if failing:
+        raise CoefficientSystemError(f"inconsistent system: row {max(failing)} fails")
+    if error:
+        raise CoefficientSystemError(error)
     missing = [cell for cell in unknowns if cell not in values]
     if missing:
         raise CoefficientSystemError(f"under-determined: no row fixes the unknowns {missing}")
@@ -558,26 +592,13 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     return forms
 
 
-def c_solve(r: int) -> CoeffTable:
-    """The rank-r table as the unique solution of the cancellation system.
+def _relation_rows(r: int, forms: dict[int, dict[int, dict]]) -> dict:
+    """The rows {(normal word code, rho degree): {cell: coefficient}} of the
+    rank-r relation over forms = _normal_forms(r), each of which must vanish.
 
-    Every entry is an unknown except c[r,0,0] = 1.  Cell (p, k) carries the
-    monomial I^a J^r I^k, a = r - 2p + 1 - k, whose normal form is
-    N(a, r) I^k: appending I's never creates a factor IIJ.  The coefficient
-    of every residual (normal word, rho degree) pair must vanish.  Read from
-    the largest normal word down, that system is triangular: each row
-    leaves at most one cell open (checked at r = 1..10), so
-    _solve_triangular solves it in one pass, and checks every row it does
-    not use.  The normal forms come from the rewrite rule alone
-    (_normal_forms, whose moves are read off the reducer), so this pipeline
-    shares nothing with the other three.  Any failure raises
-    CoefficientSystemError; an inconsistency would falsify the relation's
-    existence at this rank, a row with two open cells only that one pass
-    cannot decide it.
+    Cell (p, k) carries the monomial I^a J^r I^k, a = r - 2p + 1 - k, whose
+    normal form is N(a, r) I^k: appending I's never creates a factor IIJ.
     """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    forms = _normal_forms(r)
     rows: dict[tuple[int, int], dict[tuple[int, int], LaurentScalar]] = {}
     for (p, k, sign) in delta_indices(r):
         tail = word_from_exponents(0, 0, k)
@@ -586,6 +607,24 @@ def c_solve(r: int) -> CoeffTable:
             for d, num in coeff.items():
                 rows.setdefault((code, p + d), {})[(p, k)] = LaurentScalar._raw(
                     num if sign > 0 else _pneg(num))
+    return rows
+
+
+def c_solve(r: int) -> CoeffTable:
+    """The rank-r table as the unique solution of the cancellation system.
+
+    Every entry is an unknown except c[r,0,0] = 1, and every row of
+    _relation_rows must vanish.  Down the term order that system is
+    triangular (checked at r = 1..11): _solve_triangular solves it in one
+    pass and proves the solution with one _residual.  The normal forms come
+    from the rewrite rule alone (_normal_forms reads its moves off the
+    reducer), so this pipeline shares nothing with the other three.  A
+    failure raises CoefficientSystemError: an inconsistency would falsify
+    the relation at this rank, while two open cells only stall the pass.
+    """
+    if r < 1:
+        raise ValueError("rank must be >= 1")
+    rows = _relation_rows(r, _normal_forms(r))
     return CoeffTable(r, _solve_triangular(rows, cells(r), {(0, 0): ONE}), "solve")
 
 

@@ -7,15 +7,14 @@ divide.
 
 Representation: a "poly dict" maps an integer q-exponent to a nonzero integer
 coefficient; the empty dict is zero.  A LaurentScalar stores one poly dict,
-so equal values have identical representations.  Products go through one
-sum of products, ``_pdot``: it adds every pair product of its (int scale,
-poly dict, poly dict) triples into one dense accumulator over their exponent
-span and builds the result dict once.  ``_pmul`` is a one-term ``_pdot``, or
-a scale-and-shift when an operand has a single term.  A polynomial in further
-variables maps the exponents of those variables to nonzero poly dicts in q
-(``_madd``, ``_msub``): a 3-int exponent tuple for the multivariate
-polynomials of coeffs and repcheck (``_mmul``), or the rho degree for the
-rho-polynomials that are the free algebra's coefficients (``_rmul``).
+so equal values have identical representations.  ``_pmul`` multiplies two
+poly dicts one pair of terms at a time, or by a scale-and-shift when an
+operand has a single term; sums of many products go through the packed
+layer below.  A polynomial in further variables maps the exponents of those
+variables to nonzero poly dicts in q (``_madd``, ``_msub``): a 3-int
+exponent tuple for the multivariate polynomials of coeffs and repcheck
+(``_mmul``), or the rho degree for the rho-polynomials that are the free
+algebra's coefficients (``_rmul``).
 
 The packed layer (Kronecker substitution) serves the coefficient pipelines.
 A poly dict a whose exponents all have the parity of its least one, low, is
@@ -33,9 +32,9 @@ result from the l1 norms of its operands (|(ab)_e| <= ||a||_1 ||b||_1 for
 each exponent e), takes B from the largest bound (``_kwidth``), packs each
 operand once and decodes each result once; ``_kunpack`` raises
 OverflowError unless 2^(B-1) exceeds the bound it is given, so a width too
-narrow for its bound cannot alias silently.  Every q-polynomial of the
-pipelines has one exponent parity, and so do the terms of each of their
-sums; an operand or a sum that does not raises ValueError.
+narrow for its bound cannot alias silently.  A packed operand, and the
+terms of one packed sum, must share one exponent parity (ValueError
+otherwise); ``coeffs._residual`` splits its operands by parity to meet it.
 
 Everything is exact; no floats appear anywhere.  Values are immutable after
 construction and all operations are pure, so they are safe to share between
@@ -78,56 +77,25 @@ def _psub(a: dict, b: dict) -> dict:
     return out
 
 
-def _pdot(terms) -> dict:
-    """The poly dict of sum s*a*b over (int s, poly dict a, poly dict b) triples.
-
-    Every pair product is added into one dense list of integers over the
-    exponent span min(min a + min b) .. max(max a + max b) of all triples,
-    and the dict of nonzero entries is built once at the end, so no partial
-    sum is ever a dict.  Cost and memory therefore grow with that span as
-    well as with the number of pairs; for this package's q-polynomials the
-    span is O(r^2).  Triples with s == 0 or an empty operand are skipped.
-    """
-    lo = hi = None
-    live = []
-    for s, a, b in terms:
-        if s and a and b:
-            live.append((s, a, b))
-            low, high = min(a) + min(b), max(a) + max(b)
-            if lo is None or low < lo:
-                lo = low
-            if hi is None or high > hi:
-                hi = high
-    if lo is None:
-        return {}
-    acc = [0] * (hi - lo + 1)
-    for s, a, b in live:
-        if len(a) > len(b):
-            a, b = b, a
-        shifted = [(e - lo, c) for e, c in b.items()]
-        for ea, ca in a.items():
-            ca *= s
-            for eb, cb in shifted:
-                acc[ea + eb] += ca * cb
-    return {e: c for e, c in enumerate(acc, lo) if c}
-
-
 def _pmul(a: dict, b: dict) -> dict:
-    """The product a*b as a one-term _pdot.
+    """The product a*b, one pair of terms at a time in a dict.
 
-    An operand with a single term is scaled and shifted directly instead.
-    Most products outside the coefficient pipelines are of that kind, so it
-    is a plain loop: a comprehension would cost a frame per call.
+    An operand with a single term is scaled and shifted by a plain loop, as
+    most products are of that kind: a comprehension would cost a frame.
     """
     if len(b) == 1:
         a, b = b, a
-    if len(a) != 1:
-        return _pdot(((1, a, b),))
-    ((ea, ca),) = a.items()
     out = {}
-    for e, c in b.items():
-        out[ea + e] = ca * c
-    return out
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        for e, c in b.items():
+            out[ea + e] = ca * c
+        return out
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +266,18 @@ def _pshift(a: dict, k: int) -> dict:
     return {e + k: c for e, c in a.items()}
 
 
-def _pval(a: dict) -> int:
-    return min(a)
-
-
-def _pdeg(a: dict) -> int:
-    return max(a)
-
-
 def _pexact_div(a: dict, b: dict) -> dict:
     """Exact division of poly dicts over Z; raises if it does not divide."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
-    db = _pdeg(b)
+    db = max(b)
     lb = b[db]
     out: dict = {}
     r = dict(a)
     while r:
-        dr = _pdeg(r)
+        dr = max(r)
         if dr < db:
             raise ArithmeticError("inexact polynomial division")
         lr = r[dr]
@@ -427,7 +387,7 @@ class LaurentScalar:
             raise ZeroDivisionError("division of LaurentScalar by zero")
         if self.is_zero:
             return self
-        va, vb = _pval(self.num), _pval(o.num)
+        va, vb = min(self.num), min(o.num)
         quotient = _pexact_div(_pshift(self.num, -va), _pshift(o.num, -vb))
         return LaurentScalar._raw(_pshift(quotient, va - vb))
 

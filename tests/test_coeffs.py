@@ -5,6 +5,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qonsager.coeffs as coeffs_mod
 
@@ -401,6 +403,16 @@ def test_solver_refuses_a_triangular_system_out_of_order():
     assert str(info.value) == _not_triangular(2, ["x", "y"])
 
 
+def test_solver_reports_the_first_failing_row_before_a_stall():
+    # x = 1 fixes x, x = [2] and x = 2 both fail, and y + z = 1 would stall
+    # the pass: the first failure down the order is the one reported.
+    rows = _rows(({"x": ONE}, ONE), ({"x": ONE}, TWO), ({"x": ONE}, L({0: 2})),
+                 ({"y": ONE, "z": ONE}, ONE))
+    with pytest.raises(CoefficientSystemError) as info:
+        _solve(rows, ["x", "y", "z"])
+    assert str(info.value) == "inconsistent system: row 3 fails"
+
+
 def _random_laurent(rng):
     """A nonzero Laurent polynomial of one or two terms."""
     return L({rng.randint(-2, 2): rng.choice([-3, -2, -1, 1, 2, 3])
@@ -460,6 +472,87 @@ def test_solver_recovers_random_full_rank_systems(seed, singletons):
         _solve(_rows(*equations), range(n))
 
 
+# ---------------------------------------------------------------------------
+# the packed residual against a plain sum in LaurentScalar arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _residual_by_scalars(rows, values):
+    """Each row's nonzero sum coeff * value, one LaurentScalar product at a time."""
+    out = {}
+    for key, row in rows.items():
+        total = sum((coeff * values[cell] for cell, coeff in row.items()), ZERO)
+        if total:
+            out[key] = total.num
+    return out
+
+
+# Both exponent parities, and coefficients both small and beyond 2^64.
+laurent = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2**80, max_value=2**80))
+    .filter(bool),
+    max_size=4,
+).map(LaurentScalar)
+
+
+@st.composite
+def residual_systems(draw):
+    """Rows over up to four cells, whose values may be zero; a row may be empty."""
+    values = dict(enumerate(draw(st.lists(laurent, min_size=1, max_size=4))))
+    rows = {}
+    for key in range(draw(st.integers(min_value=0, max_value=5))):
+        row_cells = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3))
+        rows[key] = {cell: draw(laurent.filter(bool)) for cell in row_cells}
+    return rows, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(residual_systems())
+def test_residual_matches_the_scalar_sum(system):
+    rows, values = system
+    assert coeffs_mod._residual(rows, values) == _residual_by_scalars(rows, values)
+
+
+def test_residual_cancels_within_each_parity():
+    x = L({-3: 2**70, 0: 3, 1: -2})
+    q = L({1: 1})
+    values = {"x": x, "qx": q * x, "even": L({0: 3}), "1": ONE}
+    rows = {
+        0: {"x": q, "qx": -ONE},  # both parities cancel
+        1: {"x": L({1: 1, 2: 1}), "qx": -ONE},  # q^2 x: neither cancels
+        2: {"x": ONE, "even": -ONE},  # the even half cancels, the odd one stays
+        3: {"1": L({1: 5})},  # one term
+    }
+    expected = {1: (q * q * x).num, 2: {-3: 2**70, 1: -2}, 3: {1: 5}}
+    assert _residual_by_scalars(rows, values) == expected
+    assert coeffs_mod._residual(rows, values) == expected
+    assert coeffs_mod._residual({}, values) == coeffs_mod._residual({}, {}) == {}
+
+
+def test_residual_bounds_hold_for_every_decode(monkeypatch):
+    # The relation's residual on its own solution is zero, so c_solve decodes
+    # only its normal forms there; one cell times q breaks rows of both
+    # parities, and each of their sums is decoded against its row's bound.
+    unpack = coeffs_mod._kunpack
+    decodes = []
+
+    def checked(v, low, nb, bound):
+        out = unpack(v, low, nb, bound)
+        assert bound >= _l1(out), (bound, _l1(out))
+        decodes.append(bound)
+        return out
+
+    monkeypatch.setattr(coeffs_mod, "_kunpack", checked)
+    q = L({1: 1})
+    for r in range(1, 9):
+        entries = c_solve(r).entries
+        rows = coeffs_mod._relation_rows(r, coeffs_mod._normal_forms(r))
+        before = len(decodes)
+        assert coeffs_mod._residual(rows, {**entries, (0, 1): q * entries[(0, 1)]})
+        assert len(decodes) > before, r
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_singleton_substitution_fixes_every_unknown_of_the_relation(r):
     # Down the term order each row of the rank-r cancellation system leaves
@@ -468,24 +561,9 @@ def test_singleton_substitution_fixes_every_unknown_of_the_relation(r):
     assert c_solve(r) == c_from_polynomial(r)
 
 
-def _solve_rows(r, monkeypatch):
-    """The rows c_solve(r) hands to _solve_triangular."""
-    captured = []
-    solve = coeffs_mod._solve_triangular
-
-    def capture(rows, unknowns, known):
-        captured.append(rows)
-        return solve(rows, unknowns, known)
-
-    monkeypatch.setattr(coeffs_mod, "_solve_triangular", capture)
-    c_solve(r)
-    (rows,) = captured
-    return rows
-
-
 @pytest.mark.parametrize("r", range(1, 9))
-def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, monkeypatch):
-    rows = _solve_rows(r, monkeypatch)
+def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r):
+    rows = coeffs_mod._relation_rows(r, coeffs_mod._normal_forms(r))
     fixed = {(0, 0)}
     # keys are (normal word code, rho degree): the largest normal word first
     for key in sorted(rows, reverse=True):
@@ -496,10 +574,10 @@ def test_no_row_of_the_relation_leaves_two_cells_open_down_the_term_order(r, mon
 
 
 @pytest.mark.parametrize("r", range(1, 9))
-def test_solve_rows_match_one_kernel_run_per_cell(r, monkeypatch):
+def test_solve_rows_match_one_kernel_run_per_cell(r):
     # Same keys, same values, and each row's cells in the same order, which
     # fixes the order of the open unknowns in a "not triangular" message.
-    rows = _solve_rows(r, monkeypatch)
+    rows = coeffs_mod._relation_rows(r, coeffs_mod._normal_forms(r))
     oracle = solve_rows_by_cells(r)
     assert rows == oracle
     assert {key: list(row) for key, row in rows.items()} == {key: list(row) for key, row in oracle.items()}

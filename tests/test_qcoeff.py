@@ -1,6 +1,7 @@
 """Tests for the exact q-arithmetic layer."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from qonsager.qcoeff import (
     _mnorm,
     _mprod,
     _msub,
-    _pdot,
     _pmul,
     _rmul,
     exact_div,
@@ -228,7 +228,7 @@ def test_mmul_matches_the_flat_product(a, b, c, x, y):
 
 
 # ---------------------------------------------------------------------------
-# the dense-accumulator products _pmul and _pdot against a per-pair oracle
+# the product _pmul against a per-pair oracle
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +267,6 @@ wide_dicts = st.dictionaries(
     .filter(bool),
     max_size=5,
 )
-scales = st.integers(min_value=-5, max_value=5) | st.integers(min_value=-2**70, max_value=2**70)
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,27 +277,26 @@ def test_pmul_matches_the_per_pair_product(a, b):
     assert all(result.values())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(scales, wide_dicts, wide_dicts), max_size=4))
-def test_pdot_matches_the_per_pair_sum_of_products(terms):
-    result = _pdot(terms)
-    assert result == _naive_pdot(terms)
-    assert all(result.values())
-
-
-def test_pdot_edge_cases():
+def test_pmul_edge_cases():
     one_plus_q, one_minus_q = {0: 1, 1: 1}, {0: 1, 1: -1}
     assert _pmul({}, one_plus_q) == _pmul(one_plus_q, {}) == _pmul({}, {}) == {}
-    assert _pdot([]) == {} and _pdot([(0, one_plus_q, one_minus_q)]) == {}
     # one-term operands: scale and shift, negative exponents included
     assert _pmul({-3: -2}, {1: 5, 4: 1}) == _pmul({1: 5, 4: 1}, {-3: -2}) == {-2: -10, 1: -2}
     # (1 + q)(1 - q) = 1 - q^2 holds no zero entry at q^1
     assert _pmul(one_plus_q, one_minus_q) == {0: 1, 2: -1}
-    # a sum that cancels completely: (1 + q)(1 - q) + q^2 - 1
-    assert _pdot([(1, one_plus_q, one_minus_q), (1, {2: 1}, {0: 1}), (-1, {0: 1}, {0: 1})]) == {}
-    big = 2**64 + 3
-    assert _pdot([(3, {0: big, 10**5: 1}, {0: big, -7: -1})]) == {
-        -7: -3 * big, 0: 3 * big * big, 10**5 - 7: -3, 10**5: 3 * big}
+
+
+def test_a_wide_exponent_span_allocates_no_dense_accumulator():
+    # Two terms 10^7 apart times two terms: four pairs, whatever the span.
+    a, b = LaurentScalar({0: 1, 10**7: 1}), LaurentScalar({0: 1, 2: 1})
+    tracemalloc.start()
+    try:
+        product = a * b
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product == LaurentScalar({0: 1, 2: 1, 10**7: 1, 10**7 + 2: 1})
+    assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import json
 import pytest
 from coefficients import rho
 
+from qonsager import coeffs
 from qonsager.coeffs import c_closed, c_recursive, cells
 from qonsager.freealg import NCPolynomial, monomial
 from qonsager.qcoeff import q_binomial, q_int
-from qonsager.reducer import reduce_with_stats
+from qonsager.reducer import reduce, reduce_with_stats
 from qonsager.verify import (
     build_delta,
     perturbed_table,
@@ -104,6 +105,33 @@ def test_mutation_control_nonzero_residual():
     cert = verify_relation(3, table=perturbed_table(c_recursive(3), 1, 1))
     assert not cert.zero
     assert cert.residual_terms > 0
+
+
+def _residual_by_word(r, table):
+    """The packed residual of the rank-r relation, grouped as the kernel's terms
+    {word: {rho degree: poly dict}}."""
+    rows = coeffs._relation_rows(r, coeffs._normal_forms(r))
+    out = {}
+    for (w, d), poly in coeffs._residual(rows, table.entries).items():
+        out.setdefault(w, {})[d] = poly
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_residual_of_the_relation_is_zero(r):
+    assert _residual_by_word(r, c_recursive(r)) == {}
+
+
+@pytest.mark.parametrize(
+    "r, p, k",
+    [(r, p, k) for r in range(1, 6) for (p, k) in cells(r)] + [(8, 0, 1), (8, 1, 2)],
+)
+def test_the_residual_equals_the_kernel_term_for_term(r, p, k):
+    # Each mutation multiplies one entry by q, which mixes exponent parities.
+    table = perturbed_table(c_recursive(r), p, k)
+    expected = reduce(build_delta(r, table)).terms
+    assert expected
+    assert _residual_by_word(r, table) == expected
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
