@@ -453,26 +453,33 @@ def _halves(a: dict, nb: int) -> list[tuple[int, tuple[int, int]]]:
 def _residual(rows: dict, values: dict) -> dict:
     """Each row's nonzero sum of coeff * value, as {key: poly dict}.
 
-    rows maps a key to {cell: LaurentScalar coefficient}; values holds every
-    cell of every row.  The sums run on qcoeff's packed layer at one width,
-    from the largest row bound sum ||coeff||_1 ||value||_1.  Each operand is
-    split into its even- and odd-exponent halves, so any Laurent polynomial
-    is accepted, and a row is one _kdot per product parity; each nonzero sum
+    rows maps a key to {cell: coefficient}, and a coefficient is the tuple
+    (s, num, nb, packed): the sign s (1 or -1) times the poly dict num, with
+    packed the packed form of num at width 8*nb (nb and packed are None
+    when num is not packed).  values holds every cell of every row.  The sums run on qcoeff's packed
+    layer at one width: the least that covers the largest row bound
+    sum ||num||_1 ||value||_1 and is no narrower than any coefficient's nb,
+    so that the packed coefficients of c_solve's rows are used as they are.
+    Each value is split into its even- and odd-exponent halves, so any
+    Laurent polynomial is accepted; so is any num that is packed at another
+    width or not at all, packed here by halves from its poly dict.  A row
+    is one _kdot per product parity, with s as the scale; each nonzero sum
     is decoded against its row's bound.
     """
     norms = {cell: _l1(v.num) for cell, v in values.items()}
-    bounds = {key: sum(_l1(coeff.num) * norms[cell] for cell, coeff in row.items())
+    bounds = {key: sum(_l1(num) * norms[cell] for cell, (_, num, _, _) in row.items())
               for key, row in rows.items()}
-    nb = _kwidth(max([*bounds.values(), *norms.values()], default=0))
+    widths = {w for row in rows.values() for _, _, w, _ in row.values() if w}
+    nb = max(widths | {_kwidth(max([*bounds.values(), *norms.values()], default=0))})
     packed = {cell: _halves(v.num, nb) for cell, v in values.items()}
     out = {}
     for key, row in rows.items():
         sums = ([], [])
-        for cell, coeff in row.items():
+        for cell, (s, num, w, x) in row.items():
             if packed[cell]:  # a zero value leaves its coefficient unbounded and unused
-                for pa, a in _halves(coeff.num, nb):
+                for pa, a in (((x[1] & 1, x),) if w == nb else _halves(num, nb)):
                     for pb, b in packed[cell]:
-                        sums[pa ^ pb].append((1, a, b))
+                        sums[pa ^ pb].append((s, a, b))
         for terms in sums:
             v, low = _kdot(terms, nb)
             if v:
@@ -480,11 +487,18 @@ def _residual(rows: dict, values: dict) -> dict:
     return out
 
 
+def _scalar(coeff: tuple) -> LaurentScalar:
+    """The LaurentScalar s * num of a row coefficient (s, num, nb, packed)."""
+    s, num, _, _ = coeff
+    return LaurentScalar._raw(num if s > 0 else _pneg(num))
+
+
 def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
     """Solve the homogeneous rows sum_cell coeff * value = 0 in one pass.
 
-    rows maps a sortable key to {cell: nonzero coefficient}; known holds the
-    cells fixed in advance.  Visited in descending key order, a row with one
+    rows maps a sortable key to {cell: nonzero coefficient}, each coefficient
+    a tuple (s, num, nb, packed) as _residual takes; known holds the cells
+    fixed in advance.  Visited in descending key order, a row with one
     open cell fixes it by an exact division, so the solution is unique; a
     row with two or more stops the pass (not triangular), and so does a
     quotient outside Z[q, q^-1].  One _residual over the rows visited then
@@ -500,9 +514,9 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
         open_cells = [cell for cell in row if cell not in values]
         if len(open_cells) == 1:
             (cell,) = open_cells
-            rest = sum((v * values[c] for c, v in row.items() if c != cell), ZERO)
+            rest = sum((_scalar(v) * values[c] for c, v in row.items() if c != cell), ZERO)
             try:
-                values[cell] = -rest / row[cell]
+                values[cell] = -rest / _scalar(row[cell])
             except ArithmeticError:  # the table lives in Z[q, q^-1]
                 error = f"unknown {cell} has no Laurent-polynomial solution"
         elif open_cells:
@@ -548,7 +562,9 @@ def _moves(a: int) -> list[tuple[int, int, int, dict]]:
 
 
 def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
-    """N(a, r) = NF(I^a J^r) for 0 <= a <= r + 1, each as reduce's terms.
+    """N(a, r) = NF(I^a J^r) for 0 <= a <= r + 1, each as reduce's terms
+    {word code: {rho degree: entry}} with the entry (poly dict, nb, packed):
+    the coefficient and its packed form at width 8*nb.
 
     Two facts share the work between all a: a block IJ or J followed by a
     normal word is normal (the block ends in J, so no IIJ crosses the
@@ -565,7 +581,8 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     t = 0 (triangle inequality).  T never falls with t, so T(a, r) >= T(a, 1)
     bounds every move coefficient, and the one width from the largest
     T(a, r) packs them all.  The ints in between need no bound, since
-    evaluation at q^2 = 2^B is a ring homomorphism.
+    evaluation at q^2 = 2^B is a ring homomorphism.  Each entry keeps the
+    packed int it was decoded from, so that _residual multiplies it as it is.
     """
     moves = {a: _moves(a) for a in range(2, r + 2)}
     bound = [1] * (r + 2)
@@ -588,7 +605,7 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     for a, entries in level.items():
         forms[a] = {}
         for (w, d), v in entries.items():
-            forms[a].setdefault(w, {})[d] = _kunpack(*v, nb, bound[a])
+            forms[a].setdefault(w, {})[d] = (_kunpack(*v, nb, bound[a]), nb, v)
     return forms
 
 
@@ -598,15 +615,16 @@ def _relation_rows(r: int, forms: dict[int, dict[int, dict]]) -> dict:
 
     Cell (p, k) carries the monomial I^a J^r I^k, a = r - 2p + 1 - k, whose
     normal form is N(a, r) I^k: appending I's never creates a factor IIJ.
+    Its coefficient in a row is the (s, num, nb, packed) of _residual: the
+    cell's sign (-1)^(p+k) and the entry of N(a, r), shared, not copied.
     """
-    rows: dict[tuple[int, int], dict[tuple[int, int], LaurentScalar]] = {}
+    rows: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
     for (p, k, sign) in delta_indices(r):
         tail = word_from_exponents(0, 0, k)
         for w, coeff in forms[r - 2 * p + 1 - k].items():
             code = concat(w, tail)
-            for d, num in coeff.items():
-                rows.setdefault((code, p + d), {})[(p, k)] = LaurentScalar._raw(
-                    num if sign > 0 else _pneg(num))
+            for d, (num, nb, v) in coeff.items():
+                rows.setdefault((code, p + d), {})[(p, k)] = (sign, num, nb, v)
     return rows
 
 

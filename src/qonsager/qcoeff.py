@@ -19,15 +19,19 @@ algebra's coefficients (``_rmul``).
 The packed layer (Kronecker substitution) serves the coefficient pipelines.
 A poly dict a whose exponents all have the parity of its least one, low, is
 held as the pair (v, low) with v = (q^-low a)(q^2 = 2^B): one B-bit slot per
-two exponents, B = 8*nb, built with ``int.from_bytes`` (``_kpack``).
-Evaluation at q^2 = 2^B is a ring homomorphism, so the int of a product is
-the product of the ints (the lows add), and the int of a sum is the sum of
-the ints once each is shifted by whole slots to the least low (``_kdot``,
-and ``_mprod`` for polynomials in further variables).  Exactness: when no
-coefficient of a result reaches 2^(B-1) in absolute value, its
-coefficients are the balanced base-2^B digits of its int, and those digits
-are unique, so decoding them back (``_kunpack``) recovers the result.  The
-ints of intermediate values need no such bound.  A caller bounds every
+two exponents, B = 8*nb.  ``_kwidth`` rounds nb up to 1, 2, 4 or 8 bytes
+when it is at most 8, the item sizes of ``array.array``, so that
+``_kpack`` writes and ``_kunpack`` reads the slots as array items, whose
+little-endian bytes (byte-swapped on a big-endian host) are the int's
+(``int.from_bytes``, ``int.to_bytes``); a wider slot is nb bytes of a
+bytearray.  Evaluation at q^2 = 2^B is a ring homomorphism, so the int of a
+product is the product of the ints (the lows add), and the int of a sum is
+the sum of the ints once each is shifted by whole slots to the least low
+(``_kdot``, and ``_mprod`` for polynomials in further variables).
+Exactness: when no coefficient of a result reaches 2^(B-1) in absolute
+value, its coefficients are the balanced base-2^B digits of its int, and
+those digits are unique, so decoding them back (``_kunpack``) recovers the
+result.  The ints of intermediate values need no such bound.  A caller bounds every
 result from the l1 norms of its operands (|(ab)_e| <= ||a||_1 ||b||_1 for
 each exponent e), takes B from the largest bound (``_kwidth``), packs each
 operand once and decodes each result once; ``_kunpack`` raises
@@ -43,6 +47,8 @@ threads without synchronization.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -160,32 +166,61 @@ def _l1(a: dict) -> int:
 
 
 def _kwidth(bound: int) -> int:
-    """The least byte count nb whose slot width B = 8*nb has 2^(B-1) > bound."""
-    return bound.bit_length() // 8 + 1
+    """The byte count nb of the packed width B = 8*nb for a coefficient bound.
+
+    The least nb with 2^(B-1) > bound, rounded up to 1, 2, 4 or 8 bytes when
+    it is at most 8, so that _kpack and _kunpack move the slots as array
+    items; a wider width stays exact.  Widening a slot never changes a
+    decoded value.
+    """
+    nb = bound.bit_length() // 8 + 1
+    return nb if nb > 8 else 1 << (nb - 1).bit_length()
+
+
+# One zero slot for each width that an array typecode holds (1, 2, 4 and 8
+# bytes): a buffer of n slots is this times n.  Array items are in the
+# host's byte order, and the packed ints read them little-endian.
+_SLOTS = {array(code).itemsize: array(code, [0]) for code in "BHIQ"}
+_SWAP = sys.byteorder == "big"
 
 
 def _kpack(a: dict, nb: int) -> tuple[int, int]:
     """The packed form (v, low) of a poly dict at slot width B = 8*nb.
 
     low is the least exponent of a and every exponent must have its parity
-    (ValueError otherwise).  Each coefficient fills nb bytes of one of two
-    buffers, by sign, so |c| must be below 2^B: int.to_bytes raises
-    OverflowError otherwise.  Zero packs as (0, 0).
+    (ValueError otherwise).  Each coefficient fills one slot of one of two
+    buffers, by sign: an array item at the widths of _SLOTS, nb bytes of a
+    bytearray at any other width.  So |c| must be below 2^B; the array
+    assignment or int.to_bytes raises OverflowError otherwise.  Zero packs
+    as (0, 0).
     """
     if not a:
         return 0, 0
     low = min(a)
-    size = ((max(a) - low) // 2 + 1) * nb
-    pos = bytearray(size)
-    neg = bytearray(size)
-    for e, c in a.items():
-        if (e - low) & 1:
-            raise ValueError(f"packed exponents {low} and {e} differ in parity")
-        i = (e - low) // 2 * nb
-        if c > 0:
-            pos[i:i + nb] = c.to_bytes(nb, "little")
-        else:
-            neg[i:i + nb] = (-c).to_bytes(nb, "little")
+    n = (max(a) - low) // 2 + 1
+    slot = _SLOTS.get(nb)
+    if slot is None:
+        pos, neg = bytearray(n * nb), bytearray(n * nb)
+        for e, c in a.items():
+            if (e - low) & 1:
+                raise ValueError(f"packed exponents {low} and {e} differ in parity")
+            i = (e - low) // 2 * nb
+            if c > 0:
+                pos[i:i + nb] = c.to_bytes(nb, "little")
+            else:
+                neg[i:i + nb] = (-c).to_bytes(nb, "little")
+    else:
+        pos, neg = slot * n, slot * n
+        for e, c in a.items():
+            if (e - low) & 1:
+                raise ValueError(f"packed exponents {low} and {e} differ in parity")
+            if c > 0:
+                pos[(e - low) >> 1] = c
+            else:
+                neg[(e - low) >> 1] = -c
+        if _SWAP:
+            pos.byteswap()
+            neg.byteswap()
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), low
 
 
@@ -196,7 +231,8 @@ def _kunpack(v: int, low: int, nb: int, bound: int) -> dict:
     base-2^B digits of v are the coefficients only when 2^(B-1) > bound, so a
     narrower width raises OverflowError instead of returning an alias.  The
     digits are read after adding 2^(B-1) to every slot, which makes each one
-    an unsigned nb-byte field of one to_bytes.
+    an unsigned nb-byte field of one to_bytes: one array of them at the
+    widths of _SLOTS, one int.from_bytes per slice at any other width.
     """
     half = 1 << (8 * nb - 1)
     if bound >= half:
@@ -205,6 +241,12 @@ def _kunpack(v: int, low: int, nb: int, bound: int) -> dict:
         return {}
     n = abs(v).bit_length() // (8 * nb) + 1  # at least the number of digits
     raw = (v + int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")).to_bytes(n * nb, "little")
+    slot = _SLOTS.get(nb)
+    if slot is not None:
+        digits = array(slot.typecode, raw)
+        if _SWAP:
+            digits.byteswap()
+        return {low + 2 * i: d - half for i, d in enumerate(digits.tolist()) if d != half}
     out = {}
     e = low
     for i in range(0, n * nb, nb):

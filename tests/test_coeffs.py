@@ -319,8 +319,25 @@ def _rows(*equations):
             for i, (cols, rhs) in enumerate(equations)}
 
 
+def coefficient_rows(rows):
+    """Rows of LaurentScalar coefficients as the solver and _residual take them.
+
+    Each coefficient becomes an unpacked (s, num, None, None) with s * num
+    equal to it, s alternating between 1 and -1 along the row.
+    """
+    return {key: {cell: (s, (c * s).num, None, None)
+                  for s, (cell, c) in zip((1, -1) * len(row), row.items())}
+            for key, row in rows.items()}
+
+
+def scalar_rows(rows):
+    """Rows of solver coefficients (s, num, nb, packed) as LaurentScalars."""
+    return {key: {cell: coeffs_mod._scalar(c) for cell, c in row.items()}
+            for key, row in rows.items()}
+
+
 def _solve(rows, unknowns):
-    return _solve_triangular(rows, unknowns, {"1": ONE})
+    return _solve_triangular(coefficient_rows(rows), unknowns, {"1": ONE})
 
 
 def test_solver_rejects_underdetermined():
@@ -511,7 +528,7 @@ def residual_systems(draw):
 @given(residual_systems())
 def test_residual_matches_the_scalar_sum(system):
     rows, values = system
-    assert coeffs_mod._residual(rows, values) == _residual_by_scalars(rows, values)
+    assert coeffs_mod._residual(coefficient_rows(rows), values) == _residual_by_scalars(rows, values)
 
 
 def test_residual_cancels_within_each_parity():
@@ -526,7 +543,7 @@ def test_residual_cancels_within_each_parity():
     }
     expected = {1: (q * q * x).num, 2: {-3: 2**70, 1: -2}, 3: {1: 5}}
     assert _residual_by_scalars(rows, values) == expected
-    assert coeffs_mod._residual(rows, values) == expected
+    assert coeffs_mod._residual(coefficient_rows(rows), values) == expected
     assert coeffs_mod._residual({}, values) == coeffs_mod._residual({}, {}) == {}
 
 
@@ -551,6 +568,47 @@ def test_residual_bounds_hold_for_every_decode(monkeypatch):
         before = len(decodes)
         assert coeffs_mod._residual(rows, {**entries, (0, 1): q * entries[(0, 1)]})
         assert len(decodes) > before, r
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of coeffs' own references to the named functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, fn=getattr(coeffs_mod, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(coeffs_mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_solve_decodes_each_normal_form_once_and_packs_no_row(monkeypatch, r):
+    # The residual multiplies the packed ints that the normal forms were
+    # decoded from, so the solve packs only the moves, the unit and the
+    # values, each of one parity; on its own solution no row sum decodes.
+    forms = coeffs_mod._normal_forms(r)
+    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
+    moves = sum(len(coeffs_mod._moves(a)) for a in range(2, r + 2))
+    expected = c_recursive(r)
+    counts = _count_calls(monkeypatch, "_kpack", "_kunpack")
+    assert c_solve(r) == expected
+    assert counts == {"_kunpack": entries, "_kpack": moves + 1 + len(expected.entries)}
+
+
+def test_residual_repacks_rows_for_a_value_too_wide_for_the_normal_forms(monkeypatch):
+    # One cell times 2^100 needs a wider width than the normal forms'
+    # (4 bytes at r = 6), so every coefficient is packed again from its
+    # poly dict; the residual is still the plain sum.
+    r = 6
+    rows = coeffs_mod._relation_rows(r, coeffs_mod._normal_forms(r))
+    assert {nb for row in rows.values() for _, _, nb, _ in row.values()} == {4}
+    entries = c_solve(r).entries
+    values = {**entries, (1, 2): entries[(1, 2)] * 2**100}
+    counts = _count_calls(monkeypatch, "_kpack")
+    got = coeffs_mod._residual(rows, values)
+    assert counts["_kpack"] >= sum(map(len, rows.values()))
+    assert got
+    assert got == _residual_by_scalars(scalar_rows(rows), values)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -579,16 +637,22 @@ def test_solve_rows_match_one_kernel_run_per_cell(r):
     # fixes the order of the open unknowns in a "not triangular" message.
     rows = coeffs_mod._relation_rows(r, coeffs_mod._normal_forms(r))
     oracle = solve_rows_by_cells(r)
-    assert rows == oracle
+    assert scalar_rows(rows) == oracle
     assert {key: list(row) for key, row in rows.items()} == {key: list(row) for key, row in oracle.items()}
 
 
 @pytest.mark.parametrize("t", range(1, 8))
 def test_shared_normal_forms_match_the_kernel(t):
+    # Each entry is (poly dict, nb, packed), and packed is the poly dict's
+    # packed form at width 8*nb, which the residual uses in its place.
     forms = coeffs_mod._normal_forms(t)
     assert sorted(forms) == list(range(t + 2))
     for a in range(t + 2):
-        assert forms[a] == reduce(monomial(a, t, 0)).terms, a
+        nums = {w: {d: num for d, (num, _, _) in coeff.items()} for w, coeff in forms[a].items()}
+        assert nums == reduce(monomial(a, t, 0)).terms, a
+        for coeff in forms[a].values():
+            for num, nb, packed in coeff.values():
+                assert _kpack(num, nb) == packed
 
 
 def _random_word(rng, n):

@@ -384,6 +384,35 @@ def test_packed_product_matches_mmul(factors):
     assert {key: a for key, a in got.items() if a} == expected
 
 
+@pytest.mark.parametrize("nb", range(1, 18))
+def test_pack_is_the_defining_sum_at_every_width(nb):
+    # 1, 2, 4 and 8 bytes are array items, the other widths byte slices.
+    top = 2 ** (8 * nb - 1) - 1  # the largest coefficient that decodes at this width
+    a = {-3: top, -1: -top, 1: 1, 5: -1, 7: top}  # a gap at exponent 3
+    v, low = _kpack(a, nb)
+    assert low == -3
+    assert v == sum(c * 2 ** (8 * nb * (e - low) // 2) for e, c in a.items())
+    assert _kunpack(v, low, nb, top) == a
+    with pytest.raises(OverflowError):
+        _kunpack(v, low, nb, top + 1)
+    # a slot holds any |c| below 2^B when packing, one sign per buffer
+    wide = 2 ** (8 * nb) - 1
+    assert _kpack({2: wide, 4: -wide}, nb) == (wide - (wide << 8 * nb), 2)
+    for c in (2 ** (8 * nb), -2 ** (8 * nb)):
+        with pytest.raises(OverflowError):
+            _kpack({0: 1, 2: c}, nb)
+    with pytest.raises(ValueError, match="parity"):
+        _kpack({0: 1, 2: 1, 5: -1}, nb)
+
+
+def test_kwidth_is_the_least_array_width_then_the_least_exact_one():
+    widths = [1, 2, 4, 8, *range(9, 30)]
+    for bits in range(201):
+        for bound in {(1 << bits) - 1, 1 << max(bits - 1, 0)} if bits else {0}:
+            assert bound.bit_length() == bits
+            assert _kwidth(bound) == min(nb for nb in widths if 2 ** (8 * nb - 1) > bound), bound
+
+
 def test_an_undersized_width_raises():
     # 2^15 needs 17 bits with its sign: read at 16 bits, v is -2^15, whose one
     # balanced digit would give {-2: -2^15}.
