@@ -464,10 +464,18 @@ def _residual(rows: dict, values: dict) -> dict:
     Laurent polynomial is accepted; so is any num that is packed at another
     width or not at all, packed here by halves from its poly dict.  A row
     is one _kdot per product parity, with s as the scale; each nonzero sum
-    is decoded against its row's bound.
+    is decoded against its row's bound.  Rows share their coefficients'
+    poly dicts (c_solve's rows share its normal forms' entries), so each
+    distinct dict's l1 norm is taken once, keyed by identity while rows
+    holds it.
     """
     norms = {cell: _l1(v.num) for cell, v in values.items()}
-    bounds = {key: sum(_l1(num) * norms[cell] for cell, (_, num, _, _) in row.items())
+    coeff_norms = {}
+    for row in rows.values():
+        for _, num, _, _ in row.values():
+            if id(num) not in coeff_norms:
+                coeff_norms[id(num)] = _l1(num)
+    bounds = {key: sum(coeff_norms[id(num)] * norms[cell] for cell, (_, num, _, _) in row.items())
               for key, row in rows.items()}
     widths = {w for row in rows.values() for _, _, w, _ in row.values() if w}
     nb = max(widths | {_kwidth(max([*bounds.values(), *norms.values()], default=0))})

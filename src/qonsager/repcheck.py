@@ -8,13 +8,18 @@ Two independent kinds of evidence:
   relation must evaluate to the exact zero matrix at random rational points.
   The module's defining relations are proved once per process as identities
   over Z[q^±1, z^±1], and every point evaluates that checked module.  One
-  evaluator, ``_relation_matrix``, computes the relation on the point's
-  matrices scaled to integers: at rank r it is the zero test, and at rank 1
-  with rho = 0 it gives the rho calibration;
+  evaluator, ``_relation_matrix``, computes the relation as an integer
+  matrix over one common denominator: the point's matrices are scaled to
+  integers, every table entry is an integer sum over the powers of q's
+  numerator and denominator, and rho's and the matrices' denominators are
+  folded into each cell's integer scale.  Integer arithmetic is exact, so
+  the matrix is zero exactly when the relation is.  At rank r it is the
+  zero test, and at rank 1 with rho = 0 it gives the rho calibration;
 * the spectral band structure: with eigenvalues theta_k = C (v q^k +
   v^-1 q^-k), the generating polynomial vanishes at (theta_k, theta_l)
   exactly for parity-allowed offsets |k - l| <= r.  The factors are those
-  of ``coeffs.generating_factors``, each substituted on its own.
+  of ``coeffs.generating_factors``, each substituted on its own into
+  monomials of theta_k, theta_(k+d) and rho built once per offset d.
 
 q is always specialized through q = s^2 so that q^(1/2) = s stays rational.
 The rho needed by the spectral substitution is not hard-coded: an expansion
@@ -385,39 +390,57 @@ def _relation_matrix(
     r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
 ) -> tuple[IMat, int]:
     """The rank-r relation at A_i, A_j as (T, D): an integer matrix T over
-    the denominator D.
+    the positive denominator D, so that the relation is T / D.
 
-    With A_i = B_i / L_i and A_j = B_j / L_j in integer matrices, the term
-    A_i^n A_j^r A_i^k (n + k = r - 2p + 1) times L_i^(r+1) L_j^r is
-    L_i^(2p) B_i^n B_j^r B_i^k.  Folding L_i^(2p) and one common denominator
-    into the scalar coefficients leaves a sum of integer matrices, and
-    D = common * L_i^(r+1) * L_j^r.
+    No Fraction is built per cell: every number is an integer until D, and
+    integer arithmetic is exact.  Write q = a/b and rho = rn/rd, and let lo
+    and hi be the least and largest q-exponent of the whole table.  An entry
+    sum c_e q^e is then N * a^lo / b^hi with the integer
+    N = sum c_e a^(e-lo) b^(hi-e), read off two power lists (lo <= e <= hi),
+    and a^lo / b^hi = g/h in lowest terms is one factor of every entry.
+    With A_i = B_i / L_i and A_j = B_j / L_j in integer matrices and P the
+    largest p of the table, the term rho^p A_i^n A_j^r A_i^k
+    (n + k = r - 2p + 1) times rd^P L_i^(r+1) L_j^r is
+    rn^p rd^(P-p) L_i^(2p) B_i^n B_j^r B_i^k.  So a cell's sign, N,
+    rn^p rd^(P-p) and L_i^(2p) make one integer scale; the scaled B_i^k of
+    one n are summed before one product by B_i^n B_j^r; and T = g * that
+    sum, D = h * rd^P * L_i^(r+1) * L_j^r.  T is zero exactly when the
+    relation is, so the zero test needs no D.
     """
     li, bi = _integer_scaled(ai)
     lj, bj = _integer_scaled(aj)
-    terms = []
-    for (p, k, sign) in delta_indices(r):
-        coeff = table.entry(p, k).substitute(q) * (rho ** p) * sign * li ** (2 * p)
-        if coeff:
-            terms.append((r - 2 * p + 1 - k, k, coeff))
-    common = math.lcm(*(coeff.denominator for *_, coeff in terms))
+    entries = [(p, k, sign, table.entry(p, k).num) for (p, k, sign) in delta_indices(r)]
+    exponents = [e for *_, num in entries for e in num]
+    lo, hi = (min(exponents), max(exponents)) if exponents else (0, 0)
+    a_pow, b_pow = [1], [1]
+    for _ in range(hi - lo):
+        a_pow.append(a_pow[-1] * q.numerator)
+        b_pow.append(b_pow[-1] * q.denominator)
+    top = max(p for p, *_ in entries)
+    rho_pow = [rho.numerator ** p * rho.denominator ** (top - p) * li ** (2 * p)
+               for p in range(top + 1)]
     powers = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for _ in range(r + 1):
         powers.append(_imat_mul(powers[-1], bi))
+    right: dict[int, list[list[int]]] = {}  # n -> sum of scale * B_i^k
+    for p, k, sign, num in entries:
+        scale = sign * rho_pow[p] * sum(c * a_pow[e - lo] * b_pow[hi - e] for e, c in num.items())
+        if scale:
+            acc = right.setdefault(r - 2 * p + 1 - k, [[0] * 3 for _ in range(3)])
+            for row, power_row in zip(acc, powers[k]):
+                for b in range(3):
+                    row[b] += scale * power_row[b]
     bj_r = powers[0]
     for _ in range(r):
         bj_r = _imat_mul(bj_r, bj)
-    left: dict[int, IMat] = {}
     total = [[0] * 3 for _ in range(3)]
-    for n, k, coeff in terms:
-        if n not in left:
-            left[n] = _imat_mul(powers[n], bj_r)
-        term = _imat_mul(left[n], powers[k])
-        scale = coeff.numerator * (common // coeff.denominator)
-        for row, term_row in zip(total, term):
+    for n, acc in right.items():
+        for row, term_row in zip(total, _imat_mul(_imat_mul(powers[n], bj_r), acc)):
             for b in range(3):
-                row[b] += scale * term_row[b]
-    return tuple(map(tuple, total)), common * li ** (r + 1) * lj ** r
+                row[b] += term_row[b]
+    g = Fraction(q.numerator) ** lo / q.denominator ** hi
+    return (tuple(tuple(g.numerator * x for x in row) for row in total),
+            g.denominator * rho.denominator ** top * li ** (r + 1) * lj ** r)
 
 
 def _relation_vanishes(
@@ -463,18 +486,30 @@ def _theta(offset: int) -> _XPoly:
     return {(1, 1, 1): {offset: 1}, (1, -1, -1): {-offset: 1}}
 
 
+def _monomials(d: int, rho_over_c2: LaurentScalar) -> dict[tuple, _XPoly]:
+    """theta_k, theta_(k+d), their three products of degree 2 and rho =
+    rho_over_c2 C^2, keyed by the (x_deg, y_deg, rho_deg) of ``_factor_poly``."""
+    x, y = _theta(0), _theta(d)
+    return {
+        (1, 0, 0): x, (0, 1, 0): y,
+        (2, 0, 0): _mmul(x, x), (1, 1, 0): _mmul(x, y), (0, 2, 0): _mmul(y, y),
+        (0, 0, 1): {(2, 0, 0): rho_over_c2.num} if rho_over_c2 else {},
+    }
+
+
+def _evaluate(poly: dict, monomials: dict[tuple, _XPoly]) -> _XPoly:
+    """A factor polynomial (``_factor_poly``) with each of its monomials
+    replaced by the value ``_monomials`` gives it."""
+    value: _XPoly = {}
+    for degrees, coeff in poly.items():
+        value = _madd(value, _mmul({(0, 0, 0): coeff}, monomials[degrees]))
+    return value
+
+
 def _factor_at(desc: tuple, d: int, rho_over_c2: LaurentScalar) -> _XPoly:
     """The generating factor ``desc`` (``coeffs._factor_poly``) at
     x = theta_k, y = theta_(k+d) and rho = rho_over_c2 C^2, k formal."""
-    rho = {(2, 0, 0): rho_over_c2.num} if rho_over_c2 else {}
-    value: _XPoly = {}
-    for degrees, poly in _factor_poly(desc).items():
-        term = {(0, 0, 0): poly}
-        for sub, n in zip((_theta(0), _theta(d), rho), degrees):
-            for _ in range(n):
-                term = _mmul(term, sub)
-        value = _madd(value, term)
-    return value
+    return _evaluate(_factor_poly(desc), _monomials(d, rho_over_c2))
 
 
 def spectral_rho_constant() -> LaurentScalar:
@@ -597,10 +632,11 @@ def spectral_polynomial_check(r: int) -> SpectralReport:
         return SpectralReport(r=r, oracle=OracleResult(oracle.offsets, oracle.v_independent,
                                                        oracle.k_independent, None))
     report = SpectralReport(r=r, oracle=oracle)
-    factors = generating_factors(r)
+    factors = [_factor_poly(desc) for desc in generating_factors(r)]
     for d in range(-(r + 2), r + 3):
         # Every factor lies in Z[C, v^±1, q^±1, (q^k)^±1], an integral domain,
         # so the product vanishes exactly when one factor does.
-        zero = any(not _factor_at(desc, d, wired) for desc in factors)
+        monomials = _monomials(d, wired)
+        zero = any(not _evaluate(poly, monomials) for poly in factors)
         report.offsets.append((d, zero))
     return report

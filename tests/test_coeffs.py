@@ -595,6 +595,19 @@ def test_the_solve_decodes_each_normal_form_once_and_packs_no_row(monkeypatch, r
     assert counts == {"_kunpack": entries, "_kpack": moves + 1 + len(expected.entries)}
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_the_residual_takes_one_l1_norm_per_distinct_entry(monkeypatch, r):
+    # The rows share the normal forms' entries between cells, and each
+    # entry's l1 norm enters the row bounds once, as does each value's.
+    forms = coeffs_mod._normal_forms(r)
+    rows = coeffs_mod._relation_rows(r, forms)
+    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
+    values = c_recursive(r).entries
+    counts = _count_calls(monkeypatch, "_l1")
+    assert coeffs_mod._residual(rows, values) == {}
+    assert counts["_l1"] == entries + len(values)
+
+
 def test_residual_repacks_rows_for_a_value_too_wide_for_the_normal_forms(monkeypatch):
     # One cell times 2^100 needs a wider width than the normal forms'
     # (4 bytes at r = 6), so every coefficient is packed again from its

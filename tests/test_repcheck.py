@@ -7,8 +7,16 @@ from fractions import Fraction
 import pytest
 
 from qonsager import repcheck
-from qonsager.coeffs import c_closed, c_recursive, cells, delta_indices, generating_factors
-from qonsager.qcoeff import LaurentScalar, _madd, _mmul, _msub, q_int
+from qonsager.coeffs import (
+    CoeffTable,
+    _factor_poly,
+    c_closed,
+    c_recursive,
+    cells,
+    delta_indices,
+    generating_factors,
+)
+from qonsager.qcoeff import ZERO, LaurentScalar, _madd, _mmul, _msub, q_int
 from qonsager.repcheck import (
     CalibrationError,
     MatrixReport,
@@ -392,6 +400,51 @@ def test_integer_zero_test_matches_oracle_on_the_w_branch():
     assert _zero_both_ways(2, perturbed_table(c_recursive(2), 0, 0), params) == (False, False)
 
 
+def _as_fractions(total, denom):
+    """The relation T / D of _relation_matrix, entry by entry."""
+    assert denom > 0 and all(type(t) is int for row in total for t in row)
+    return tuple(tuple(Fraction(t, denom) for t in row) for row in total)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_relation_matrix_values_match_the_fraction_oracle(r):
+    # T / D is the relation itself, not only its zero pattern, on every
+    # single-cell mutation, at rho = 0, the calibrated rho and another rho.
+    params = sample_params(random.Random(f"values:{r}"))
+    mats = build_evaluation_rep(params)
+    tables = [c_recursive(r)] + [perturbed_table(c_recursive(r), *cell) for cell in cells(r)]
+    for pair in ((0, 1), (1, 2)):
+        ai, aj = mats[pair[0]], mats[pair[1]]
+        calibrated = calibrate_rho(mats, params, pair).rho
+        assert calibrated == _calibration_oracle(mats, params, pair)
+        for rho in (Fraction(0), calibrated, Fraction(-7, 5)):
+            for table in tables:
+                got = repcheck._relation_matrix(r, table, ai, aj, params.q, rho)
+                assert _as_fractions(*got) == _delta_matrix_oracle(r, table, ai, aj, params.q, rho), (
+                    pair, rho, table.pipeline)
+
+
+def test_relation_matrix_values_on_tables_with_few_terms():
+    # No nonzero entry at all, nonzero entries only at p = 0, and entries
+    # whose least q-exponent is positive, at q = s^2 and at a negative q.
+    r = 3
+    params = generic_params()
+    ai, aj, _ = build_evaluation_rep(params)
+    recursive = c_recursive(r).entries
+    tables = [
+        CoeffTable(r, dict.fromkeys(cells(r), ZERO)),
+        CoeffTable(r, {(p, k): v if p == 0 else ZERO for (p, k), v in recursive.items()}),
+        CoeffTable(r, {(p, k): LaurentScalar({1 + p: 2, 3 + k: -1}) for (p, k) in cells(r)}),
+    ]
+    for q in (params.q, Fraction(-2, 3)):
+        for rho in (Fraction(0), Fraction(3, 7)):
+            for table in tables:
+                total, denom = repcheck._relation_matrix(r, table, ai, aj, q, rho)
+                assert _as_fractions(total, denom) == _delta_matrix_oracle(r, table, ai, aj, q, rho)
+    total, _ = repcheck._relation_matrix(r, tables[0], ai, aj, params.q, Fraction(3, 7))
+    assert total == ((0, 0, 0),) * 3
+
+
 def test_sampler_reproducible_and_valid():
     a = sample_params(random.Random(42))
     b = sample_params(random.Random(42))
@@ -431,6 +484,34 @@ def test_spectral_band_structure_small(r):
         d for d in range(-(r + 2), r + 3) if abs(d) <= r and abs(d) % 2 == r % 2
     )
     assert zero_offsets == expected
+
+
+def _factor_by_products(desc, d, rho_over_c2):
+    """The factor at x = theta_k, y = theta_(k+d), rho = rho_over_c2 C^2, each
+    monomial multiplied out on its own from theta_k and theta_(k+d)."""
+    rho = {(2, 0, 0): rho_over_c2.num} if rho_over_c2 else {}
+    value = {}
+    for degrees, poly in _factor_poly(desc).items():
+        term = {(0, 0, 0): poly}
+        for sub, n in zip((repcheck._theta(0), repcheck._theta(d), rho), degrees):
+            for _ in range(n):
+                term = _mmul(term, sub)
+        value = _madd(value, term)
+    return value
+
+
+def test_shared_monomials_match_the_one_factor_expansion():
+    # Every factor and offset of the ranks r <= 12, as polynomials: the
+    # check's monomials shared by all factors of one offset, _factor_at's
+    # built for one factor, and a product expansion of each monomial.
+    pairs = {(desc, d) for r in range(1, 13) for desc in generating_factors(r)
+             for d in range(-(r + 2), r + 3)}
+    for rho in (spectral_rho_constant(), ZERO):
+        monomials = {d: repcheck._monomials(d, rho) for _, d in pairs}
+        for desc, d in sorted(pairs):
+            value = repcheck._evaluate(_factor_poly(desc), monomials[d])
+            assert value == repcheck._factor_at(desc, d, rho) == _factor_by_products(desc, d, rho), (
+                desc, d, rho)
 
 
 def test_spectral_check_refuses_miswired_constant(monkeypatch):
