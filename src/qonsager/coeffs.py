@@ -439,53 +439,49 @@ def delta_indices(r: int) -> list[tuple[int, int, int]]:
     return [(p, k, (-1) ** (p + k)) for (p, k) in cells(r)]
 
 
-def _halves(a: dict, nb: int) -> list[tuple[int, tuple[int, int]]]:
+def _halves(a: dict, nb: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     """(parity, packed half) for each nonzero parity half of a at width 8*nb."""
     try:
-        return [(min(a) & 1, _kpack(a, nb))] if a else []
+        return ((min(a) & 1, _kpack(a, nb)),) if a else ()
     except ValueError:  # both parities: pack each half apart
         halves = ({}, {})
         for e, c in a.items():
             halves[e & 1][e] = c
-        return [(parity, _kpack(h, nb)) for parity, h in enumerate(halves)]
+        return tuple((parity, _kpack(h, nb)) for parity, h in enumerate(halves))
+
+
+def _unhalves(halves: tuple, nb: int, bound: int) -> dict:
+    """The poly dict whose _halves at width 8*nb are halves; bound bounds every coefficient."""
+    return {e: c for _, (v, low) in halves for e, c in _kunpack(v, low, nb, bound).items()}
 
 
 def _residual(rows: dict, values: dict) -> dict:
     """Each row's nonzero sum of coeff * value, as {key: poly dict}.
 
     rows maps a key to {cell: coefficient}, and a coefficient is the tuple
-    (s, num, nb, packed): the sign s (1 or -1) times the poly dict num, with
-    packed the packed form of num at width 8*nb (nb and packed are None
-    when num is not packed).  values holds every cell of every row.  The sums run on qcoeff's packed
-    layer at one width: the least that covers the largest row bound
-    sum ||num||_1 ||value||_1 and is no narrower than any coefficient's nb,
-    so that the packed coefficients of c_solve's rows are used as they are.
-    Each value is split into its even- and odd-exponent halves, so any
-    Laurent polynomial is accepted; so is any num that is packed at another
-    width or not at all, packed here by halves from its poly dict.  A row
-    is one _kdot per product parity, with s as the scale; each nonzero sum
-    is decoded against its row's bound.  Rows share their coefficients'
-    poly dicts (c_solve's rows share its normal forms' entries), so each
-    distinct dict's l1 norm is taken once, keyed by identity while rows
-    holds it.
+    (s, l1, nb, halves): the sign s (1 or -1) times the poly dict whose
+    _halves at width 8*nb are halves, and whose l1 norm is l1.  values holds
+    every cell of every row.  The sums run on qcoeff's packed layer at one
+    width: the least that covers the largest row bound sum l1 ||value||_1
+    and is no narrower than any coefficient's nb, so that the coefficients
+    of c_solve's rows are used as they are.  Each value is split into its
+    even- and odd-exponent halves, so any Laurent polynomial is accepted; a
+    coefficient packed at another width is decoded (_unhalves) and packed
+    again at this one.  A row is one _kdot per product parity, with s as the
+    scale; each nonzero sum is decoded against its row's bound.
     """
     norms = {cell: _l1(v.num) for cell, v in values.items()}
-    coeff_norms = {}
-    for row in rows.values():
-        for _, num, _, _ in row.values():
-            if id(num) not in coeff_norms:
-                coeff_norms[id(num)] = _l1(num)
-    bounds = {key: sum(coeff_norms[id(num)] * norms[cell] for cell, (_, num, _, _) in row.items())
+    bounds = {key: sum(l1 * norms[cell] for cell, (_, l1, _, _) in row.items())
               for key, row in rows.items()}
-    widths = {w for row in rows.values() for _, _, w, _ in row.values() if w}
+    widths = {w for row in rows.values() for _, _, w, _ in row.values()}
     nb = max(widths | {_kwidth(max([*bounds.values(), *norms.values()], default=0))})
     packed = {cell: _halves(v.num, nb) for cell, v in values.items()}
     out = {}
     for key, row in rows.items():
         sums = ([], [])
-        for cell, (s, num, w, x) in row.items():
+        for cell, (s, l1, w, halves) in row.items():
             if packed[cell]:  # a zero value leaves its coefficient unbounded and unused
-                for pa, a in (((x[1] & 1, x),) if w == nb else _halves(num, nb)):
+                for pa, a in (halves if w == nb else _halves(_unhalves(halves, w, l1), nb)):
                     for pb, b in packed[cell]:
                         sums[pa ^ pb].append((s, a, b))
         for terms in sums:
@@ -496,8 +492,9 @@ def _residual(rows: dict, values: dict) -> dict:
 
 
 def _scalar(coeff: tuple) -> LaurentScalar:
-    """The LaurentScalar s * num of a row coefficient (s, num, nb, packed)."""
-    s, num, _, _ = coeff
+    """The LaurentScalar of a row coefficient (s, l1, nb, halves), decoded on demand."""
+    s, l1, nb, halves = coeff
+    num = _unhalves(halves, nb, l1)
     return LaurentScalar._raw(num if s > 0 else _pneg(num))
 
 
@@ -505,14 +502,15 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
     """Solve the homogeneous rows sum_cell coeff * value = 0 in one pass.
 
     rows maps a sortable key to {cell: nonzero coefficient}, each coefficient
-    a tuple (s, num, nb, packed) as _residual takes; known holds the cells
+    a tuple (s, l1, nb, halves) as _residual takes; known holds the cells
     fixed in advance.  Visited in descending key order, a row with one
-    open cell fixes it by an exact division, so the solution is unique; a
-    row with two or more stops the pass (not triangular), and so does a
-    quotient outside Z[q, q^-1].  One _residual over the rows visited then
-    proves existence, a failing row taking precedence as a check at each
-    row would.  Returns every value, known ones included, or raises
-    CoefficientSystemError, also when no row fixes an unknown.
+    open cell fixes it by an exact division (_scalar decodes the row), so
+    the solution is unique; a row with two or more stops the pass (not
+    triangular), and so does a quotient outside Z[q, q^-1].  One _residual
+    over the rows visited then proves existence, a failing row taking
+    precedence as a check at each row would.  Returns every value, known
+    ones included, or raises CoefficientSystemError, also when no row fixes
+    an unknown.
     """
     order = sorted(rows, reverse=True)
     values = dict(known)
@@ -571,8 +569,8 @@ def _moves(a: int) -> list[tuple[int, int, int, dict]]:
 
 def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     """N(a, r) = NF(I^a J^r) for 0 <= a <= r + 1, each as reduce's terms
-    {word code: {rho degree: entry}} with the entry (poly dict, nb, packed):
-    the coefficient and its packed form at width 8*nb.
+    {word code: {rho degree: entry}} with the entry (l1, nb, halves): the
+    coefficient's l1 norm and its _halves at width 8*nb, one half each.
 
     Two facts share the work between all a: a block IJ or J followed by a
     normal word is normal (the block ends in J, so no IIJ crosses the
@@ -590,7 +588,9 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     bounds every move coefficient, and the one width from the largest
     T(a, r) packs them all.  The ints in between need no bound, since
     evaluation at q^2 = 2^B is a ring homomorphism.  Each entry keeps the
-    packed int it was decoded from, so that _residual multiplies it as it is.
+    packed int it was decoded from, so that _residual multiplies it as it
+    is, and the l1 norm of that decode; the poly dict is dropped (it would
+    take most of the memory), and _scalar decodes again on demand.
     """
     moves = {a: _moves(a) for a in range(2, r + 2)}
     bound = [1] * (r + 2)
@@ -613,7 +613,7 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     for a, entries in level.items():
         forms[a] = {}
         for (w, d), v in entries.items():
-            forms[a].setdefault(w, {})[d] = (_kunpack(*v, nb, bound[a]), nb, v)
+            forms[a].setdefault(w, {})[d] = (_l1(_kunpack(*v, nb, bound[a])), nb, ((v[1] & 1, v),))
     return forms
 
 
@@ -623,7 +623,7 @@ def _relation_rows(r: int, forms: dict[int, dict[int, dict]]) -> dict:
 
     Cell (p, k) carries the monomial I^a J^r I^k, a = r - 2p + 1 - k, whose
     normal form is N(a, r) I^k: appending I's never creates a factor IIJ.
-    Its coefficient in a row is the (s, num, nb, packed) of _residual: the
+    Its coefficient in a row is the (s, l1, nb, halves) of _residual: the
     cell's sign (-1)^(p+k) and the entry of N(a, r), shared, not copied.
     """
     rows: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
@@ -631,8 +631,8 @@ def _relation_rows(r: int, forms: dict[int, dict[int, dict]]) -> dict:
         tail = word_from_exponents(0, 0, k)
         for w, coeff in forms[r - 2 * p + 1 - k].items():
             code = concat(w, tail)
-            for d, (num, nb, v) in coeff.items():
-                rows.setdefault((code, p + d), {})[(p, k)] = (sign, num, nb, v)
+            for d, (l1, nb, halves) in coeff.items():
+                rows.setdefault((code, p + d), {})[(p, k)] = (sign, l1, nb, halves)
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -319,19 +320,26 @@ def _rows(*equations):
             for i, (cols, rhs) in enumerate(equations)}
 
 
+def _packed_coefficient(s, num):
+    """The solver coefficient (s, l1, nb, halves) of s * num, at the width its l1 needs."""
+    nb = _kwidth(_l1(num))
+    return (s, _l1(num), nb, coeffs_mod._halves(num, nb))
+
+
 def coefficient_rows(rows):
     """Rows of LaurentScalar coefficients as the solver and _residual take them.
 
-    Each coefficient becomes an unpacked (s, num, None, None) with s * num
-    equal to it, s alternating between 1 and -1 along the row.
+    Each coefficient c becomes the packed (s, l1, nb, halves) of s * (s c),
+    s alternating between 1 and -1 along the row, with s c packed by
+    _halves at _kwidth of its l1 norm: mixed parities and mixed widths.
     """
-    return {key: {cell: (s, (c * s).num, None, None)
+    return {key: {cell: _packed_coefficient(s, (c * s).num)
                   for s, (cell, c) in zip((1, -1) * len(row), row.items())}
             for key, row in rows.items()}
 
 
 def scalar_rows(rows):
-    """Rows of solver coefficients (s, num, nb, packed) as LaurentScalars."""
+    """Rows of solver coefficients (s, l1, nb, halves) as LaurentScalars."""
     return {key: {cell: coeffs_mod._scalar(c) for cell, c in row.items()}
             for key, row in rows.items()}
 
@@ -581,31 +589,49 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _fixing_rows(rows, known):
+    """The rows that fix a cell, in the order the one-pass solve visits them."""
+    fixed, out = set(known), []
+    for key in sorted(rows, reverse=True):
+        open_cells = set(rows[key]) - fixed
+        if len(open_cells) == 1:
+            out.append(rows[key])
+        fixed |= open_cells
+    return out
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_the_solve_decodes_each_normal_form_once_and_packs_no_row(monkeypatch, r):
     # The residual multiplies the packed ints that the normal forms were
     # decoded from, so the solve packs only the moves, the unit and the
     # values, each of one parity; on its own solution no row sum decodes.
+    # Besides each entry's one decode for its l1 norm, only the rows that
+    # fix a cell decode their coefficients, one half each.
     forms = coeffs_mod._normal_forms(r)
     entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
     moves = sum(len(coeffs_mod._moves(a)) for a in range(2, r + 2))
+    fixing = sum(map(len, _fixing_rows(coeffs_mod._relation_rows(r, forms), [(0, 0)])))
     expected = c_recursive(r)
     counts = _count_calls(monkeypatch, "_kpack", "_kunpack")
     assert c_solve(r) == expected
-    assert counts == {"_kunpack": entries, "_kpack": moves + 1 + len(expected.entries)}
+    assert counts == {"_kunpack": entries + fixing, "_kpack": moves + 1 + len(expected.entries)}
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_the_residual_takes_one_l1_norm_per_distinct_entry(monkeypatch, r):
-    # The rows share the normal forms' entries between cells, and each
-    # entry's l1 norm enters the row bounds once, as does each value's.
-    forms = coeffs_mod._normal_forms(r)
-    rows = coeffs_mod._relation_rows(r, forms)
-    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
-    values = c_recursive(r).entries
+    # _normal_forms takes each entry's l1 norm once, besides the norms of
+    # the moves in each of its r bound passes, and the rows share the
+    # entries between cells, so _residual takes the norms of the values only.
+    moves = sum(len(coeffs_mod._moves(a)) for a in range(2, r + 2))
     counts = _count_calls(monkeypatch, "_l1")
+    forms = coeffs_mod._normal_forms(r)
+    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
+    assert counts["_l1"] == entries + r * moves
+    rows = coeffs_mod._relation_rows(r, forms)
+    values = c_recursive(r).entries
+    counts["_l1"] = 0
     assert coeffs_mod._residual(rows, values) == {}
-    assert counts["_l1"] == entries + len(values)
+    assert counts["_l1"] == len(values)
 
 
 def test_residual_repacks_rows_for_a_value_too_wide_for_the_normal_forms(monkeypatch):
@@ -656,16 +682,60 @@ def test_solve_rows_match_one_kernel_run_per_cell(r):
 
 @pytest.mark.parametrize("t", range(1, 8))
 def test_shared_normal_forms_match_the_kernel(t):
-    # Each entry is (poly dict, nb, packed), and packed is the poly dict's
-    # packed form at width 8*nb, which the residual uses in its place.
+    # Each entry is (l1, nb, halves): halves are the _halves at width 8*nb
+    # of the kernel's coefficient, which the residual multiplies as they
+    # are, and l1 is that coefficient's l1 norm.
     forms = coeffs_mod._normal_forms(t)
     assert sorted(forms) == list(range(t + 2))
     for a in range(t + 2):
-        nums = {w: {d: num for d, (num, _, _) in coeff.items()} for w, coeff in forms[a].items()}
+        nums = {w: {d: coeffs_mod._unhalves(halves, nb, l1) for d, (l1, nb, halves) in coeff.items()}
+                for w, coeff in forms[a].items()}
         assert nums == reduce(monomial(a, t, 0)).terms, a
-        for coeff in forms[a].values():
-            for num, nb, packed in coeff.values():
-                assert _kpack(num, nb) == packed
+        for w, coeff in forms[a].items():
+            for d, (l1, nb, halves) in coeff.items():
+                assert l1 == _l1(nums[w][d])
+                assert halves == coeffs_mod._halves(nums[w][d], nb)
+
+
+def test_normal_forms_hold_no_poly_dict():
+    for r in range(1, 7):
+        for form in coeffs_mod._normal_forms(r).values():
+            for coeff in form.values():
+                for l1, nb, halves in coeff.values():
+                    assert type(l1) is type(nb) is int and type(halves) is tuple
+                    assert [(type(p), type(v), type(low)) for p, (v, low) in halves] == [(int, int, int)]
+
+
+def test_the_rank_8_solve_peaks_under_6_mb():
+    # One packed copy of each normal-form entry: holding its poly dict as
+    # well took the tracemalloc peak to 10.8 MB.
+    c_solve(3)  # warm the reducer's and the eta tables' caches
+    tracemalloc.start()
+    try:
+        c_solve(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+
+
+# Poly dicts of both parities, the empty one among them, with coefficients up to 2^80.
+poly_dicts = st.dictionaries(
+    st.integers(min_value=-8, max_value=8),
+    (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2**80, max_value=2**80))
+    .filter(bool),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_dicts, st.sampled_from((1, -1)))
+def test_unhalves_inverts_halves_at_every_width(a, s):
+    # The slow oracle of the decode path: the poly dict itself, and s * a.
+    for nb in range(_kwidth(_l1(a)), 18):
+        halves = coeffs_mod._halves(a, nb)
+        assert coeffs_mod._unhalves(halves, nb, _l1(a)) == a
+        assert coeffs_mod._scalar((s, _l1(a), nb, halves)) == LaurentScalar(a) * s
 
 
 def _random_word(rng, n):
