@@ -1,4 +1,4 @@
-"""Representation-theoretic evidence checks, all in exact rational arithmetic.
+"""Representation-theoretic evidence checks, all in exact arithmetic.
 
 Two independent kinds of evidence:
 
@@ -7,14 +7,16 @@ Two independent kinds of evidence:
   rank-2 affine quantum algebra (nodes 0, 1, 2 pairwise linked): the rank-r
   relation must evaluate to the exact zero matrix at random rational points.
   The module's defining relations are proved once per process as identities
-  over Z[q^±1, z^±1], and every point evaluates that checked module.  One
-  evaluator, ``_relation_matrix``, computes the relation as an integer
-  matrix over one common denominator: the point's matrices are scaled to
-  integers, every table entry is an integer sum over the powers of q's
-  numerator and denominator, and rho's and the matrices' denominators are
-  folded into each cell's integer scale.  Integer arithmetic is exact, so
-  the matrix is zero exactly when the relation is.  At rank r it is the
-  zero test, and at rank 1 with rho = 0 it gives the rho calibration;
+  over Z[q^±1, z^±1], and every point evaluates that checked module
+  straight into integers: each generator is an integer matrix B_i over one
+  positive integer L_i, A_i = B_i / L_i.  One evaluator,
+  ``_relation_matrix``, computes the relation from those pairs as an
+  integer matrix over one common denominator: every table entry is an
+  integer sum over the powers of q's numerator and denominator, and rho's
+  and the matrices' denominators are folded into each cell's integer scale.
+  Integer arithmetic is exact, so the matrix is zero exactly when the
+  relation is.  At rank r it is the zero test, and at rank 1 with rho = 0
+  it gives the rho calibration, whose one Fraction is rho itself;
 * the spectral band structure: with eigenvalues theta_k = C (v q^k +
   v^-1 q^-k), the generating polynomial vanishes at (theta_k, theta_l)
   exactly for parity-allowed offsets |k - l| <= r.  The factors are those
@@ -36,9 +38,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffs import CoeffTable, _factor_poly, c_recursive, delta_indices, generating_factors
-from .qcoeff import ZERO, LaurentScalar, _madd, _mmul, _padd, exact_div, q_int
+from .qcoeff import ZERO, LaurentScalar, _madd, _mmul, _padd, _pmul, exact_div, q_int
 
-Mat = tuple[tuple[Fraction, ...], ...]
+IMat = tuple[tuple[int, ...], ...]
+# A generator at one point: (L, B) with A = B / L, L > 0 and gcd(L, *B) = 1.
+Rep = tuple[int, IMat]
 
 
 class RepConstructionError(Exception):
@@ -73,10 +77,12 @@ class RepParams:
             raise ValueError("s must avoid {0, 1, -1}")
         if self.z == 0:
             raise ValueError("z must be nonzero")
+        if not any(self.w):
+            return  # every product w_i * (...) below is exactly 0
         q = self.s ** 2
         kappa = q + 1 / q - 2  # equals (s - 1/s)^2, nonzero since s != +-1
         for i, j in _LINKED:
-            if self.w[i] * (self.w[j] ** 2 + self.c[j] * self.cbar[j] / kappa) != 0:
+            if self.w[i] and self.w[j] ** 2 + self.c[j] * self.cbar[j] / kappa != 0:
                 raise ValueError(f"w constraint violated for the linked pair ({i},{j})")
 
     @property
@@ -201,34 +207,51 @@ def _checked_module():
     return e, f, h
 
 
-def _qz_eval(value: _XPoly, s: Fraction, z: Fraction) -> Fraction:
-    """A module entry at q = s^2 and the given z."""
-    return sum(
-        (c * s ** (2 * qe) * z ** ze
-         for (_, ze, _), poly in value.items() for qe, c in poly.items()),
-        Fraction(0),
-    )
+def _power(x: Fraction, n: int) -> tuple[int, int]:
+    """x^n for a nonzero x and any integer n, as (numerator, denominator);
+    the denominator is negative when n < 0 and x^n < 0."""
+    num, den = (x.numerator, x.denominator) if n >= 0 else (x.denominator, x.numerator)
+    return num ** abs(n), den ** abs(n)
 
 
-def build_evaluation_rep(params: RepParams) -> tuple[Mat, Mat, Mat]:
-    """The three coideal generator matrices, one per node.
+def build_evaluation_rep(params: RepParams) -> tuple[Rep, Rep, Rep]:
+    """The three coideal generators, one (L_i, B_i) per node, A_i = B_i / L_i.
 
     They are the checked Chevalley module evaluated at (s, z):
     A_i = (c_i e_i + cbar_i f_i) q^(h_i/2) + w_i q^(h_i), with q^(h/2) = s^h.
+    Each term c coef s^(2 qe + h_b) z^ze of an entry, and each diagonal
+    w_i s^(2 h_a), is an integer (numerator, denominator) pair; L_i is the
+    positive lcm of the denominators, B_i sums num * (L_i // den), and both
+    are then divided by gcd(L_i, *B_i), so that L_i is the lcm of A_i's
+    reduced entry denominators.
     """
     e, f, h = _checked_module()
     s, z = params.s, params.z
     out = []
     for i in _NODES:
-        rows = [[Fraction(0)] * 3 for _ in range(3)]
-        for a in range(3):
-            rows[a][a] += params.w[i] * s ** (2 * h[i][a])
-            for b in range(3):
-                if e[i][a][b]:
-                    rows[a][b] += params.c[i] * _qz_eval(e[i][a][b], s, z) * s ** h[i][b]
-                if f[i][a][b]:
-                    rows[a][b] += params.cbar[i] * _qz_eval(f[i][a][b], s, z) * s ** h[i][b]
-        out.append(tuple(tuple(row) for row in rows))
+        terms = []  # (a, b, numerator, denominator)
+        for m, scalar in ((e[i], params.c[i]), (f[i], params.cbar[i])):
+            if not scalar:
+                continue
+            for a in range(3):
+                for b in range(3):
+                    for (_, ze, _), poly in m[a][b].items():
+                        zn, zd = _power(z, ze)
+                        for qe, coef in poly.items():
+                            sn, sd = _power(s, 2 * qe + h[i][b])
+                            terms.append((a, b, scalar.numerator * coef * sn * zn,
+                                          scalar.denominator * sd * zd))
+        w = params.w[i]
+        if w:
+            for a in range(3):
+                sn, sd = _power(s, 2 * h[i][a])
+                terms.append((a, a, w.numerator * sn, w.denominator * sd))
+        lcm = math.lcm(*(den for *_, den in terms))
+        rows = [[0] * 3 for _ in range(3)]
+        for a, b, num, den in terms:
+            rows[a][b] += num * (lcm // den)
+        g = math.gcd(lcm, *(x for row in rows for x in row))
+        out.append((lcm // g, tuple(tuple(x // g for x in row) for row in rows)))
     return tuple(out)
 
 
@@ -268,7 +291,7 @@ class CalibrationResult:
 
 
 def calibrate_rho(
-    matrices: tuple[Mat, Mat, Mat], params: RepParams, pair: tuple[int, int] = (0, 1)
+    matrices: tuple[Rep, Rep, Rep], params: RepParams, pair: tuple[int, int] = (0, 1)
 ) -> CalibrationResult:
     """Solve the rank-1 relation for the single scalar rho_i on matrices.
 
@@ -276,18 +299,24 @@ def calibrate_rho(
     comes from the same evaluator as the rank-r check, and all nine of its
     entries must be proportional to A_j with the one factor rho; the measured
     rho is compared against c_i * cbar_i and any normalization discrepancy is
-    reported through the result.
+    reported through the result.  With the relation T / D and A_j = B_j / L_j,
+    rho = T L_j / (D B_j) at the first nonzero entry of B_j, and every entry
+    is checked in integers as T L_j rho_den == rho_num D B_j.
     """
     i, j = pair
     if i == j:
         raise ValueError("calibration needs a linked pair of distinct nodes")
-    aj = matrices[j]
-    total, denom = _relation_matrix(1, c_recursive(1), matrices[i], aj, params.q, Fraction(0))
-    entries = [(t, x) for t_row, a_row in zip(total, aj) for t, x in zip(t_row, a_row)]
-    rho = next((Fraction(t, denom) / x for t, x in entries if x), None)
-    if rho is None:
+    lj, bj = matrices[j]
+    total, denom = _relation_matrix(
+        1, c_recursive(1), matrices[i], matrices[j], params.q, Fraction(0)
+    )
+    entries = [(t, x) for t_row, b_row in zip(total, bj) for t, x in zip(t_row, b_row)]
+    first = next(((t, x) for t, x in entries if x), None)
+    if first is None:
         raise CalibrationError("A_j is the zero matrix; cannot calibrate")
-    if any(t != rho * denom * x for t, x in entries):
+    rho = Fraction(first[0] * lj, denom * first[1])
+    lhs, rhs = lj * rho.denominator, rho.numerator * denom
+    if any(t * lhs != rhs * x for t, x in entries):
         raise CalibrationError(
             f"no scalar rho satisfies the rank-1 relation for the pair ({i},{j})"
         )
@@ -370,15 +399,6 @@ class MatrixReport:
         return "\n".join(lines)
 
 
-IMat = tuple[tuple[int, ...], ...]
-
-
-def _integer_scaled(a: Mat) -> tuple[int, IMat]:
-    """(L, B) with a = B / L, where L is the lcm of the entry denominators."""
-    lcm = math.lcm(*(x.denominator for row in a for x in row))
-    return lcm, tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in a)
-
-
 def _imat_mul(a: IMat, b: IMat) -> IMat:
     cols = tuple(zip(*b))
     return tuple(
@@ -387,7 +407,7 @@ def _imat_mul(a: IMat, b: IMat) -> IMat:
 
 
 def _relation_matrix(
-    r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
+    r: int, table: CoeffTable, ai: Rep, aj: Rep, q: Fraction, rho: Fraction
 ) -> tuple[IMat, int]:
     """The rank-r relation at A_i, A_j as (T, D): an integer matrix T over
     the positive denominator D, so that the relation is T / D.
@@ -398,7 +418,7 @@ def _relation_matrix(
     sum c_e q^e is then N * a^lo / b^hi with the integer
     N = sum c_e a^(e-lo) b^(hi-e), read off two power lists (lo <= e <= hi),
     and a^lo / b^hi = g/h in lowest terms is one factor of every entry.
-    With A_i = B_i / L_i and A_j = B_j / L_j in integer matrices and P the
+    With A_i = B_i / L_i and A_j = B_j / L_j as given and P the
     largest p of the table, the term rho^p A_i^n A_j^r A_i^k
     (n + k = r - 2p + 1) times rd^P L_i^(r+1) L_j^r is
     rn^p rd^(P-p) L_i^(2p) B_i^n B_j^r B_i^k.  So a cell's sign, N,
@@ -407,8 +427,7 @@ def _relation_matrix(
     sum, D = h * rd^P * L_i^(r+1) * L_j^r.  T is zero exactly when the
     relation is, so the zero test needs no D.
     """
-    li, bi = _integer_scaled(ai)
-    lj, bj = _integer_scaled(aj)
+    (li, bi), (lj, bj) = ai, aj
     entries = [(p, k, sign, table.entry(p, k).num) for (p, k, sign) in delta_indices(r)]
     exponents = [e for *_, num in entries for e in num]
     lo, hi = (min(exponents), max(exponents)) if exponents else (0, 0)
@@ -444,7 +463,7 @@ def _relation_matrix(
 
 
 def _relation_vanishes(
-    r: int, table: CoeffTable, ai: Mat, aj: Mat, q: Fraction, rho: Fraction
+    r: int, table: CoeffTable, ai: Rep, aj: Rep, q: Fraction, rho: Fraction
 ) -> bool:
     """Whether the rank-r relation is the zero matrix at A_i, A_j."""
     total, _ = _relation_matrix(r, table, ai, aj, q, rho)
@@ -502,7 +521,12 @@ def _evaluate(poly: dict, monomials: dict[tuple, _XPoly]) -> _XPoly:
     replaced by the value ``_monomials`` gives it."""
     value: _XPoly = {}
     for degrees, coeff in poly.items():
-        value = _madd(value, _mmul({(0, 0, 0): coeff}, monomials[degrees]))
+        for key, pv in monomials[degrees].items():
+            n = _padd(value.get(key, {}), _pmul(coeff, pv))
+            if n:
+                value[key] = n
+            else:
+                value.pop(key, None)
     return value
 
 

@@ -1,10 +1,13 @@
 """Tests for the evaluation-representation and spectral evidence checks."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qonsager import repcheck
 from qonsager.coeffs import (
@@ -87,10 +90,10 @@ def w_branch_params():
 # ---------------------------------------------------------------------------
 
 
-def test_build_passes_self_validation():
-    mats = build_evaluation_rep(generic_params())
-    assert len(mats) == 3
-    assert all(len(m) == 3 for m in mats)
+def _integer_scaled(a):
+    """(L, B) with a = B / L, where L is the lcm of the entry denominators."""
+    lcm = math.lcm(*(x.denominator for row in a for x in row))
+    return lcm, tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in a)
 
 
 def _evaluate(m, s, z):
@@ -106,6 +109,63 @@ def _evaluate(m, s, z):
         )
         for row in m
     )
+
+
+def fraction_rep(params):
+    """The three generator matrices A_i in Fraction, the checked module
+    evaluated entry by entry: the slow oracle of build_evaluation_rep."""
+    e, f, h = repcheck._checked_module()
+    s, z = params.s, params.z
+    out = []
+    for i in range(3):
+        e_i, f_i = _evaluate(e[i], s, z), _evaluate(f[i], s, z)
+        rows = [[Fraction(0)] * 3 for _ in range(3)]
+        for a in range(3):
+            rows[a][a] += params.w[i] * s ** (2 * h[i][a])
+            for b in range(3):
+                rows[a][b] += (params.c[i] * e_i[a][b] + params.cbar[i] * f_i[a][b]) * s ** h[i][b]
+        out.append(tuple(tuple(row) for row in rows))
+    return tuple(out)
+
+
+def test_build_passes_self_validation():
+    mats = build_evaluation_rep(generic_params())
+    assert len(mats) == 3
+    assert all(len(b) == 3 and all(len(row) == 3 for row in b) for _, b in mats)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        generic_params(),
+        generic_params(z=Fraction(-2, 7), s=Fraction(-3, 5)),
+        generic_params(c=(Fraction(0), Fraction(0), Fraction(0))),
+        sample_params(random.Random(3)),
+        w_branch_params(),
+    ],
+    ids=["generic", "negative", "c-zero", "sampled", "w-branch"],
+)
+def test_evaluation_rep_is_integer(params):
+    reps = build_evaluation_rep(params)
+    for lcm, b in reps:
+        assert type(lcm) is int and lcm > 0
+        assert all(type(x) is int for row in b for x in row)
+    assert reps == tuple(_integer_scaled(a) for a in fraction_rep(params))
+
+
+_coordinates = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _coordinates.filter(lambda x: x not in (0, 1, -1)),
+    _coordinates.filter(lambda x: x != 0),
+    st.tuples(_coordinates, _coordinates, _coordinates),
+    st.tuples(_coordinates, _coordinates, _coordinates),
+)
+def test_integer_module_matches_the_fraction_oracle(s, z, c, cbar):
+    params = RepParams(s=s, z=z, c=c, cbar=cbar)
+    assert build_evaluation_rep(params) == tuple(_integer_scaled(a) for a in fraction_rep(params))
 
 
 def _diag(values):
@@ -128,7 +188,7 @@ def _diag(values):
 def test_numeric_matrices_are_the_symbolic_module_evaluated(params):
     e, f, h = repcheck._checked_module()
     s, z = params.s, params.z
-    for i, a_i in enumerate(build_evaluation_rep(params)):
+    for i, (a_i, scaled) in enumerate(zip(fraction_rep(params), build_evaluation_rep(params))):
         half = _diag([s ** hv for hv in h[i]])
         full = _diag([s ** (2 * hv) for hv in h[i]])
         expected = mat_add(
@@ -139,6 +199,7 @@ def test_numeric_matrices_are_the_symbolic_module_evaluated(params):
             mat_scale(full, params.w[i]),
         )
         assert a_i == expected, i
+        assert scaled == _integer_scaled(expected), i
 
 
 def _scaled(m, scalar):
@@ -195,6 +256,11 @@ def test_rep_params_validation():
     # nonzero w without the compensating constraint is rejected
     with pytest.raises(ValueError, match="w constraint"):
         generic_params(w=(Fraction(1), Fraction(0), Fraction(0)))
+    # w_0 != 0 needs w_1^2 = -c_1 cbar_1 / (q + q^-1 - 2), which w_1 = 0 breaks,
+    # while every pair with w_i = 0 or partner 0 or 2 holds
+    w = w_branch_params()
+    with pytest.raises(ValueError, match=r"w constraint violated for the linked pair \(0,1\)"):
+        RepParams(s=w.s, z=w.z, c=w.c, cbar=w.cbar, w=(w.w[0], Fraction(0), w.w[2]))
 
 
 def test_c_zero_gives_triangular_matrix_and_zero_rho():
@@ -205,7 +271,7 @@ def test_c_zero_gives_triangular_matrix_and_zero_rho():
     assert cal.product == 0
     assert cal.ratio is None
     # strictly triangular plus diagonal: only the lowering and w parts remain
-    a0 = mats[0]
+    _, a0 = mats[0]
     assert a0[2][0] == 0  # raising entry of node 0 (e_0 lives at row 2, col 0)
 
 
@@ -272,12 +338,13 @@ def _calibration_oracle(matrices, params, pair):
 )
 def test_calibration_matches_the_fraction_oracle(params):
     mats = build_evaluation_rep(params)
+    fractions = fraction_rep(params)
     for pair in ((0, 1), (1, 0), (1, 2), (0, 2)):
-        assert calibrate_rho(mats, params, pair).rho == _calibration_oracle(mats, params, pair)
+        assert calibrate_rho(mats, params, pair).rho == _calibration_oracle(fractions, params, pair)
 
 
 def _fraction_matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return _integer_scaled(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
 def test_calibration_error_when_no_scalar_rho_fits():
@@ -360,8 +427,8 @@ def _zero_both_ways(r, table, params, pair=(0, 1)):
     """(integer zero test, Fraction oracle) at one point."""
     mats = build_evaluation_rep(params)
     rho = calibrate_rho(mats, params, pair).rho
-    ai, aj = mats[pair[0]], mats[pair[1]]
-    fast = repcheck._relation_vanishes(r, table, ai, aj, params.q, rho)
+    fast = repcheck._relation_vanishes(r, table, mats[pair[0]], mats[pair[1]], params.q, rho)
+    ai, aj = (fraction_rep(params)[n] for n in pair)
     slow = _delta_matrix_oracle(r, table, ai, aj, params.q, rho)
     return fast, all(x == 0 for row in slow for x in row)
 
@@ -412,14 +479,16 @@ def test_relation_matrix_values_match_the_fraction_oracle(r):
     # single-cell mutation, at rho = 0, the calibrated rho and another rho.
     params = sample_params(random.Random(f"values:{r}"))
     mats = build_evaluation_rep(params)
+    fractions = fraction_rep(params)
     tables = [c_recursive(r)] + [perturbed_table(c_recursive(r), *cell) for cell in cells(r)]
     for pair in ((0, 1), (1, 2)):
-        ai, aj = mats[pair[0]], mats[pair[1]]
+        ai, aj = fractions[pair[0]], fractions[pair[1]]
         calibrated = calibrate_rho(mats, params, pair).rho
-        assert calibrated == _calibration_oracle(mats, params, pair)
+        assert calibrated == _calibration_oracle(fractions, params, pair)
         for rho in (Fraction(0), calibrated, Fraction(-7, 5)):
             for table in tables:
-                got = repcheck._relation_matrix(r, table, ai, aj, params.q, rho)
+                got = repcheck._relation_matrix(
+                    r, table, mats[pair[0]], mats[pair[1]], params.q, rho)
                 assert _as_fractions(*got) == _delta_matrix_oracle(r, table, ai, aj, params.q, rho), (
                     pair, rho, table.pipeline)
 
@@ -429,7 +498,7 @@ def test_relation_matrix_values_on_tables_with_few_terms():
     # whose least q-exponent is positive, at q = s^2 and at a negative q.
     r = 3
     params = generic_params()
-    ai, aj, _ = build_evaluation_rep(params)
+    (ai, aj, _), (pi, pj, _) = fraction_rep(params), build_evaluation_rep(params)
     recursive = c_recursive(r).entries
     tables = [
         CoeffTable(r, dict.fromkeys(cells(r), ZERO)),
@@ -439,9 +508,9 @@ def test_relation_matrix_values_on_tables_with_few_terms():
     for q in (params.q, Fraction(-2, 3)):
         for rho in (Fraction(0), Fraction(3, 7)):
             for table in tables:
-                total, denom = repcheck._relation_matrix(r, table, ai, aj, q, rho)
+                total, denom = repcheck._relation_matrix(r, table, pi, pj, q, rho)
                 assert _as_fractions(total, denom) == _delta_matrix_oracle(r, table, ai, aj, q, rho)
-    total, _ = repcheck._relation_matrix(r, tables[0], ai, aj, params.q, Fraction(3, 7))
+    total, _ = repcheck._relation_matrix(r, tables[0], pi, pj, params.q, Fraction(3, 7))
     assert total == ((0, 0, 0),) * 3
 
 
@@ -511,6 +580,25 @@ def test_shared_monomials_match_the_one_factor_expansion():
         for desc, d in sorted(pairs):
             value = repcheck._evaluate(_factor_poly(desc), monomials[d])
             assert value == repcheck._factor_at(desc, d, rho) == _factor_by_products(desc, d, rho), (
+                desc, d, rho)
+
+
+def _evaluate_by_madd(poly, monomials):
+    """_evaluate as a fold of whole polynomials, one _madd per monomial."""
+    value = {}
+    for degrees, coeff in poly.items():
+        value = _madd(value, _mmul({(0, 0, 0): coeff}, monomials[degrees]))
+    return value
+
+
+def test_evaluate_matches_the_madd_fold():
+    pairs = {(desc, d) for r in range(1, 11) for desc in generating_factors(r)
+             for d in range(-(r + 2), r + 3)}
+    for rho in (spectral_rho_constant(), ZERO):
+        monomials = {d: repcheck._monomials(d, rho) for _, d in pairs}
+        for desc, d in sorted(pairs):
+            poly = _factor_poly(desc)
+            assert repcheck._evaluate(poly, monomials[d]) == _evaluate_by_madd(poly, monomials[d]), (
                 desc, d, rho)
 
 
