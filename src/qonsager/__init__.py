@@ -10,7 +10,7 @@ Subpackage map:
                   word is its int code, a term ``{code: {rho_degree: poly
                   dict}}``
 * ``reducer``  -- ordering prescription as a confluent rewriting system on
-                  those terms
+                  those terms; it serves ``verify`` only
 * ``coeffs``   -- the coefficient tables c[r,p,k] via four independent pipelines
 * ``verify``   -- builds the degree-(2r+1) relation and reduces it to zero
 * ``repcheck`` -- evaluation-representation and spectral evidence checks

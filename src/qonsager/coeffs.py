@@ -13,7 +13,7 @@ table are deliberately independent so they can cross-check each other:
 * ``c_solve``       -- treating all entries as unknowns, reducing the
                        candidate relation by the rewrite rule alone (the
                        normal forms of I^a J^r, built one J at a time from
-                       the reducer's normal forms of I^a J) and solving the
+                       those of I^a J by their recurrence) and solving the
                        resulting linear system exactly, in one pass down the
                        term order (it is triangular there).
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .freealg import concat, letters, monomial, word_from_exponents
+from .freealg import concat, word_from_exponents
 from .qcoeff import (
     ONE,
     ZERO,
@@ -36,12 +36,14 @@ from .qcoeff import (
     _kunpack,
     _kwidth,
     _l1,
+    _madd,
     _mnorm,
     _mprod,
+    _msub,
+    _pmul,
     _pneg,
     q_int,
 )
-from .reducer import reduce
 
 
 class CoefficientSystemError(Exception):
@@ -152,8 +154,8 @@ def eta_table(m_max: int) -> dict[tuple[int, int, int], LaurentScalar]:
         eta[m,p,0] = [2] eta[m-1,p,0] + eta[m-1,p,1]
         eta[m,p,1] = eta[m-1,p-1,0] - eta[m-1,p,0]
 
-    Each row is built once per process.  The reducer is the independent
-    cross-check: row m is the moves of NF(I^m J), _moves(m).
+    Each row is built once per process.  _moves(m) builds row m, the moves
+    of NF(I^m J), independently by right multiplication.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -545,26 +547,27 @@ _IJ, _J = word_from_exponents(1, 1, 0), word_from_exponents(0, 1, 0)
 
 
 def _moves(a: int) -> list[tuple[int, int, int, dict]]:
-    """The moves of NF(I^a J), a >= 2, read off the reducer.
+    """The moves of NF(I^a J), a >= 2, from their three-term recurrence.
 
-    Every word of that normal form must be a block IJ or J followed by I^m;
-    each (word, rho degree) term is the move (block code, m, rho degree,
-    poly dict in q).  A word of any other shape raises
-    CoefficientSystemError.
+    I^a J = I^(a-2) IIJ, and the rule IIJ = [2] IJI - JII + rho J gives
+    I^a J = [2] (I^(a-1) J) I - (I^(a-2) J) I^2 + rho I^(a-2) J.  A trailing
+    I never completes a factor IIJ, so NF(X I) = NF(X) I and
+
+        NF(I^a J) = [2] NF(I^(a-1) J) I - NF(I^(a-2) J) I^2 + rho NF(I^(a-2) J),
+
+    from NF(J) = J and NF(IJ) = IJ.  Every word is thus a block IJ or J
+    followed by I^m.  On moves keyed (block code, m, rho degree), each move
+    of a-1 goes to m+1 times [2], and each move of a-2 goes to m+2 negated
+    and to rho degree d+1 as it is; terms that sum to zero are dropped.
+    Returns the moves as (block code, m, rho degree, poly dict in q).
     """
-    moves = []
-    for w, coeff in reduce(monomial(a, 1, 0)).terms.items():
-        n = w.bit_length() - 1
-        if n >= 1 and w == word_from_exponents(0, 1, n - 1):
-            block, m = _J, n - 1
-        elif n >= 2 and w == word_from_exponents(1, 1, n - 2):
-            block, m = _IJ, n - 2
-        else:
-            raise CoefficientSystemError(
-                f"NF(I^{a} J) has the word {letters(w)!r}, not IJ I^m or J I^m"
-            )
-        moves += [(block, m, d, poly) for d, poly in coeff.items()]
-    return moves
+    two = q_int(2).num
+    prev, cur = {(_J, 0, 0): {0: 1}}, {(_IJ, 0, 0): {0: 1}}
+    for _ in range(a - 1):
+        lower = _msub({(b, m, d + 1): c for (b, m, d), c in prev.items()},
+                      {(b, m + 2, d): c for (b, m, d), c in prev.items()})
+        prev, cur = cur, _madd({(b, m + 1, d): _pmul(two, c) for (b, m, d), c in cur.items()}, lower)
+    return [(b, m, d, c) for (b, m, d), c in cur.items()]
 
 
 def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
@@ -643,9 +646,9 @@ def c_solve(r: int) -> CoeffTable:
     _relation_rows must vanish.  Down the term order that system is
     triangular (checked at r = 1..11): _solve_triangular solves it in one
     pass and proves the solution with one _residual.  The normal forms come
-    from the rewrite rule alone (_normal_forms reads its moves off the
-    reducer), so this pipeline shares nothing with the other three.  A
-    failure raises CoefficientSystemError: an inconsistency would falsify
+    from the rewrite rule alone (_moves applies it by recurrence), so this
+    pipeline shares nothing with the other three, nor with verify's rewriter.
+    A failure raises CoefficientSystemError: an inconsistency would falsify
     the relation at this rank, while two open cells only stall the pass.
     """
     if r < 1:

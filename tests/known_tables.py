@@ -6,8 +6,8 @@ completion c[r,p,k] = c[r,p,r-2p+1-k] filling the halves that are not
 written out.  Every pipeline must reproduce these tables exactly.
 """
 
-from qonsager.coeffs import CoeffTable, _moves, cells, delta_indices
-from qonsager.freealg import monomial, word_from_exponents
+from qonsager.coeffs import CoeffTable, cells, delta_indices
+from qonsager.freealg import letters, monomial, word_from_exponents
 from qonsager.qcoeff import ZERO, LaurentScalar, _pneg, exact_div, q_binomial, q_int
 from qonsager.reducer import reduce
 
@@ -109,9 +109,29 @@ def eta_moves(eta: dict, m: int) -> dict:
     }
 
 
-def reducer_moves(m: int) -> dict:
-    """coeffs._moves(m), the reducer's reading of NF(I^m J), as a dict."""
-    return {(block, n, d): poly for block, n, d, poly in _moves(m)}
+def moves_of(nf) -> dict:
+    """The moves of nf, a normal form of I^m J, keyed like coeffs._moves.
+
+    Every word of nf must be a block IJ or J followed by I^m; each (word,
+    rho degree) term is the move (block code, m, rho degree) with its poly
+    dict.  A word of any other shape fails an assertion.
+    """
+    moves = {}
+    for w, coeff in nf.terms.items():
+        n = w.bit_length() - 1
+        if n >= 1 and w == word_from_exponents(0, 1, n - 1):
+            block, m = word_from_exponents(0, 1, 0), n - 1
+        elif n >= 2 and w == word_from_exponents(1, 1, n - 2):
+            block, m = word_from_exponents(1, 1, 0), n - 2
+        else:
+            raise AssertionError(f"the normal form has the word {letters(w)!r}, not IJ I^m or J I^m")
+        moves.update({(block, m, d): poly for d, poly in coeff.items()})
+    return moves
+
+
+def kernel_moves(m: int) -> dict:
+    """The rewrite kernel's reading of NF(I^m J), the oracle for coeffs._moves(m)."""
+    return moves_of(reduce(monomial(m, 1, 0)))
 
 
 def next_table_by_cases(r: int, prev: dict, eta: dict) -> dict:

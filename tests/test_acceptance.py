@@ -13,7 +13,7 @@ import random
 import time
 
 from coefficients import rho
-from known_tables import bar_invariant_ok, eta_moves, fixture_table, palindromic_ok, reducer_moves
+from known_tables import bar_invariant_ok, eta_moves, fixture_table, kernel_moves, palindromic_ok
 from slow_reducer import reduce_randomized
 
 from qonsager.coeffs import (
@@ -164,7 +164,7 @@ def test_criterion_07_eta_expansion_oracle():
     start = time.perf_counter()
     eta = eta_table(12)
     for m in range(2, 13):
-        assert eta_moves(eta, m) == reducer_moves(m), m
+        assert eta_moves(eta, m) == kernel_moves(m), m
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _report(7, "eta row m equals the moves of reduce(I^m J) for m<=12", elapsed, budget)

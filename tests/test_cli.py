@@ -582,6 +582,12 @@ def test_module_entry_point_subprocess(capsys):
     assert run_module("verify", "--r", "0").returncode == EXIT_USAGE
 
 
+def test_the_parser_is_built_once_per_process():
+    # main parses every call with the one parser, so repeated in-process
+    # calls do not rebuild it.
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_import_loads_no_process_pool():
     # The serial CLI starts without the pool machinery; _pmap imports it
     # only when it builds a pool.

@@ -2,14 +2,19 @@
 
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qonsager._kernel_py as _kernel_py
 import qonsager.coeffs as coeffs_mod
+import qonsager.reducer as reducer_mod
 
 from qonsager.coeffs import (
     CoeffTable,
@@ -48,13 +53,14 @@ from known_tables import (
     binomial_row_ok,
     eta_moves,
     fixture_table,
+    kernel_moves,
     m_table,
+    moves_of,
     next_table_by_cases,
     palindromic_ok,
-    reducer_moves,
     solve_rows_by_cells,
 )
-from slow_reducer import redex_positions
+from slow_reducer import redex_positions, reduce_randomized
 
 
 def L(d):
@@ -113,7 +119,7 @@ def test_eta_small_values():
 
 
 def test_eta_expansion_matches_rank_one_rule_at_m2():
-    assert eta_moves(eta_table(2), 2) == reducer_moves(2)
+    assert eta_moves(eta_table(2), 2) == kernel_moves(2)
 
 
 def test_eta_expansion_matches_displayed_m3():
@@ -146,7 +152,7 @@ def test_eta_rows_are_built_once_per_process(monkeypatch):
 def test_eta_against_reducer_small():
     eta = eta_table(8)
     for m in range(2, 9):
-        assert eta_moves(eta, m) == reducer_moves(m), m
+        assert eta_moves(eta, m) == kernel_moves(m), m
 
 
 # ---------------------------------------------------------------------------
@@ -777,17 +783,34 @@ def test_solve_reads_nothing_of_the_recursive_pipeline(monkeypatch):
     assert c_solve(6) == expected
 
 
-def test_a_move_of_another_shape_raises(monkeypatch):
-    honest = coeffs_mod.reduce
+def test_solve_runs_nothing_of_the_rewriter(monkeypatch):
+    # The moves come from their recurrence, so the rewriter that verify
+    # runs is a second, independent computation of the same normal forms.
+    def refuse(*args):
+        raise AssertionError("c_solve ran the rewriter")
 
-    def stray(poly):
-        out = honest(poly)
-        return out + NCPolynomial.from_word(word("JJ"))
+    expected = c_closed(6)
+    monkeypatch.setattr(reducer_mod, "reduce_with_stats", refuse)
+    monkeypatch.setattr(_kernel_py, "reduce_packed", refuse)
+    assert c_solve(6) == expected
+    probe = ("import sys, qonsager.coeffs; "
+             "print(sorted({'qonsager.reducer', 'qonsager._kernel_py'} & set(sys.modules)))")
+    src = str(Path(coeffs_mod.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
-    monkeypatch.setattr(coeffs_mod, "reduce", stray)
-    with pytest.raises(CoefficientSystemError) as info:
-        c_solve(3)
-    assert str(info.value) == "NF(I^2 J) has the word 'JJ', not IJ I^m or J I^m"
+
+def test_moves_follow_the_kernel_and_the_slow_reducer():
+    # The recurrence against the rewrite kernel, and (shorter, as it is
+    # slower) against the randomized-order reducer, which shares no code
+    # with the kernel.
+    for a in range(2, 42):
+        moves = {(block, m, d): c for block, m, d, c in coeffs_mod._moves(a)}
+        assert moves == kernel_moves(a), a
+        if a <= 25:
+            assert moves == moves_of(reduce_randomized(monomial(a, 1, 0), random.Random(a))), a
 
 
 @pytest.mark.parametrize("a, i", [(2, i) for i in range(3)] + [(3, i) for i in range(4)])
