@@ -3,14 +3,13 @@ generalized q-Onsager algebras.
 
 Subpackage map:
 
-* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, and the products of
-                  polynomials over q: multivariate (coeffs, repcheck) and in
-                  rho (the free algebra's coefficients)
-* ``freealg``  -- free algebra on the two generators of one linked pair: a
-                  word is its int code, a term ``{code: {rho_degree: poly
-                  dict}}``
+* ``qcoeff``   -- exact Laurent-polynomial arithmetic in q, and polynomials
+                  over q in further variables (coeffs, repcheck)
+* ``freealg``  -- word codec of the free algebra on the two generators of one
+                  linked pair: a word is its int code, an element the plain
+                  dict ``{code: {rho_degree: poly dict}}``
 * ``reducer``  -- ordering prescription as a confluent rewriting system on
-                  those terms; it serves ``verify`` only
+                  those dicts; it serves ``verify`` only
 * ``coeffs``   -- the coefficient tables c[r,p,k] via four independent pipelines
 * ``verify``   -- builds the degree-(2r+1) relation and reduces it to zero
 * ``repcheck`` -- evaluation-representation and spectral evidence checks

@@ -13,8 +13,7 @@ operand has a single term; sums of many products go through the packed
 layer below.  A polynomial in further variables maps the exponents of those
 variables to nonzero poly dicts in q (``_madd``, ``_msub``): a 3-int
 exponent tuple for the multivariate polynomials of coeffs and repcheck
-(``_mmul``), or the rho degree for the rho-polynomials that are the free
-algebra's coefficients (``_rmul``).
+(``_mmul``), or the rho degree for the free algebra's coefficients.
 
 The packed layer (Kronecker substitution) serves the coefficient pipelines.
 A poly dict a whose exponents all have the parity of its least one, low, is
@@ -108,8 +107,8 @@ def _pmul(a: dict, b: dict) -> dict:
 # polynomials over poly dicts: dict[exponent key -> nonzero poly dict in q]
 # ---------------------------------------------------------------------------
 # A key holds the exponents of the variables other than q: a 3-int tuple
-# (``_mmul`` adds keys slot by slot) or a rho degree (``_rmul``).  ``_madd``
-# and ``_msub`` serve both.  Values may be shared between results and are
+# (``_mmul`` adds keys slot by slot) or a rho degree.  ``_madd`` and
+# ``_msub`` serve both.  Values may be shared between results and are
 # never mutated.
 
 
@@ -138,19 +137,6 @@ def _mmul(a: dict, b: dict) -> dict:
                 out[key] = n
             else:
                 out.pop(key, None)
-    return out
-
-
-def _rmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for pa, va in a.items():
-        for pb, vb in b.items():
-            p = pa + pb
-            n = _padd(out.get(p, {}), _pmul(va, vb))
-            if n:
-                out[p] = n
-            else:
-                out.pop(p, None)
     return out
 
 

@@ -9,17 +9,19 @@ terminates on every input.
 
 The kernel module ``_kernel_py`` does the reduction.  It takes and returns
 ``{word code: {rho_degree: {q_exponent: c}}}`` with nonzero int c, which is
-exactly ``NCPolynomial.terms``: a word is its int code (see ``freealg``).  So
-``_pack`` hands the kernel the terms themselves, which it only reads, and
-``_unpack`` wraps its result; both are identity wrappers, kept so that a
-profiler can time them as stages.  The kernel holds each coefficient as one
-int with a slot per reachable q-exponent (they step by two, since
-``e - inversions(word)`` keeps its parity under the rule), so every rewrite
-is a left shift, and keeps the result exact for any integer exponents and
-coefficients; see ``_kernel_py`` for how.
+exactly the free-algebra element that ``reduce`` takes and returns: a word is
+its int code (see ``freealg``).  So ``_pack`` hands the kernel the element
+itself, which it only reads, and ``_unpack`` hands back its result; both are
+identity functions, kept so that a profiler can time them as stages.  The
+kernel holds each coefficient as one int with a slot per reachable
+q-exponent (they step by two, since ``e - inversions(word)`` keeps its
+parity under the rule), so every rewrite is a left shift, and keeps the
+result exact for any integer exponents and coefficients; see ``_kernel_py``
+for how.
 
-The tests keep an independent slow engine on the coefficient dicts as the
-oracle for the kernel (``tests/slow_reducer.py``).
+The tests keep an independent slow engine on the same dicts as the oracle
+for the kernel (``tests/slow_reducer.py``), and the sums and products that
+the oracles need (``tests/free_ring.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernel_py
-from .freealg import NCPolynomial
 
 _kernel = _kernel_py
 
@@ -46,28 +47,29 @@ class ReduceStats:
     passes: int
 
 
-def _pack(x: NCPolynomial) -> dict:
-    """x in the kernel's form, which is its own terms."""
-    return x.terms
+def _pack(x: dict) -> dict:
+    """x in the kernel's form, which is x itself."""
+    return x
 
 
-def _unpack(reduced: dict) -> NCPolynomial:
-    return NCPolynomial._raw(reduced)
+def _unpack(reduced: dict) -> dict:
+    return reduced
 
 
-def reduce_with_stats(x: NCPolynomial, rho_zero: bool = False) -> tuple[NCPolynomial, ReduceStats]:
+def reduce_with_stats(x: dict, rho_zero: bool = False) -> tuple[dict, ReduceStats]:
     """Normal form of x plus a profile of the run.
 
-    The result contains no word with an IIJ factor and equals x modulo the
-    two-sided ideal of the defining relation (its rho-zero truncation in
-    rho-zero mode).
+    x is ``{word code: {rho_degree: poly dict}}`` with no zero coefficient,
+    and is only read.  The result, in the same form, contains no word with an
+    IIJ factor and equals x modulo the two-sided ideal of the defining
+    relation (its rho-zero truncation in rho-zero mode).
     """
-    if x.is_zero:
-        return x, ReduceStats(0, 0, 0)
+    if not x:
+        return {}, ReduceStats(0, 0, 0)
     out, peak, steps, passes = _kernel.reduce_packed(_pack(x), rho_zero)
     return _unpack(out), ReduceStats(peak, steps, passes)
 
 
-def reduce(x: NCPolynomial, rho_zero: bool = False) -> NCPolynomial:
+def reduce(x: dict, rho_zero: bool = False) -> dict:
     """Unique normal form of x under the ordering prescription."""
     return reduce_with_stats(x, rho_zero)[0]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .coeffs import CoeffTable, _factor_poly, c_recursive, delta_indices, generating_factors
@@ -542,11 +542,11 @@ def spectral_rho_constant() -> LaurentScalar:
     return -(diff * diff)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
     """Outcome of the brute-force expansion oracle for the rho calibration."""
 
-    offsets: list[int]
+    offsets: tuple[int, ...]
     v_independent: bool
     k_independent: bool
     rho_over_c2: LaurentScalar | None
@@ -561,13 +561,14 @@ class OracleResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "offsets": self.offsets,
+            "offsets": list(self.offsets),
             "v_independent": self.v_independent,
             "k_independent": self.k_independent,
             "rho_over_c2": None if self.rho_over_c2 is None else str(self.rho_over_c2),
         }
 
 
+@functools.cache
 def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     """Derive the spectral rho by brute-force symbolic expansion.
 
@@ -576,9 +577,10 @@ def rho_calibration_oracle(max_offset: int = 4) -> OracleResult:
     theta_(k+d)^2 - (q^d + q^-d) theta_k theta_(k+d), with C, v and k all
     formal.  The expansion must be free of v and of k, carry C-degree 2, and
     equal rho_d [d]_q^2 for a d-independent Laurent polynomial rho_d; that
-    common value (divided by C^2) is returned.
+    common value (divided by C^2) is returned.  The result depends only on
+    the bound, so it is computed once per bound and process.
     """
-    offsets = list(range(1, max_offset + 1))
+    offsets = tuple(range(1, max_offset + 1))
     values: list[LaurentScalar] = []
     v_ok = True
     k_ok = True
@@ -653,8 +655,7 @@ def spectral_polynomial_check(r: int) -> SpectralReport:
     oracle = rho_calibration_oracle(max(4, min(r, 8)))
     wired = spectral_rho_constant()
     if not oracle.ok or oracle.rho_over_c2 != wired:
-        return SpectralReport(r=r, oracle=OracleResult(oracle.offsets, oracle.v_independent,
-                                                       oracle.k_independent, None))
+        return SpectralReport(r=r, oracle=replace(oracle, rho_over_c2=None))
     report = SpectralReport(r=r, oracle=oracle)
     factors = [_factor_poly(desc) for desc in generating_factors(r)]
     for d in range(-(r + 2), r + 3):

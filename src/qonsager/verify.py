@@ -17,28 +17,29 @@ import time
 from dataclasses import dataclass
 
 from .coeffs import CoeffTable, PIPELINES, delta_indices
-from .freealg import NCPolynomial, word_from_exponents
+from .freealg import word_from_exponents
 from .qcoeff import LaurentScalar, _pneg
 from .reducer import reduce_with_stats
 
 
 @dataclass
 class RelationCertificate:
-    """Outcome of one symbolic verification run."""
+    """Outcome of one symbolic verification run; ``reduced_form`` is the
+    relation's normal form ``{word code: {rho_degree: poly dict}}``."""
 
     r: int
     table_source: str
-    reduced_form: NCPolynomial
+    reduced_form: dict
     elapsed_ms: int
     term_count_peak: int
 
     @property
     def zero(self) -> bool:
-        return self.reduced_form.is_zero
+        return not self.reduced_form
 
     @property
     def residual_terms(self) -> int:
-        return len(self.reduced_form.terms)
+        return len(self.reduced_form)
 
     def to_json_obj(self) -> dict:
         return {
@@ -76,11 +77,13 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomial:
-    """The exact double sum of the rank-r relation over the given table.
+def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> dict:
+    """The exact double sum of the rank-r relation over the given table, as
+    ``{word code: {rho_degree: poly dict}}``.
 
-    With rho_zero set only the p = 0 part remains, whose coefficients are the
-    q-binomials for any valid table.
+    Every cell has its own word, and a zero cell has no term.  With rho_zero
+    set only the p = 0 part remains, whose coefficients are the q-binomials
+    for any valid table.
     """
     if table.r != r:
         raise ValueError(f"table is for rank {table.r}, not {r}")
@@ -89,8 +92,9 @@ def build_delta(r: int, table: CoeffTable, rho_zero: bool = False) -> NCPolynomi
         if rho_zero and p > 0:
             continue
         num = table.entry(p, k).num
-        terms[word_from_exponents(r - 2 * p + 1 - k, r, k)] = {p: num if sign > 0 else _pneg(num)}
-    return NCPolynomial(terms)
+        if num:
+            terms[word_from_exponents(r - 2 * p + 1 - k, r, k)] = {p: num if sign > 0 else _pneg(num)}
+    return terms
 
 
 def verify_relation(

@@ -6,8 +6,10 @@ completion c[r,p,k] = c[r,p,r-2p+1-k] filling the halves that are not
 written out.  Every pipeline must reproduce these tables exactly.
 """
 
+from free_ring import monomial
+
 from qonsager.coeffs import CoeffTable, cells, delta_indices
-from qonsager.freealg import letters, monomial, word_from_exponents
+from qonsager.freealg import letters, word_from_exponents
 from qonsager.qcoeff import ZERO, LaurentScalar, _pneg, exact_div, q_binomial, q_int
 from qonsager.reducer import reduce
 
@@ -117,7 +119,7 @@ def moves_of(nf) -> dict:
     dict.  A word of any other shape fails an assertion.
     """
     moves = {}
-    for w, coeff in nf.terms.items():
+    for w, coeff in nf.items():
         n = w.bit_length() - 1
         if n >= 1 and w == word_from_exponents(0, 1, n - 1):
             block, m = word_from_exponents(0, 1, 0), n - 1
@@ -209,7 +211,7 @@ def solve_rows_by_cells(r: int) -> dict:
     """
     rows = {}
     for (p, k, sign) in delta_indices(r):
-        for w, coeff in reduce(monomial(r - 2 * p + 1 - k, r, k)).terms.items():
+        for w, coeff in reduce(monomial(r - 2 * p + 1 - k, r, k)).items():
             for d, num in coeff.items():
                 rows.setdefault((w, p + d), {})[(p, k)] = LaurentScalar._raw(
                     num if sign > 0 else _pneg(num))

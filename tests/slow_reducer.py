@@ -2,9 +2,10 @@
 
 It applies the one rule IIJ -> [2]_q IJI - JII + rho J (the rho term dropped
 in rho-zero mode) at a randomly chosen redex, one step at a time, directly on
-the ``{rho_degree: poly dict}`` coefficients of ``NCPolynomial.terms``.  It
-shares no code with ``qonsager._kernel_py``; confluence makes its strategy
-irrelevant, so its normal form must equal ``qonsager.reducer.reduce``'s.
+the ``{rho_degree: poly dict}`` coefficients of a free-algebra element, the
+plain dict ``{word code: coefficient}`` that ``qonsager.reducer.reduce`` takes
+and returns.  It shares no code with ``qonsager._kernel_py``; confluence
+makes its strategy irrelevant, so its normal form must equal ``reduce``'s.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from qonsager.freealg import NCPolynomial
 from qonsager.qcoeff import _madd, _pmul, _pneg
 
 
@@ -41,11 +41,11 @@ def _rewrite_codes(code: int, pos: int) -> tuple[int, int, int]:
 
 
 def reduce_randomized(
-    x: NCPolynomial,
+    x: dict,
     rng: random.Random,
     rho_zero: bool = False,
     on_step: Callable[[int, tuple[int, ...]], None] | None = None,
-) -> NCPolynomial:
+) -> dict:
     """Reduce with a randomized redex-selection order.
 
     Confluence makes the strategy semantically irrelevant; this engine exists
@@ -53,7 +53,7 @@ def reduce_randomized(
     individual steps via ``on_step(redex_word, produced_words)``.  Works
     directly on the ``{rho_degree: poly dict}`` coefficients.
     """
-    terms = dict(x.terms)
+    terms = dict(x)
     # The live words with a redex, as a swap-remove list plus each word's slot
     # in it, so a step costs time linear in the words it touches.
     reducible: list[int] = []
@@ -95,4 +95,4 @@ def reduce_randomized(
             sync(tw)
         if on_step is not None:
             on_step(word, produced)
-    return NCPolynomial._raw(terms)
+    return terms

@@ -351,7 +351,13 @@ def test_spectral(capsys):
 
 def test_spectral_oracle_without_a_laurent_rho_is_falsified(monkeypatch, capsys):
     monkeypatch.setattr(repcheck, "_factor_at", lambda desc, d, rho_over_c2: {(2, 0, 0): {0: 1}})
-    code, out, err = run_cli(capsys, "spectral", "--r", "2")
+    # The oracle is cached per bound: run it on the patched factor, and let
+    # no later test see that run.
+    repcheck.rho_calibration_oracle.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "spectral", "--r", "2")
+    finally:
+        repcheck.rho_calibration_oracle.cache_clear()
     assert code == EXIT_FALSIFIED
     assert out.startswith("oracle ok: False (rho/C^2 = None)")
     assert "Traceback" not in out + err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from free_ring import rmul
 from qonsager.qcoeff import (
     ONE,
     ZERO,
@@ -23,7 +24,6 @@ from qonsager.qcoeff import (
     _mprod,
     _msub,
     _pmul,
-    _rmul,
     exact_div,
     q_binomial,
     q_factorial,
@@ -219,8 +219,9 @@ def test_mmul_matches_the_flat_product(a, b, c, x, y):
     assert all(product.values())
     assert _msub(a, a) == {}
     assert _mmul(a, _madd(b, c)) == _madd(_mmul(a, b), _mmul(a, c))
-    # _rmul is the same product on rho-degree keys.
-    rho_product = _rmul(x, y)
+    # The tests' product of free-algebra coefficients is the same product on
+    # rho-degree keys.
+    rho_product = rmul(x, y)
     assert _flatten(_one_slot(rho_product)) == _flat_mul(
         _flatten(_one_slot(x)), _flatten(_one_slot(y))
     )

@@ -1,5 +1,6 @@
 """Tests for the evaluation-representation and spectral evidence checks."""
 
+import dataclasses
 import json
 import math
 import random
@@ -538,10 +539,31 @@ def test_oracle_derives_the_calibration_constant():
 def test_oracle_rejects_an_expansion_without_a_laurent_rho(monkeypatch):
     # C^2 alone: rho_d [d]^2 = 1 has a Laurent-polynomial rho_d only at d = 1.
     monkeypatch.setattr(repcheck, "_factor_at", lambda desc, d, rho_over_c2: {(2, 0, 0): {0: 1}})
-    result = rho_calibration_oracle(4)
+    # The oracle is cached per bound: run it on the patched factor, and let
+    # no later test see that run.
+    rho_calibration_oracle.cache_clear()
+    try:
+        result = rho_calibration_oracle(4)
+    finally:
+        rho_calibration_oracle.cache_clear()
     assert result.ok is False
     assert result.rho_over_c2 is None
     assert result.v_independent and result.k_independent
+
+
+def test_the_oracle_runs_once_per_bound(monkeypatch):
+    # spectral --r 5 reads the bound-5 oracle; a second run must not expand
+    # the factors again, and the shared result cannot be changed.
+    oracle = rho_calibration_oracle(5)
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran again")
+
+    monkeypatch.setattr(repcheck, "_factor_at", refuse)
+    assert spectral_polynomial_check(5).oracle is oracle
+    assert oracle.offsets == (1, 2, 3, 4, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        oracle.offsets = ()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -1,14 +1,16 @@
 """Tests for relation building and symbolic verification."""
 
 import json
+import random
 
 import pytest
 from coefficients import rho
+from slow_reducer import reduce_randomized
 
 from qonsager import coeffs
-from qonsager.coeffs import c_closed, c_recursive, cells
-from qonsager.freealg import NCPolynomial, monomial
-from qonsager.qcoeff import q_binomial, q_int
+from qonsager.coeffs import CoeffTable, c_closed, c_recursive, cells
+from qonsager.freealg import word_from_exponents
+from qonsager.qcoeff import ZERO, q_binomial, q_int
 from qonsager.reducer import reduce, reduce_with_stats
 from qonsager.verify import (
     build_delta,
@@ -26,12 +28,12 @@ PEAK_BASELINE = {1: 4, 2: 9, 3: 26, 4: 79, 5: 225, 6: 609}
 def test_build_delta_rank_one_is_the_defining_relation():
     table = c_recursive(1)
     delta = build_delta(1, table)
-    expected = (
-        monomial(2, 1, 0)
-        - monomial(1, 1, 1) * rho(TWO)
-        + monomial(0, 1, 2)
-        - monomial(0, 1, 0) * rho(0, 1)
-    )
+    expected = {
+        word_from_exponents(2, 1, 0): rho(1),
+        word_from_exponents(1, 1, 1): rho(-TWO),
+        word_from_exponents(0, 1, 2): rho(1),
+        word_from_exponents(0, 1, 0): rho(0, -1),
+    }
     assert delta == expected
 
 
@@ -42,17 +44,17 @@ def test_build_delta_rank_two_term_count():
     delta = build_delta(2, table)
     pairs = list(cells(2))
     assert len(pairs) == 6
-    assert len(delta.terms) == 6
+    assert len(delta) == 6
 
 
 def test_build_delta_rho_zero_matches_qserre_binomials():
     r = 4
     table = c_recursive(r)
     delta = build_delta(r, table, rho_zero=True)
-    expected = NCPolynomial.zero()
-    for k in range(0, r + 2):
-        sign = 1 if k % 2 == 0 else -1
-        expected = expected + monomial(r + 1 - k, r, k) * rho(sign * q_binomial(r + 1, k))
+    expected = {
+        word_from_exponents(r + 1 - k, r, k): rho((-1) ** k * q_binomial(r + 1, k))
+        for k in range(0, r + 2)
+    }
     assert delta == expected
 
 
@@ -97,8 +99,35 @@ def test_reduction_stats_are_pinned(r, rho_zero, mutate, stats, residual):
         table = perturbed_table(table, *mutate)
     delta = build_delta(r, table, rho_zero=rho_zero)
     nf, got = reduce_with_stats(delta, rho_zero=rho_zero)
-    assert len(nf.terms) == residual
+    assert len(nf) == residual
     assert (got.peak_terms, got.steps, got.passes) == stats
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_the_delta_and_its_reduced_form_are_plain_term_dicts(r):
+    # {word: {rho degree: poly dict}}, the kernel's own form, equal term for
+    # term to the randomized-order oracle on the genuine and a mutated table.
+    for table in (c_recursive(r), perturbed_table(c_recursive(r), 0, 1)):
+        delta = build_delta(r, table)
+        cert = verify_relation(r, table)
+        assert type(delta) is dict and type(cert.reduced_form) is dict
+        expected = reduce_randomized(delta, random.Random(r))
+        assert cert.reduced_form == expected
+        assert cert.residual_terms == len(expected) and cert.zero == (not expected)
+
+
+@pytest.mark.parametrize("cell, rho_zero", [((1, 1), False), ((0, 2), True)])
+def test_a_zero_cell_puts_no_word_into_the_delta(cell, rho_zero):
+    r, (p, k) = 4, cell
+    table = c_recursive(r)
+    zeroed = CoeffTable(r, {**table.entries, cell: ZERO}, "zeroed")
+    cell_word = word_from_exponents(r - 2 * p + 1 - k, r, k)
+    without = {w: c for w, c in build_delta(r, table, rho_zero).items() if w != cell_word}
+    assert build_delta(r, zeroed, rho_zero) == without
+    cert = verify_relation(r, zeroed, rho_zero)
+    nf, stats = reduce_with_stats(without, rho_zero)
+    assert not cert.zero
+    assert (cert.reduced_form, cert.term_count_peak) == (nf, stats.peak_terms)
 
 
 def test_mutation_control_nonzero_residual():
@@ -129,7 +158,7 @@ def test_the_residual_of_the_relation_is_zero(r):
 def test_the_residual_equals_the_kernel_term_for_term(r, p, k):
     # Each mutation multiplies one entry by q, which mixes exponent parities.
     table = perturbed_table(c_recursive(r), p, k)
-    expected = reduce(build_delta(r, table)).terms
+    expected = reduce(build_delta(r, table))
     assert expected
     assert _residual_by_word(r, table) == expected
 
