@@ -2,11 +2,13 @@
 
 Words over the alphabet {I, J} stand for products of the generators A_i and
 A_j.  A word is its code, a plain int ``(1 << n) | bits`` where n is the
-length and bit (n-1-pos) is 1 for the letter I, 0 for J; ``word``,
-``word_from_exponents``, ``letters`` and ``concat`` build and read codes.  The
-sentinel bit makes the packing injective, and comparing codes as integers is
-exactly the graded lexicographic order with I > J, which is the term order
-used everywhere (iteration and the reducer's termination measure).
+length and bit (n-1-pos) is 1 for the letter I, 0 for J;
+``word_from_exponents`` and ``concat`` build the codes that the package needs
+(the tests spell codes and read them back with ``word`` and ``letters`` from
+``tests/free_ring.py``).  The sentinel bit makes the packing injective, and
+comparing codes as integers is exactly the graded lexicographic order with
+I > J, which is the term order used everywhere (iteration and the reducer's
+termination measure).
 
 An element of the algebra is a plain dict ``{code: coefficient}``.  A
 coefficient is a polynomial in rho over Laurent polynomials in q, stored as
@@ -19,21 +21,6 @@ these dicts for their oracles.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-
-def word(spelling: Iterable[str]) -> int:
-    """The code of the word spelled by letters over {I, J}."""
-    code = 1
-    for ch in spelling:
-        if ch == "I":
-            code = (code << 1) | 1
-        elif ch == "J":
-            code = code << 1
-        else:
-            raise ValueError(f"letter must be 'I' or 'J', got {ch!r}")
-    return code
-
 
 def word_from_exponents(n_left: int, r_mid: int, n_right: int) -> int:
     """The code of I^n_left J^r_mid I^n_right."""
@@ -42,12 +29,6 @@ def word_from_exponents(n_left: int, r_mid: int, n_right: int) -> int:
     n = n_left + r_mid + n_right
     bits = (((1 << n_left) - 1) << (r_mid + n_right)) | ((1 << n_right) - 1)
     return (1 << n) | bits
-
-
-def letters(code: int) -> str:
-    """The letters of a word code, leftmost first."""
-    n = code.bit_length() - 1
-    return "".join("I" if (code >> (n - 1 - i)) & 1 else "J" for i in range(n))
 
 
 def concat(a: int, b: int) -> int:

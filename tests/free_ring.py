@@ -4,14 +4,36 @@ An element is the plain dict ``{word code: {rho_degree: poly dict}}`` that
 ``verify.build_delta`` builds and ``reducer.reduce`` takes and returns (see
 ``qonsager.freealg``); zero coefficients are never stored.  The package never
 adds or multiplies elements; the oracles do (linearity, product congruence,
-the expected rewrites), so the ring lives here.  Results are new dicts, and
-coefficient dicts may be shared but are never mutated.
+the expected rewrites), so the ring lives here, with ``word`` and
+``letters``, which spell a word code and read it back.  Results are new
+dicts, and coefficient dicts may be shared but are never mutated.
 """
+
+from typing import Iterable
 
 from qonsager.freealg import concat, word_from_exponents
 from qonsager.qcoeff import _madd, _pmul
 
 UNIT = {0: {0: 1}}  # the coefficient 1
+
+
+def word(spelling: Iterable[str]) -> int:
+    """The code of the word spelled by letters over {I, J}."""
+    code = 1
+    for ch in spelling:
+        if ch == "I":
+            code = (code << 1) | 1
+        elif ch == "J":
+            code = code << 1
+        else:
+            raise ValueError(f"letter must be 'I' or 'J', got {ch!r}")
+    return code
+
+
+def letters(code: int) -> str:
+    """The letters of a word code, leftmost first."""
+    n = code.bit_length() - 1
+    return "".join("I" if (code >> (n - 1 - i)) & 1 else "J" for i in range(n))
 
 
 def element(terms: dict) -> dict:

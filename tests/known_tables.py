@@ -6,10 +6,10 @@ completion c[r,p,k] = c[r,p,r-2p+1-k] filling the halves that are not
 written out.  Every pipeline must reproduce these tables exactly.
 """
 
-from free_ring import monomial
+from free_ring import letters, monomial
 
 from qonsager.coeffs import CoeffTable, cells, delta_indices
-from qonsager.freealg import letters, word_from_exponents
+from qonsager.freealg import word_from_exponents
 from qonsager.qcoeff import ZERO, LaurentScalar, _pneg, exact_div, q_binomial, q_int
 from qonsager.reducer import reduce
 

@@ -1,11 +1,13 @@
-"""The randomized-order reducer: the slow oracle for the rewrite kernel.
+"""Slow oracles for the rewrite kernel, on plain dicts.
 
-It applies the one rule IIJ -> [2]_q IJI - JII + rho J (the rho term dropped
-in rho-zero mode) at a randomly chosen redex, one step at a time, directly on
-the ``{rho_degree: poly dict}`` coefficients of a free-algebra element, the
-plain dict ``{word code: coefficient}`` that ``qonsager.reducer.reduce`` takes
-and returns.  It shares no code with ``qonsager._kernel_py``; confluence
-makes its strategy irrelevant, so its normal form must equal ``reduce``'s.
+Both apply the one rule IIJ -> [2]_q IJI - JII + rho J (the rho term dropped
+in rho-zero mode) directly on the ``{rho_degree: poly dict}`` coefficients of
+a free-algebra element, the plain dict ``{word code: coefficient}`` that
+``qonsager.reducer.reduce`` takes and returns, and share no code with
+``qonsager._kernel_py``.  ``reduce_randomized`` rewrites a randomly chosen
+redex one step at a time; confluence makes its strategy irrelevant, so its
+normal form must equal ``reduce``'s.  ``reduce_by_passes`` follows the
+kernel's own schedule, so its counters must equal the kernel's too.
 """
 
 from __future__ import annotations
@@ -38,6 +40,48 @@ def _rewrite_codes(code: int, pos: int) -> tuple[int, int, int]:
     w_j = ((head << 1) << tail) | suffix
     return w_iji, w_jii, w_j
 
+
+def _products(coeff: dict, rho_zero: bool) -> list[dict]:
+    """The coefficients a rewrite of a word with coefficient coeff gives its
+    IJI-, JII- and (unless rho_zero) J-word: [2]_q coeff, -coeff, rho coeff."""
+    parts = [
+        {p: _pmul(v, {1: 1, -1: 1}) for p, v in coeff.items()},
+        {p: _pneg(v) for p, v in coeff.items()},
+    ]
+    if not rho_zero:
+        parts.append({p + 1: v for p, v in coeff.items()})
+    return parts
+
+
+def _merge(terms: dict, word: int, coeff: dict) -> None:
+    """Add coeff to the word's coefficient in terms, dropping a zero."""
+    if n := _madd(terms.get(word, {}), coeff):
+        terms[word] = n
+    else:
+        terms.pop(word, None)
+
+
+def reduce_by_passes(x: dict, rho_zero: bool = False) -> tuple[dict, int, int, int]:
+    """The kernel's pass schedule with exact coefficients and no packing.
+
+    Each pass takes every word with a redex out at once and rewrites its
+    leftmost redex; the products merge into what is left, so a product that
+    has a redex waits for the next pass.  Returns (normal form, peak, steps,
+    passes) as ``qonsager._kernel_py.reduce_packed`` counts them: peak is the
+    most words alive at the start or after any pass, steps the number of
+    rewrites.
+    """
+    terms = dict(x)
+    peak, steps, passes = len(terms), 0, 0
+    while sources := {w: terms.pop(w) for w in list(terms) if redex_positions(w)}:
+        passes += 1
+        steps += len(sources)
+        for word, coeff in sources.items():
+            produced = _rewrite_codes(word, redex_positions(word)[0])
+            for tw, part in zip(produced, _products(coeff, rho_zero)):
+                _merge(terms, tw, part)
+        peak = max(peak, len(terms))
+    return terms, peak, steps, passes
 
 
 def reduce_randomized(
@@ -78,20 +122,10 @@ def reduce_randomized(
         pos = rng.choice(redex_positions(word))
         coeff = terms.pop(word)
         sync(word)
-        # [2]_q c on IJI, -c on JII, rho c on J
-        parts = [
-            {p: _pmul(v, {1: 1, -1: 1}) for p, v in coeff.items()},
-            {p: _pneg(v) for p, v in coeff.items()},
-        ]
-        if not rho_zero:
-            parts.append({p + 1: v for p, v in coeff.items()})
+        parts = _products(coeff, rho_zero)
         produced = _rewrite_codes(word, pos)[: len(parts)]
         for tw, part in zip(produced, parts):
-            n = _madd(terms.get(tw, {}), part)
-            if n:
-                terms[tw] = n
-            else:
-                terms.pop(tw, None)
+            _merge(terms, tw, part)
             sync(tw)
         if on_step is not None:
             on_step(word, produced)

@@ -13,7 +13,7 @@ import random
 import time
 
 from coefficients import rho
-from free_ring import add, scale, term
+from free_ring import add, scale, term, word
 from known_tables import bar_invariant_ok, eta_moves, fixture_table, kernel_moves, palindromic_ok
 from slow_reducer import reduce_randomized
 
@@ -24,7 +24,7 @@ from qonsager.coeffs import (
     c_solve,
     eta_table,
 )
-from qonsager.freealg import word, word_from_exponents
+from qonsager.freealg import word_from_exponents
 from qonsager.qcoeff import LaurentScalar, q_binomial, q_int
 from qonsager.reducer import kernel_backend, reduce, reduce_with_stats
 from qonsager.repcheck import (

@@ -45,10 +45,10 @@ from qonsager.qcoeff import (
     q_int,
 )
 from qonsager.reducer import reduce
-from qonsager.freealg import concat, word
+from qonsager.freealg import concat
 
 
-from free_ring import monomial, mul, term
+from free_ring import monomial, mul, term, word
 from known_tables import (
     bar_invariant_ok,
     binomial_row_ok,

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from coefficients import rho
-from free_ring import add, element, monomial, mul, scale, term
+from free_ring import add, element, letters, monomial, mul, scale, term, word
 
-from qonsager.freealg import concat, letters, word, word_from_exponents
+from qonsager.freealg import concat, word_from_exponents
 from qonsager.qcoeff import q_int
 
 W = word

@@ -1,5 +1,6 @@
 """Tests for the rewriting engine: examples, properties, strategy independence,
-and the packed kernel against the randomized-order oracle and its exactness guard."""
+and the packed kernel against the randomized-order oracle, the pass-schedule
+oracle for its counters, and its exactness guard."""
 
 import copy
 import random
@@ -8,15 +9,14 @@ import time
 import pytest
 
 from coefficients import rho
-from free_ring import UNIT, add, element, monomial, mul, scale, term
+from free_ring import UNIT, add, element, letters, monomial, mul, scale, term, word
 
 from qonsager import _kernel_py
 from qonsager.coeffs import c_recursive, cells
-from qonsager.freealg import letters, word
 from qonsager.qcoeff import ONE, ZERO, LaurentScalar, q_int
 from qonsager.reducer import reduce, reduce_with_stats
 from qonsager.verify import build_delta, perturbed_table
-from slow_reducer import _rewrite_codes, redex_positions, reduce_randomized
+from slow_reducer import _rewrite_codes, redex_positions, reduce_by_passes, reduce_randomized
 
 
 W = word
@@ -370,15 +370,57 @@ def _long_word(rng):
     return W("J" * head + middle + "I" * (n - head))
 
 
+def _fuzz_inputs(kind):
+    """25 inputs of 2..5 random words, short or long, with fuzzed coefficients."""
+    rng = random.Random(f"fuzz:{kind}")
+    for _ in range(25):
+        words = [_long_word(rng) if kind == "long" else _random_word(rng, 9) for _ in range(rng.randint(2, 5))]
+        yield element({w: _fuzz_scalar(rng) for w in words})
+
+
 @pytest.mark.parametrize("kind", ["inhomogeneous", "long"])
 def test_kernel_matches_the_randomized_oracle(kind):
-    rng = random.Random(f"fuzz:{kind}")
-    for trial in range(25):
-        words = [_long_word(rng) if kind == "long" else _random_word(rng, 9) for _ in range(rng.randint(2, 5))]
-        x = element({w: _fuzz_scalar(rng) for w in words})
+    for trial, x in enumerate(_fuzz_inputs(kind)):
         for rho_zero in (False, True):
             expected = reduce_randomized(x, random.Random(trial), rho_zero=rho_zero)
             assert reduce(x, rho_zero=rho_zero) == expected, (kind, trial, rho_zero)
+
+
+@pytest.mark.parametrize("source", ["inhomogeneous", "long", "mutated"])
+def test_kernel_counters_match_the_pass_oracle(source):
+    # The normal form and (peak, steps, passes) of the kernel equal those of
+    # the same pass schedule on exact coefficients, on arbitrary input: the
+    # fuzz inputs above, and every single-cell mutation at r <= 4 under both
+    # rules (the truncated rule's relation holds only the p = 0 cells).
+    if source == "mutated":
+        cases = [
+            (build_delta(r, perturbed_table(c_recursive(r), p, k), rho_zero=rho_zero), rho_zero)
+            for r in range(1, 5)
+            for p, k in cells(r)
+            for rho_zero in ((False, True) if p == 0 else (False,))
+        ]
+    else:
+        cases = [(x, rho_zero) for x in _fuzz_inputs(source) for rho_zero in (False, True)]
+    for i, (x, rho_zero) in enumerate(cases):
+        assert _kernel_py.reduce_packed(x, rho_zero) == reduce_by_passes(x, rho_zero), (source, i, rho_zero)
+
+
+def test_a_zero_is_dropped_only_at_the_end_of_its_pass():
+    # One lane; the pass rewrites JIIJ and then IIJJ.  JIIJ's rho J brings
+    # JJ to 0 and IIJJ's brings it back to rho, so JJ stays and is counted;
+    # IIJJ's [2]_q IJIJ cancels IJIJ, which ends the pass at 0 and is dropped
+    # before the peak is counted.  The next pass cancels JJ for good.
+    x = {
+        W("IIJJ"): UNIT,
+        W("JIIJ"): _scalar({0: 2}),
+        W("JJ"): {1: {0: -2}},
+        W("IJIJ"): _scalar({-1: -1, 1: -1}),
+    }
+    nf, stats = reduce_with_stats(x)
+    assert nf == {W("JIJI"): _scalar({-1: 1, 1: 1}), W("JJII"): _scalar({0: -1})}
+    assert (stats.peak_terms, stats.steps, stats.passes) == (4, 3, 2)
+    assert reduce_by_passes(x) == (nf, 4, 3, 2)
+    assert nf == reduce_randomized(x, random.Random(3))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -85,10 +85,11 @@ def test_verify_relation_rank_five_with_closed_table():
         (6, False, None, (609, 7126, 36), 0),
         (7, False, None, (1608, 26503, 49), 0),
         (7, True, None, (837, 14301, 49), 0),
+        (8, False, None, (4135, 90926, 64), 0),
         (8, True, None, (2053, 45676, 64), 0),
         (7, False, (1, 2), (1608, 26503, 49), 85),
     ],
-    ids=["r5", "r6", "r7", "r7-rho-zero", "r8-rho-zero", "r7-mutate1,2"],
+    ids=["r5", "r6", "r7", "r7-rho-zero", "r8", "r8-rho-zero", "r7-mutate1,2"],
 )
 def test_reduction_stats_are_pinned(r, rho_zero, mutate, stats, residual):
     # (peak_terms, steps, passes) as the dict-of-exponents kernel counted
