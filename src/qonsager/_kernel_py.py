@@ -48,26 +48,30 @@ with every coefficient held as one Python int:
   ======  ==================  ===============================================
 
   where i is the bit of the redex's J, so the bits below it are the letters
-  right of the redex.  A merge is one int add.  A live word is one dict
-  entry ``code: [v, bound]``, and a merge adds into both items in place.
+  right of the redex.  A live word is one dict entry ``code: v``, and a
+  merge is one int add.  A word that a merge leaves at 0 is dropped at the
+  end of the pass unless a later product of the pass brings it back.
 
 Exactness.  Python ints never wrap, so every ``v`` is exactly ``P(2^B)``
-for the word's true coefficient P; what can fail is reading P back.  Each
-word carries a bound, the sum of the bounds of its contributions (``2b``
-through ``[2]_q``, ``b`` otherwise; one more int add per merge), which is at
-least every ``|a_e|``.  If P is nonzero and ``P(2^B) = 0``, 2^B divides the
-lowest nonzero ``a_e``.  So the kernel checks three points: an input term
-whose ``v`` is 0 is a failure (B starts above every input bound, so only a
-narrower start can hit this); a word whose ``v`` is 0 at the end of a pass
-is dropped only while its bound is below ``2^B``; and the final
-balanced-digit decode needs every bound below ``2^(B-1)``.  A value can only
-end a pass at 0 if some product of that pass left it there, by a merge that
-gave 0 or as the product of a word whose value is 0, so only those words are
-rechecked, once the pass is done; a word that a later product of the pass
-brings back from 0 stays.  A lane that fails a check keeps its unconfirmed
-zeros, which only adds words and raises bounds, and runs to the end; it is
-then run again with B one more than the bit length of the largest bound
-that failed, and no check of that second run can fail.
+for the word's coefficient P on the run's schedule; what can fail is
+reading P back.  A nonzero P with ``P(2^B) = 0`` has 2^B dividing its lowest
+nonzero ``a_e``, and would be dropped as a zero; the balanced-digit decode
+needs every ``|a_e|`` below ``2^(B-1)``.  The run carries no bound; once it
+is over, each lane proves itself exact from its move memo.  Each word x gets
+``bound[x]``: the sum of ``|c|`` over its input term, plus ``2 bound[u]``
+for each memo word u whose IJI is x and ``bound[u]`` for each whose JII or J
+is x.  A product's code is below its source's, so one walk of the memo in
+descending code finishes each ``bound[u]`` before passing it on.  By
+induction along the walk, ``bound[x]`` is at least the sum over the passes
+of x's largest ``|a_e|`` while x is active (``[2]_q`` at most doubles it,
+the other products keep it), and at least every running sum of a normal x,
+which sums the same contributions; no factor for the number of passes
+enters.  If the lane's largest bound is below ``2^(B-1)``, the run is
+exact: the first true coefficient dropped as 0 would have all of its
+contributions in the memo, so a bound of at least 2^B.  So every dropped
+zero was a true zero, and the decode is exact.  A lane whose bound does not
+fit runs again with B one more than the bound's bit length; B grows on each
+rerun, so the loop ends.
 
 Move memo.  A word's three products, their redex flags and the J shift
 follow from its code and the lane's width alone, and a word is rewritten in
@@ -112,8 +116,11 @@ def _lanes(terms):
     ``e - inversions(word)``, and a term sits in slot
     ``(e - inversions(word) - base) / 2``.  Its starting width B is the bit
     length of its largest input bound, plus one bit per inversion of the
-    weight's most inverted word, plus two.  The bound grows by less than that
-    on the rank-r relations up to r = 10, so they reduce in one run.
+    weight's most inverted word, plus two.  On the rank-r relations the
+    proof's slack, ``B - 1`` less the bit length of the largest proved bound,
+    is 15, 19, 20 and 21 bits at r = 5, 8, 10 and 11 under the full rule and
+    10, 9, 6 and 4 under the rho-zero rule, so the relations up to r = 11
+    reduce in one run.
     """
     by_weight = {}
     for code, coeff in terms.items():
@@ -145,35 +152,31 @@ def _lanes(terms):
 
 
 class _Lane:
-    """One lane's live words during a run, each as ``code: [v, bound]``.
+    """One lane's live words during a run, each as ``code: v``.
 
     ``v`` holds the word's coefficient in slots of
     ``(e - inversions(word) - base) / 2``, so a rewrite only shifts left.
     ``active`` holds the words with a redex and ``normal`` the rest; the two
-    never share a word.  A merge adds into the pair in place, so one lookup
-    serves both the coefficient int and its bound.
+    never share a word.  ``words`` is the lane's input, kept for the proof.
 
     ``moves`` memoises each active word's rewrite, ``code: (IJI code, its
     redex flag, JII code, its flag, J code, its flag, J shift)``, since a word
-    comes back pass after pass.  The J shift depends on the width and the J
-    entries on the rule, so a lane is stepped under one rule only, and a
-    widened rerun builds new lanes.
+    comes back pass after pass; it is also the graph the proof walks.  The J
+    shift depends on the width and the J entries on the rule, so a lane is
+    stepped under one rule only, and a widened rerun builds new lanes.
     """
 
-    __slots__ = ("width", "normal", "active", "bad", "moves")
+    __slots__ = ("width", "words", "normal", "active", "moves")
 
     def __init__(self, words, width):
         self.width = width
+        self.words = words
         self.normal = {}
         self.active = {}
-        self.bad = 0  # largest bound that failed a check; 0 while the run is exact
         self.moves = {}
         for code, slots in words.items():
             v = sum(c << (width * s) for s, c in slots.items())
-            b = sum(abs(c) for c in slots.values())
-            if not v and b > self.bad:  # a nonzero term that encodes to 0
-                self.bad = b
-            (self.active if _reducible(code) else self.normal)[code] = [v, b]
+            (self.active if _reducible(code) else self.normal)[code] = v
 
     def _moves(self, w, rho_zero):
         """The memo entry of active word w."""
@@ -191,71 +194,66 @@ class _Lane:
     def step(self, rho_zero):
         """One pass: rewrite every active word once, merging each product
         straight into the new active words or into the normal ones, then
-        recheck the words a product left at 0 (see Exactness above)."""
+        drop the words a merge left at 0 that are still 0."""
         width = self.width
         moves = self.moves
-        normal = self.normal
-        active = {}
-        into = (normal, active)
+        into = (self.normal, {})
         zeros = []
-        for w, (v, b) in self.active.items():
+        for w, v in self.active.items():
             m = moves.get(w)
             if m is None:
                 m = moves[w] = self._moves(w, rho_zero)
             x, r, y, s, z, t, shift = m
-            if not v:  # every product is 0; under rho zero, z is None and never found
-                zeros += ((into[r], x), (into[s], y), (into[t], z))
             u = v << width
             d = into[r]
             e = d.get(x)  # IIJ -> IJI
             if e is None:
-                d[x] = [u + v, b << 1]
+                d[x] = u + v
             else:
-                e[0] += u + v
-                e[1] += b << 1
-                if not e[0]:
+                d[x] = e = e + u + v
+                if not e:
                     zeros.append((d, x))
             d = into[s]
             e = d.get(y)  # IIJ -> JII
             if e is None:
-                d[y] = [-u, b]
+                d[y] = -u
             else:
-                e[0] -= u
-                e[1] += b
-                if not e[0]:
+                d[y] = e = e - u
+                if not e:
                     zeros.append((d, y))
             if not rho_zero:
                 d = into[t]
                 e = d.get(z)  # IIJ -> J
                 if e is None:
-                    d[z] = [v << shift, b]
+                    d[z] = v << shift
                 else:
-                    e[0] += v << shift
-                    e[1] += b
-                    if not e[0]:
+                    d[z] = e = e + (v << shift)
+                    if not e:
                         zeros.append((d, z))
         for d, x in zeros:
-            e = d.get(x)
-            if e is None or e[0]:  # already dropped, or brought back
-                continue
-            if e[1] >> width:
-                if e[1] > self.bad:  # a zero that may not be one
-                    self.bad = e[1]
-            else:
+            if d.get(x) == 0:  # not already dropped, nor brought back
                 del d[x]
-        self.active = active
+        self.active = into[1]
+
+    def bounds(self):
+        """Each word's proved bound, ``{code: bound}`` (see Exactness)."""
+        bound = {code: sum(map(abs, slots.values())) for code, slots in self.words.items()}
+        moves = self.moves
+        for w in sorted(moves, reverse=True):  # every product is below its source
+            b = bound[w]
+            x, _, y, _, z, _, _ = moves[w]
+            bound[x] = bound.get(x, 0) + 2 * b
+            bound[y] = bound.get(y, 0) + b
+            if z is not None:
+                bound[z] = bound.get(z, 0) + b
+        return bound
 
     def decode(self, weight, base, out):
-        """Add the lane's normal words to out; False if inexact."""
+        """Add the lane's normal words to out."""
         width = self.width
         half = 1 << (width - 1)
-        for _, b in self.normal.values():
-            if b >= half and b > self.bad:
-                self.bad = b
-        if self.bad:
-            return False
         mask = (1 << width) - 1
-        for w, (v, _) in self.normal.items():
+        for w, v in self.normal.items():
             p = (weight - w.bit_length() + 1) // 2
             poly = out.setdefault(w, {}).setdefault(p, {})
             e = base + _inversions(w)
@@ -267,7 +265,6 @@ class _Lane:
                     poly[e] = d
                 v = (v - d) >> width
                 e += 2
-        return True
 
 
 def _run(lanes, rho_zero):
@@ -293,20 +290,23 @@ def _run(lanes, rho_zero):
 
 
 def _reduce_lanes(lanes, rho_zero):
-    """Reduce split input exactly, widening any lane whose check failed.
+    """Reduce split input exactly, widening any lane whose proof failed.
 
     Returns (normal_terms, peak_words, steps, passes) as reduce_packed does.
     """
     lanes = list(lanes)
     while True:
         states, peak, steps, passes = _run(lanes, rho_zero)
-        normal = {}
         exact = True
-        for i, ((weight, base, _, words), state) in enumerate(zip(lanes, states)):
-            if not state.decode(weight, base, normal):
-                lanes[i] = (weight, base, state.bad.bit_length() + 1, words)
+        for i, ((weight, base, width, words), state) in enumerate(zip(lanes, states)):
+            largest = max(state.bounds().values())
+            if largest >> (width - 1):
+                lanes[i] = (weight, base, largest.bit_length() + 1, words)
                 exact = False
         if exact:
+            normal = {}
+            for (weight, base, _, _), state in zip(lanes, states):
+                state.decode(weight, base, normal)
             return normal, peak, steps, passes
 
 

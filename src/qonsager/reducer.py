@@ -15,9 +15,9 @@ itself, which it only reads, and ``_unpack`` hands back its result; both are
 identity functions, kept so that a profiler can time them as stages.  The
 kernel holds each coefficient as one int with a slot per reachable
 q-exponent (they step by two, since ``e - inversions(word)`` keeps its
-parity under the rule), so every rewrite is a left shift, and keeps the
-result exact for any integer exponents and coefficients; see ``_kernel_py``
-for how.
+parity under the rule), so every rewrite is a left shift, and once the run
+is over proves it exact for any integer exponents and coefficients, from one
+bound per word that its move memo yields; see ``_kernel_py`` for how.
 
 The tests keep an independent slow engine on the same dicts as the oracle
 for the kernel (``tests/slow_reducer.py``), and the sums and products that

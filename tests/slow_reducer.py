@@ -61,7 +61,11 @@ def _merge(terms: dict, word: int, coeff: dict) -> None:
         terms.pop(word, None)
 
 
-def reduce_by_passes(x: dict, rho_zero: bool = False) -> tuple[dict, int, int, int]:
+def reduce_by_passes(
+    x: dict,
+    rho_zero: bool = False,
+    on_pass: Callable[[dict, dict], None] | None = None,
+) -> tuple[dict, int, int, int]:
     """The kernel's pass schedule with exact coefficients and no packing.
 
     Each pass takes every word with a redex out at once and rewrites its
@@ -69,7 +73,8 @@ def reduce_by_passes(x: dict, rho_zero: bool = False) -> tuple[dict, int, int, i
     has a redex waits for the next pass.  Returns (normal form, peak, steps,
     passes) as ``qonsager._kernel_py.reduce_packed`` counts them: peak is the
     most words alive at the start or after any pass, steps the number of
-    rewrites.
+    rewrites.  After each pass, ``on_pass(sources, terms)`` sees the words
+    the pass rewrote with their coefficients, and every word alive after it.
     """
     terms = dict(x)
     peak, steps, passes = len(terms), 0, 0
@@ -81,6 +86,8 @@ def reduce_by_passes(x: dict, rho_zero: bool = False) -> tuple[dict, int, int, i
             for tw, part in zip(produced, _products(coeff, rho_zero)):
                 _merge(terms, tw, part)
         peak = max(peak, len(terms))
+        if on_pass is not None:
+            on_pass(sources, terms)
     return terms, peak, steps, passes
 
 

@@ -1,6 +1,6 @@
 """Tests for the rewriting engine: examples, properties, strategy independence,
 and the packed kernel against the randomized-order oracle, the pass-schedule
-oracle for its counters, and its exactness guard."""
+oracle for its counters, and its exactness proof."""
 
 import copy
 import random
@@ -198,6 +198,12 @@ def _delta_plus_big_coefficients():
     return add(build_delta(4, c_recursive(4)), word_poly("IIIJ", _scalar({0: 1 << 70, 3: -5})))
 
 
+def _unproved(lanes, states):
+    """The lanes of a run whose largest proved bound reaches 2^(B-1)."""
+    return [i for i, ((_, _, width, _), state) in enumerate(zip(lanes, states))
+            if max(state.bounds().values()) >> (width - 1)]
+
+
 @pytest.mark.parametrize("width", [1, 4, 8])
 @pytest.mark.parametrize(
     "make, rho_zero",
@@ -213,22 +219,25 @@ def _delta_plus_big_coefficients():
 )
 def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_zero, width):
     # Every lane starts at a width too narrow to hold its coefficients; the
-    # three checks (encode, drop of a zero, decode) must catch it and the
-    # widened rerun must give the kernel's usual result and counts.
+    # proof after the run must fail, and the widened rerun must pass it and
+    # give the kernel's usual result and counts.
     packed = make(width)
     expected = _kernel_py.reduce_packed(packed, rho_zero)
     runs = []
     real_run = _kernel_py._run
 
     def counting_run(lanes, rz):
-        runs.append([w for _, _, w, _ in lanes])
-        return real_run(lanes, rz)
+        result = real_run(lanes, rz)
+        runs.append(([w for _, _, w, _ in lanes], _unproved(lanes, result[0])))
+        return result
 
     monkeypatch.setattr(_kernel_py, "_run", counting_run)
     narrow = [(wt, base, width, words) for wt, base, _, words in _kernel_py._lanes(packed)]
     assert _kernel_py._reduce_lanes(narrow, rho_zero) == expected
     assert len(runs) == 2  # one failed run, one rerun sized from its bounds
-    assert max(runs[1]) > width
+    (_, failed), (widths, proved) = runs
+    assert failed and not proved
+    assert max(widths) > width
 
 
 @pytest.mark.parametrize("rho_zero", [False, True])
@@ -242,15 +251,17 @@ def test_too_narrow_start_is_widened_to_the_exact_result(monkeypatch, make, rho_
 )
 def test_the_kernel_only_reads_its_input(monkeypatch, make, width, rho_zero):
     # reduce_with_stats hands the kernel the terms themselves, so neither
-    # the outer dict nor any coefficient dict may change.
+    # the outer dict nor any coefficient dict may change, through a failed
+    # proof and its rerun either.
     x = make()
     before = copy.deepcopy(x)
     runs = []
     real_run, real_lanes = _kernel_py._run, _kernel_py._lanes
 
     def counting_run(lanes, rz):
-        runs.append(len(lanes))
-        return real_run(lanes, rz)
+        result = real_run(lanes, rz)
+        runs.append(bool(_unproved(lanes, result[0])))
+        return result
 
     monkeypatch.setattr(_kernel_py, "_run", counting_run)
     if width is not None:
@@ -259,17 +270,23 @@ def test_the_kernel_only_reads_its_input(monkeypatch, make, width, rho_zero):
             lambda terms: [(wt, base, width, words) for wt, base, _, words in real_lanes(terms)],
         )
     reduce_with_stats(x, rho_zero=rho_zero)
-    assert len(runs) == (1 if width is None else 2)
+    assert runs == ([False] if width is None else [True, False])
     assert x == before
 
 
 def test_a_term_that_encodes_to_zero_is_caught():
     # 2^16 - q^2 sits in one parity lane as 2^16 X^s - X^(s+1), which is 0
-    # at X = 2^16.
+    # at X = 2^16.  The run cannot see that, but the proof starts from the
+    # input's own bound, 2^16 + 1, which does not fit 16 bits.
     (lane,) = _kernel_py._lanes(word_poly("JIIJ", _scalar({0: 1 << 16, 2: -1})))
-    assert lane[2] > 16
-    assert _kernel_py._Lane(lane[3], 16).bad == (1 << 16) + 1
-    assert not _kernel_py._Lane(lane[3], lane[2]).bad
+    weight, base, width, words = lane
+    assert width > 16
+    narrow = (weight, base, 16, words)
+    assert _kernel_py._Lane(words, 16).active == {W("JIIJ"): 0}
+    (state,) = _kernel_py._run([narrow], False)[0]
+    assert state.bounds()[W("JIIJ")] == (1 << 16) + 1
+    assert _unproved([narrow], [state]) == [0]
+    assert _unproved([lane], _kernel_py._run([lane], False)[0]) == []
 
 
 def test_sparse_exponent_span_is_split_into_clusters():
@@ -403,6 +420,65 @@ def test_kernel_counters_match_the_pass_oracle(source):
         cases = [(x, rho_zero) for x in _fuzz_inputs(source) for rho_zero in (False, True)]
     for i, (x, rho_zero) in enumerate(cases):
         assert _kernel_py.reduce_packed(x, rho_zero) == reduce_by_passes(x, rho_zero), (source, i, rho_zero)
+
+
+def _lane_element(weight, base, words):
+    """One lane's input as a free-algebra element."""
+    return {
+        code: {(weight - code.bit_length() + 1) // 2: {
+            base + _kernel_py._inversions(code) + 2 * s: c for s, c in slots.items()}}
+        for code, slots in words.items()
+    }
+
+
+def _largest(coeff):
+    return max(abs(c) for poly in coeff.values() for c in poly.values())
+
+
+@pytest.mark.parametrize("source", ["inhomogeneous", "long", "relations", "mutated"])
+def test_proved_bounds_cover_every_exact_coefficient(source):
+    # Each lane's proved bound of a word is at least its largest exact
+    # |coefficient| after every pass, normal words' running sums included,
+    # and at least the sum of those over the passes that rewrite it.  The
+    # exact run of a lane is the pass oracle on that lane's input alone,
+    # since lanes never meet.  Inputs: the fuzz inputs, the relations for
+    # r <= 6 under both rules, every single-cell mutation at r <= 5.
+    if source == "relations":
+        cases = [(build_delta(r, c_recursive(r), rho_zero=rz), rz)
+                 for r in range(1, 7) for rz in (False, True)]
+    elif source == "mutated":
+        cases = [
+            (build_delta(r, perturbed_table(c_recursive(r), p, k), rho_zero=rz), rz)
+            for r in range(1, 6)
+            for p, k in cells(r)
+            for rz in ((False, True) if p == 0 else (False,))
+        ]
+    else:
+        cases = [(x, rz) for x in _fuzz_inputs(source) for rz in (False, True)]
+    checked = 0
+    for i, (x, rho_zero) in enumerate(cases):
+        lanes = _kernel_py._lanes(x)
+        states = _kernel_py._run(lanes, rho_zero)[0]
+        assert _unproved(lanes, states) == [], (source, i)
+        for (weight, base, _, words), state in zip(lanes, states):
+            bound = state.bounds()
+            rewritten = {}
+
+            def covered(terms):
+                for w, c in terms.items():
+                    assert bound.get(w, 0) >= _largest(c), (source, i, w)
+
+            def on_pass(sources, terms):
+                for w, c in sources.items():
+                    rewritten[w] = rewritten.get(w, 0) + _largest(c)
+                covered(terms)
+
+            lane_x = _lane_element(weight, base, words)
+            covered(lane_x)
+            reduce_by_passes(lane_x, rho_zero, on_pass)
+            covered({w: {0: {0: total}} for w, total in rewritten.items()})
+            checked += len(rewritten)
+    assert checked
 
 
 def test_a_zero_is_dropped_only_at_the_end_of_its_pass():
