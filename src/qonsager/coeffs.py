@@ -462,9 +462,9 @@ def _residual(rows: dict, values: dict) -> dict:
 
     rows maps a key to {cell: coefficient}, and a coefficient is the tuple
     (s, l1, nb, halves): the sign s (1 or -1) times the poly dict whose
-    _halves at width 8*nb are halves, and whose l1 norm is l1.  values holds
-    every cell of every row.  The sums run on qcoeff's packed layer at one
-    width: the least that covers the largest row bound sum l1 ||value||_1
+    _halves at width 8*nb are halves, and l1 a bound on its l1 norm.  values
+    holds every cell of every row.  The sums run on qcoeff's packed layer at
+    one width: the least that covers the largest row bound sum l1 ||value||_1
     and is no narrower than any coefficient's nb, so that the coefficients
     of c_solve's rows are used as they are.  Each value is split into its
     even- and odd-exponent halves, so any Laurent polynomial is accepted; a
@@ -494,7 +494,8 @@ def _residual(rows: dict, values: dict) -> dict:
 
 
 def _scalar(coeff: tuple) -> LaurentScalar:
-    """The LaurentScalar of a row coefficient (s, l1, nb, halves), decoded on demand."""
+    """The LaurentScalar of a row coefficient (s, l1, nb, halves), decoded on
+    demand against its bound l1: c_solve decodes only its pivots."""
     s, l1, nb, halves = coeff
     num = _unhalves(halves, nb, l1)
     return LaurentScalar._raw(num if s > 0 else _pneg(num))
@@ -506,13 +507,14 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
     rows maps a sortable key to {cell: nonzero coefficient}, each coefficient
     a tuple (s, l1, nb, halves) as _residual takes; known holds the cells
     fixed in advance.  Visited in descending key order, a row with one
-    open cell fixes it by an exact division (_scalar decodes the row), so
-    the solution is unique; a row with two or more stops the pass (not
-    triangular), and so does a quotient outside Z[q, q^-1].  One _residual
-    over the rows visited then proves existence, a failing row taking
-    precedence as a check at each row would.  Returns every value, known
-    ones included, or raises CoefficientSystemError, also when no row fixes
-    an unknown.
+    open cell fixes it by an exact division, so the solution is unique:
+    _residual sums the rest of the row over the values fixed so far, and
+    _scalar decodes the pivot alone.  A row with two or more open cells
+    stops the pass (not triangular), and so does a quotient outside
+    Z[q, q^-1].  One _residual over the rows visited then proves existence,
+    a failing row taking precedence as a check at each row would.  Returns
+    every value, known ones included, or raises CoefficientSystemError, also
+    when no row fixes an unknown.
     """
     order = sorted(rows, reverse=True)
     values = dict(known)
@@ -522,9 +524,10 @@ def _solve_triangular(rows: dict, unknowns, known: dict) -> dict:
         open_cells = [cell for cell in row if cell not in values]
         if len(open_cells) == 1:
             (cell,) = open_cells
-            rest = sum((_scalar(v) * values[c] for c, v in row.items() if c != cell), ZERO)
+            others = {c: v for c, v in row.items() if c != cell}
+            rest = _residual({key: others}, {c: values[c] for c in others}).get(key, {})
             try:
-                values[cell] = -rest / _scalar(row[cell])
+                values[cell] = -LaurentScalar._raw(rest) / _scalar(row[cell])
             except ArithmeticError:  # the table lives in Z[q, q^-1]
                 error = f"unknown {cell} has no Laurent-polynomial solution"
         elif open_cells:
@@ -572,8 +575,9 @@ def _moves(a: int) -> list[tuple[int, int, int, dict]]:
 
 def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     """N(a, r) = NF(I^a J^r) for 0 <= a <= r + 1, each as reduce's terms
-    {word code: {rho degree: entry}} with the entry (l1, nb, halves): the
-    coefficient's l1 norm and its _halves at width 8*nb, one half each.
+    {word code: {rho degree d: entry}} with the entry (l1, nb, halves): a
+    bound on the coefficient's l1 norm, the mass bound T(a, r, d) below,
+    and its _halves at width 8*nb, one half each.
 
     Two facts share the work between all a: a block IJ or J followed by a
     normal word is normal (the block ends in J, so no IIJ crosses the
@@ -584,22 +588,36 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
 
     with m <= a, built one level per t and keeping only the previous one.
     Every level runs on qcoeff's packed layer: each move is packed once and
-    each (word code, rho degree) key of a level is one _kdot.  N(a, r) is
-    decoded once per entry against its l1 mass bound T(a, r), where
-    T(a, t) = sum over the moves of ||c||_1 T(m, t-1) and T = 1 for a < 2 or
-    t = 0 (triangle inequality).  T never falls with t, so T(a, r) >= T(a, 1)
-    bounds every move coefficient, and the one width from the largest
-    T(a, r) packs them all.  The ints in between need no bound, since
-    evaluation at q^2 = 2^B is a ring homomorphism.  Each entry keeps the
-    packed int it was decoded from, so that _residual multiplies it as it
-    is, and the l1 norm of that decode; the poly dict is dropped (it would
-    take most of the memory), and _scalar decodes again on demand.
+    each (word code, rho degree) key of a level is one _kdot.  No entry is
+    decoded.  By the triangle inequality the rho^d part of N(a, t) has l1
+    mass at most
+
+        T(a, t, d) = sum over the moves (block, m, e, c) of ||c||_1 T(m, t-1, d-e),
+
+    with T(a, t, d) = 1 for d = 0 and 0 otherwise when a < 2 or t = 0.
+    Split by rho degree, T leaves _residual's width on the relation's rows
+    where the entries' own l1 norms put it at every r <= 13, while the mass
+    summed over d would widen it from 4 to 8 bytes at r = 7.  T(a, t, 0) >= 1,
+    so T(a, r, d) >= T(a, 1, d) bounds every move coefficient of degree d,
+    and the one width from the largest T(a, r, d) packs them all.  The ints
+    in between need no bound, since evaluation at q^2 = 2^B is a ring
+    homomorphism.  Each entry keeps its packed int, which _residual
+    multiplies as it is; its poly dict is never built (it would take most
+    of the memory), and _scalar decodes a pivot on demand.
     """
     moves = {a: _moves(a) for a in range(2, r + 2)}
-    bound = [1] * (r + 2)
+    norms = {a: [(m, d, _l1(c)) for _, m, d, c in mv] for a, mv in moves.items()}
+    bound = [{0: 1}] * (r + 2)
     for _ in range(r):
-        bound = [1, 1] + [sum(_l1(c) * bound[m] for _, m, _, c in moves[a]) for a in range(2, r + 2)]
-    nb = _kwidth(max(bound))
+        nxt = [{0: 1}, {0: 1}]
+        for a in range(2, r + 2):
+            mass: dict[int, int] = {}
+            for m, d, n in norms[a]:
+                for e, b in bound[m].items():
+                    mass[d + e] = mass.get(d + e, 0) + n * b
+            nxt.append(mass)
+        bound = nxt
+    nb = _kwidth(max(b for mass in bound for b in mass.values()))
     packed = {a: [(block, m, d, _kpack(c, nb)) for block, m, d, c in mv] for a, mv in moves.items()}
     one = _kpack({0: 1}, nb)
     level = {a: {(word_from_exponents(a, 0, 0), 0): one} for a in range(r + 2)}
@@ -616,7 +634,7 @@ def _normal_forms(r: int) -> dict[int, dict[int, dict]]:
     for a, entries in level.items():
         forms[a] = {}
         for (w, d), v in entries.items():
-            forms[a].setdefault(w, {})[d] = (_l1(_kunpack(*v, nb, bound[a])), nb, ((v[1] & 1, v),))
+            forms[a].setdefault(w, {})[d] = (bound[a][d], nb, ((v[1] & 1, v),))
     return forms
 
 
@@ -644,7 +662,7 @@ def c_solve(r: int) -> CoeffTable:
 
     Every entry is an unknown except c[r,0,0] = 1, and every row of
     _relation_rows must vanish.  Down the term order that system is
-    triangular (checked at r = 1..11): _solve_triangular solves it in one
+    triangular (checked at r = 1..13): _solve_triangular solves it in one
     pass and proves the solution with one _residual.  The normal forms come
     from the rewrite rule alone (_moves applies it by recurrence), so this
     pipeline shares nothing with the other three, nor with verify's rewriter.

@@ -1,5 +1,6 @@
 """Tests for the four coefficient pipelines and their auxiliary tables."""
 
+import functools
 import math
 import random
 import subprocess
@@ -564,7 +565,7 @@ def test_residual_cancels_within_each_parity():
 
 def test_residual_bounds_hold_for_every_decode(monkeypatch):
     # The relation's residual on its own solution is zero, so c_solve decodes
-    # only its normal forms there; one cell times q breaks rows of both
+    # only its fixing rows there; one cell times q breaks rows of both
     # parities, and each of their sums is decoded against its row's bound.
     unpack = coeffs_mod._kunpack
     decodes = []
@@ -597,43 +598,49 @@ def _count_calls(monkeypatch, *names):
 
 
 def _fixing_rows(rows, known):
-    """The rows that fix a cell, in the order the one-pass solve visits them."""
+    """(row, cell) for each row that fixes a cell, in the order the one-pass solve visits them."""
     fixed, out = set(known), []
     for key in sorted(rows, reverse=True):
         open_cells = set(rows[key]) - fixed
         if len(open_cells) == 1:
-            out.append(rows[key])
+            out.append((rows[key], *open_cells))
         fixed |= open_cells
     return out
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_the_solve_decodes_each_normal_form_once_and_packs_no_row(monkeypatch, r):
-    # The residual multiplies the packed ints that the normal forms were
-    # decoded from, so the solve packs only the moves, the unit and the
-    # values, each of one parity; on its own solution no row sum decodes.
-    # Besides each entry's one decode for its l1 norm, only the rows that
-    # fix a cell decode their coefficients, one half each.
+    # The residual multiplies the packed ints of the normal forms as they
+    # are, and no entry is decoded for its norm, so the solve packs only the
+    # moves, the unit and the values, each of one parity: the values of each
+    # fixing row's rest, then every value once for the proof, on whose
+    # solution no row sum decodes.  Each fixing row decodes its pivot (one
+    # half) and each nonzero parity half of its rest sum, nothing more.
     forms = coeffs_mod._normal_forms(r)
-    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
     moves = sum(len(coeffs_mod._moves(a)) for a in range(2, r + 2))
-    fixing = sum(map(len, _fixing_rows(coeffs_mod._relation_rows(r, forms), [(0, 0)])))
+    fixing = _fixing_rows(coeffs_mod._relation_rows(r, forms), [(0, 0)])
     expected = c_recursive(r)
+    values = expected.entries
+    assert all(v and len({e & 1 for e in v.num}) == 1 for v in values.values())
+    rests = [sum((coeffs_mod._scalar(c) * values[x] for x, c in row.items() if x != cell), ZERO)
+             for row, cell in fixing]
     counts = _count_calls(monkeypatch, "_kpack", "_kunpack")
     assert c_solve(r) == expected
-    assert counts == {"_kunpack": entries + fixing, "_kpack": moves + 1 + len(expected.entries)}
+    assert counts == {
+        "_kunpack": len(fixing) + sum(len({e & 1 for e in rest.num}) for rest in rests),
+        "_kpack": moves + 1 + sum(len(row) - 1 for row, _ in fixing) + len(values),
+    }
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_the_residual_takes_one_l1_norm_per_distinct_entry(monkeypatch, r):
-    # _normal_forms takes each entry's l1 norm once, besides the norms of
-    # the moves in each of its r bound passes, and the rows share the
-    # entries between cells, so _residual takes the norms of the values only.
+    # _normal_forms takes only the norms of the moves, each once for all
+    # its bound passes, and the rows share the entries between cells, so
+    # _residual takes the norms of the values only.
     moves = sum(len(coeffs_mod._moves(a)) for a in range(2, r + 2))
     counts = _count_calls(monkeypatch, "_l1")
     forms = coeffs_mod._normal_forms(r)
-    entries = sum(len(coeff) for form in forms.values() for coeff in form.values())
-    assert counts["_l1"] == entries + r * moves
+    assert counts["_l1"] == moves
     rows = coeffs_mod._relation_rows(r, forms)
     values = c_recursive(r).entries
     counts["_l1"] = 0
@@ -687,12 +694,31 @@ def test_solve_rows_match_one_kernel_run_per_cell(r):
     assert {key: list(row) for key, row in rows.items()} == {key: list(row) for key, row in oracle.items()}
 
 
+def _mass_bounds(t: int) -> list[dict]:
+    """T(a, t, d) for 0 <= a <= t + 1, as one {d: T} per a, from the kernel's moves of I^a J.
+
+    T(a, t, d) = sum over those moves (block, m, e, c) of ||c||_1 T(m, t-1, d-e),
+    and T(a, t, d) = [d == 0] for a < 2 or t = 0.
+    """
+    moves = {a: kernel_moves(a) for a in range(2, t + 2)}
+
+    @functools.cache
+    def mass(a, t, d):
+        if a < 2 or t == 0:
+            return int(d == 0)
+        return sum(_l1(c) * mass(m, t - 1, d - e) for (_, m, e), c in moves[a].items() if e <= d)
+
+    return [{d: mass(a, t, d) for d in range((a + t) // 2 + 1) if mass(a, t, d)} for a in range(t + 2)]
+
+
 @pytest.mark.parametrize("t", range(1, 8))
 def test_shared_normal_forms_match_the_kernel(t):
     # Each entry is (l1, nb, halves): halves are the _halves at width 8*nb
     # of the kernel's coefficient, which the residual multiplies as they
-    # are, and l1 is that coefficient's l1 norm.
+    # are, and l1 is the mass bound T(a, t, d) of the rho^d part of N(a, t),
+    # which bounds that coefficient's l1 norm.
     forms = coeffs_mod._normal_forms(t)
+    bound = _mass_bounds(t)
     assert sorted(forms) == list(range(t + 2))
     for a in range(t + 2):
         nums = {w: {d: coeffs_mod._unhalves(halves, nb, l1) for d, (l1, nb, halves) in coeff.items()}
@@ -700,8 +726,33 @@ def test_shared_normal_forms_match_the_kernel(t):
         assert nums == reduce(monomial(a, t, 0)), a
         for w, coeff in forms[a].items():
             for d, (l1, nb, halves) in coeff.items():
-                assert l1 == _l1(nums[w][d])
+                assert l1 == bound[a][d] >= _l1(nums[w][d])
                 assert halves == coeffs_mod._halves(nums[w][d], nb)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_mass_bounds_never_widen_the_residual(monkeypatch, r):
+    # The entries carry T(a, r, d) in place of their own l1 norms, a coarser
+    # bound, yet every packed sum of the solve (its normal forms, each
+    # fixing row's rest and the proof) and the residual of the genuine
+    # relation run at the normal forms' own width: no coefficient is packed
+    # again.
+    forms = coeffs_mod._normal_forms(r)
+    (nb,) = {w for form in forms.values() for coeff in form.values() for _, w, _ in coeff.values()}
+    rows = coeffs_mod._relation_rows(r, forms)
+    expected = c_recursive(r)
+    widths = set()
+    kdot = coeffs_mod._kdot
+
+    def recorded(terms, w):
+        widths.add(w)
+        return kdot(terms, w)
+
+    monkeypatch.setattr(coeffs_mod, "_kdot", recorded)
+    assert coeffs_mod._residual(rows, expected.entries) == {}
+    assert widths == {nb}
+    assert c_solve(r) == expected
+    assert widths == {nb}
 
 
 def test_normal_forms_hold_no_poly_dict():
@@ -886,7 +937,7 @@ def test_packed_bounds_hold_for_every_decode(monkeypatch):
     # Every packed decode in the four pipelines is given an l1 bound of the
     # sum it decodes; an under-estimate could alias silently once the
     # byte-rounded width runs out of slack.  The solve's decodes are the
-    # entries of its normal forms N(a, r).
+    # pivots and the rest sums of its fixing rows.
     unpack = coeffs_mod._kunpack
     decodes = []
 
