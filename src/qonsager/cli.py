@@ -134,9 +134,17 @@ def _pmap(fn, arg_tuples):
         raise WorkerLost(f"lost a worker process: {exc}") from exc
     except BaseException:
         # shutdown() waits for running calls, and the executor has no public
-        # way to stop them before Python 3.14's terminate_workers().
-        for process in list(pool._processes.values()):
+        # way to stop them before Python 3.14's terminate_workers().  Shut
+        # down first, without waiting: Executor.map has cancelled the calls
+        # not yet started, and the wake-up this queues makes the manager
+        # thread drop them before it sees a worker die, which would otherwise
+        # set an exception on a cancelled future (InvalidStateError).
+        manager, processes = pool._executor_manager_thread, list(pool._processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
             process.terminate()
+        if manager is not None:
+            manager.join()  # it joins the workers
         raise
     finally:
         pool.shutdown(cancel_futures=True)

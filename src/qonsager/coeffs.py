@@ -18,6 +18,15 @@ table are deliberately independent so they can cross-check each other:
                        term order (it is triangular there).
 
 Exact agreement of all pipelines is the core evidence this package produces.
+
+Tables are packed first (CoeffTable).  The recursive, closed and polynomial
+pipelines compute every cell on qcoeff's packed layer and return it packed,
+with a bound on its l1 norm; the recursive chain keeps each rank packed, with
+its cells' exact norms.  A cell is decoded to a LaurentScalar only when the
+table's entries are read: to print them, reduce them or evaluate them, never
+to compare tables.  Packed equality is exact, since below 2^(B-1) the
+coefficients of a cell are the balanced base-2^B digits of its int, and
+those are unique.
 """
 
 from __future__ import annotations
@@ -32,8 +41,11 @@ from .qcoeff import (
     ZERO,
     LaurentScalar,
     _kdot,
+    _khalf,
     _kpack,
+    _kstrip,
     _kunpack,
+    _kwiden,
     _kwidth,
     _l1,
     _madd,
@@ -70,40 +82,114 @@ def cells(r: int) -> Iterator[tuple[int, int]]:
             yield (p, k)
 
 
+def _check_cells(r: int, got: dict) -> None:
+    expected = set(cells(r))
+    if got.keys() != expected:
+        missing = sorted(expected - got.keys())
+        extra = sorted(got.keys() - expected)
+        raise ValueError(f"rank-{r} table cells mismatch: missing {missing}, extra {extra}")
+
+
 class CoeffTable:
     """The triangular coefficient array for one rank.
 
     Equality compares rank and entries only; the pipeline tag is provenance
     metadata so that tables from different routes can be compared directly.
+
+    A table is packed first.  The recursive, closed and polynomial pipelines
+    build it (_from_packed) at one width nb from each cell's packed (v, low)
+    on qcoeff's packed layer and a bound on its l1 norm, checked below
+    2^(8*nb-1) when the table is built, and store the pair with its zero low
+    slots stripped (_kstrip).  Their LaurentScalar entries are decoded, once,
+    only when entries, entry() or a serializer first reads them.  c_solve,
+    perturbed_table and hand-built tables hold their entries decoded.
+
+    Equality of packed cells is exact: below 2^(B-1) the coefficients are
+    the balanced base-2^B digits of v, which are unique, so two stripped
+    pairs at one width are equal exactly when their poly dicts are.  At two
+    widths the narrower table's digits are moved to the wider slots
+    (_kwiden, which decodes nothing).  A decoded table is packed at the
+    packed one's width, and a cell that cannot be packed there (a
+    coefficient at or above 2^(B-1), where digits would alias, or exponents
+    of both parities) makes the tables unequal, since no cell of the packed
+    table is like that.  Once a table's entries dict is handed out its
+    caller may mutate it, so from then on the table compares by that dict,
+    as a decoded one.
     """
 
-    __slots__ = ("r", "entries", "pipeline")
+    __slots__ = ("r", "pipeline", "nb", "_packed", "_bounds", "_entries")
 
     ok = True  # a table is a result, not a check: emitting one always passes
 
     def __init__(self, r: int, entries: dict[tuple[int, int], LaurentScalar],
                  pipeline: str = "unknown"):
-        expected = set(cells(r))
-        got = set(entries)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(
-                f"rank-{r} table cells mismatch: missing {missing}, extra {extra}"
-            )
+        _check_cells(r, entries)
         self.r = r
-        self.entries = dict(entries)
         self.pipeline = pipeline
+        self.nb = self._packed = self._bounds = None
+        self._entries = dict(entries)
+
+    @classmethod
+    def _from_packed(cls, r: int, nb: int, packed: dict, bounds: dict,
+                     pipeline: str) -> "CoeffTable":
+        """The table of the cells packed[cell] = (v, low) at width 8*nb, each
+        of l1 norm at most bounds[cell]; OverflowError if a bound reaches 2^(8*nb-1)."""
+        _check_cells(r, packed)
+        _khalf(nb, max(bounds.values()))
+        self = object.__new__(cls)
+        self.r = r
+        self.pipeline = pipeline
+        self.nb = nb
+        self._packed = {cell: _kstrip(v, low, nb) for cell, (v, low) in packed.items()}
+        self._bounds = bounds
+        self._entries = None
+        return self
+
+    def _decoded(self) -> dict[tuple[int, int], LaurentScalar]:
+        if self._entries is None:
+            nb, bounds = self.nb, self._bounds
+            self._entries = {cell: LaurentScalar._raw(_kunpack(v, low, nb, bounds[cell]))
+                             for cell, (v, low) in self._packed.items()}
+        return self._entries
+
+    @property
+    def entries(self) -> dict[tuple[int, int], LaurentScalar]:
+        """The entries {(p, k): LaurentScalar}; the table compares by this dict from now on."""
+        entries = self._decoded()
+        self._packed = None
+        return entries
 
     def entry(self, p: int, k: int) -> LaurentScalar:
-        return self.entries[(p, k)]
+        return self._decoded()[(p, k)]
+
+    def _packed_at(self, nb: int) -> dict | None:
+        """The stripped packed cells at width 8*nb, or None if one cannot be packed there."""
+        if self._packed is not None:
+            if self.nb == nb:
+                return self._packed
+            return {cell: (_kwiden(v, self.nb, nb, self._bounds[cell]), low)
+                    for cell, (v, low) in self._packed.items()}
+        half = 1 << (8 * nb - 1)
+        out = {}
+        for cell, value in self._decoded().items():
+            num = value.num
+            if num and max(map(abs, num.values())) >= half:
+                return None
+            try:
+                out[cell] = _kstrip(*_kpack(num, nb), nb)
+            except ValueError:  # exponents of both parities
+                return None
+        return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CoeffTable)
-            and self.r == other.r
-            and self.entries == other.entries
-        )
+        if not isinstance(other, CoeffTable) or self.r != other.r:
+            return False
+        widths = [t.nb for t in (self, other) if t._packed is not None]
+        if not widths:
+            return self._entries == other._entries
+        nb = max(widths)
+        mine = self._packed_at(nb)
+        return mine is not None and mine == other._packed_at(nb)
 
     __hash__ = None
 
@@ -113,25 +199,28 @@ class CoeffTable:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
+        entries = self._decoded()
         return {
             "r": self.r,
             "pipeline": self.pipeline,
             "entries": [
-                {"p": p, "k": k, "value": str(self.entries[(p, k)])}
-                for (p, k) in sorted(self.entries)
+                {"p": p, "k": k, "value": str(entries[(p, k)])}
+                for (p, k) in sorted(entries)
             ],
         }
 
     def to_csv_rows(self) -> list[str]:
+        entries = self._decoded()
         rows = ["r,p,k,value"]
-        for (p, k) in sorted(self.entries):
-            rows.append(f"{self.r},{p},{k},{self.entries[(p, k)]}")
+        for (p, k) in sorted(entries):
+            rows.append(f"{self.r},{p},{k},{entries[(p, k)]}")
         return rows
 
     def to_text(self) -> str:
+        entries = self._decoded()
         lines = [f"# rank {self.r} coefficient table ({self.pipeline} pipeline)"]
-        for (p, k) in sorted(self.entries):
-            lines.append(f"c[{self.r},{p},{k}] = {self.entries[(p, k)]}")
+        for (p, k) in sorted(entries):
+            lines.append(f"c[{self.r},{p},{k}] = {entries[(p, k)]}")
         return "\n".join(lines)
 
 
@@ -211,10 +300,11 @@ def _m_packed(packed: dict, rank: int, nb: int) -> dict:
     }
 
 
-def _next_table(
-    r: int, prev: dict[tuple[int, int], LaurentScalar], eta: dict[tuple[int, int, int], LaurentScalar]
-) -> dict[tuple[int, int], LaurentScalar]:
-    """One induction step: the rank-r entries from the rank-(r-1) entries prev.
+def _next_table(r: int, prev: tuple, eta: dict[tuple[int, int, int], LaurentScalar]) -> tuple:
+    """One induction step: the rank-r cells from the rank-(r-1) cells prev.
+
+    A rank's cells are (nb, packed, norms), as _recursive_chain holds them:
+    each cell's packed (v, low) at width 8*nb and its exact l1 norm.
 
     Every cell (l, k) follows one rule, with c1 = [r+1]_q, M the M table of
     prev (_m_packed), E(n, j) = eta[n, j, 1] and m = k + 2(l-p):
@@ -229,12 +319,15 @@ def _next_table(
     The step runs on qcoeff's packed layer.  A first pass lists each cell's
     (sign, M cell, E index) and (sign, prev cell, E index) terms and
     bounds the cell by sum ||M||_1 ||E||_1 + ||c1||_1 sum ||prev||_1 ||E||_1,
-    with ||M||_1 bounded through its formula.  The largest bound fixes one
-    width, every prev entry, E entry and c1 is packed once at it, each
-    cell is one packed sum of products plus c1 times its prev sum, and each
-    is decoded once against its own bound.  Which terms exist is decided by
-    index arithmetic alone, and every read of M, prev and eta is strict: an
-    index outside its table raises.
+    with ||M||_1 bounded through its formula.  The largest bound, or prev's
+    width if that is wider, fixes one width; prev is widened to it
+    (_kwiden) only when it grows, every E entry and c1 is packed once at
+    it, each cell is one packed sum of products plus c1 times its prev sum,
+    and each is decoded once against its own bound, for its exact norm
+    alone.  The norms must be exact: the cell bounds run up to 2r^2 - 1
+    times them, so bounds in their place would compound, and the width with
+    them, from rank to rank.  Which terms exist is decided by index arithmetic alone, and every
+    read of M, prev and eta is strict: an index outside its table raises.
     """
     c1 = q_int(r + 1)
     terms = {}  # cell -> (M terms, prev terms), each (sign, table cell, E index)
@@ -250,7 +343,7 @@ def _next_table(
 
     e1 = {(0, 0): ONE.num, (1, 0): {}}
     e1.update({(m, p): v.num for (m, p, j), v in eta.items() if j == 1})
-    n_prev = {cell: _l1(v.num) for cell, v in prev.items()}
+    prev_nb, P, n_prev = prev
     n_e1 = {i: _l1(a) for i, a in e1.items()}
     n_c1 = _l1(c1.num)
     n_m = {(p, k): n_prev.get((p, k), 0) + n_prev[(0, 1)] * n_prev.get((p, k - 1), 0)
@@ -260,32 +353,34 @@ def _next_table(
         + n_c1 * sum(n_prev[a] * n_e1[i] for _, a, i in p_terms)
         for cell, (m_terms, p_terms) in terms.items()
     }
-    nb = _kwidth(max(*bounds.values(), *n_prev.values(), *n_e1.values(), n_c1))
-
-    P = {cell: _kpack(v.num, nb) for cell, v in prev.items()}
+    nb = max(prev_nb, _kwidth(max(*bounds.values(), *n_e1.values(), n_c1)))
+    if nb != prev_nb:
+        P = {cell: (_kwiden(v, prev_nb, nb, n_prev[cell]), low) for cell, (v, low) in P.items()}
     E1 = {i: _kpack(a, nb) for i, a in e1.items()}
     M = _m_packed(P, r - 1, nb)
     packed_c1 = _kpack(c1.num, nb)
-    c: dict[tuple[int, int], LaurentScalar] = {}
+    packed, norms = {}, {}
     for cell, (m_terms, p_terms) in terms.items():
         p_sum = _kdot([(s, P[a], E1[i]) for s, a, i in p_terms], nb)
         total = _kdot([(s, M[a], E1[i]) for s, a, i in m_terms] + [(1, packed_c1, p_sum)], nb)
-        c[cell] = LaurentScalar._raw(_kunpack(*total, nb, bounds[cell]))
-    return c
+        packed[cell] = _kstrip(*total, nb)  # the next step multiplies no cancelled slots
+        norms[cell] = _l1(_kunpack(*packed[cell], nb, bounds[cell]))
+    return nb, packed, norms
 
 
-# The recursive chain built so far in this process, rank r at index r.
-_recursive_chain = [{(0, 0): ONE, (0, 1): ONE}]
+# The recursive chain built so far in this process, rank r at index r, each
+# rank as its (nb, packed, norms) cells; rank 0 is c[0,0,0] = c[0,0,1] = 1.
+_recursive_chain = [(1, {(0, 0): (1, 0), (0, 1): (1, 0)}, {(0, 0): 1, (0, 1): 1})]
 
 
-def _recursive_entries(r: int) -> dict[tuple[int, int], LaurentScalar]:
-    """The rank-r entries, built one _next_table step per rank past the chain's top.
+def _recursive_cells(r: int) -> tuple:
+    """The rank-r (nb, packed, norms), built one _next_table step per rank past the chain's top.
 
     The chain starts from the trivial rank-0 relation A_i - A_i = 0, that is
     c[0,0,0] = c[0,0,1] = 1, so the rank-1 defining relation is its first
     step.  One chain per process, extended bottom-up in a loop: every rank
-    built so far is kept, so the ranks 1..r cost r steps in all and no rank
-    deepens the stack.  Callers must not mutate the result.
+    built so far is kept, packed, so the ranks 1..r cost r steps in all and
+    no rank deepens the stack.  Callers must not mutate the result.
     """
     if r < 0:
         raise ValueError("rank must be >= 0")
@@ -299,7 +394,7 @@ def c_recursive(r: int) -> CoeffTable:
     """The rank-r table built strictly bottom-up from the rank-0 seed."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    return CoeffTable(r, _recursive_entries(r), "recursive")
+    return CoeffTable._from_packed(r, *_recursive_cells(r), "recursive")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +421,8 @@ def c_closed(r: int) -> CoeffTable:
     a multivariate polynomial keyed (x_deg, y_deg, 0) over poly dicts in q.
     It is multiplied out on qcoeff's packed layer (_mprod) at one width,
     from the largest cell bound prod_s ||factor_s||_1 * sum_l binom; each
-    cell's sum over l is one packed sum with the binomials as scales,
-    decoded once.
+    cell's sum over l is one packed sum with the binomials as scales, and
+    the table holds it packed, with its bound.
 
     The binomial is an ordinary integer binomial, read as zero whenever its
     arguments leave 0 <= m <= n (the factorial form is undefined there, and
@@ -354,11 +449,9 @@ def c_closed(r: int) -> CoeffTable:
     nb = _kwidth(max(bounds.values()))
     families = _mprod(factors, nb)
     zero, one = (0, 0), (1, 0)
-    entries: dict[tuple[int, int], LaurentScalar] = {}
-    for cell, t in terms.items():
-        total = _kdot([(b, families.get(key, zero), one) for b, key in t], nb)
-        entries[cell] = LaurentScalar._raw(_kunpack(*total, nb, bounds[cell]))
-    return CoeffTable(r, entries, "closed")
+    packed = {cell: _kdot([(b, families.get(key, zero), one) for b, key in t], nb)
+              for cell, t in terms.items()}
+    return CoeffTable._from_packed(r, nb, packed, bounds, "closed")
 
 
 # ---------------------------------------------------------------------------
@@ -394,45 +487,43 @@ def _factor_poly(desc: tuple) -> dict:
 
 
 def expand_generating_polynomial(r: int) -> dict:
-    """Fully expanded rank-r generating polynomial, {(x_deg, y_deg, rho_deg): poly dict}.
+    """Fully expanded rank-r generating polynomial, packed:
+    {(x_deg, y_deg, rho_deg): (v, low, nb, bound)}, each nonzero coefficient
+    as its packed (v, low) at width 8*nb and a bound on its l1 norm.
 
     The factors are multiplied out on qcoeff's packed layer (_mprod) at one
-    width, from the bound prod ||factor||_1, and each key is decoded once.
+    width, from the bound prod ||factor||_1, which bounds every key.
     """
     factors = [_factor_poly(desc) for desc in generating_factors(r)]
     bound = math.prod(map(_mnorm, factors))
     nb = _kwidth(bound)
-    out = {}
-    for key, value in _mprod(factors, nb).items():
-        poly = _kunpack(*value, nb, bound)
-        if poly:
-            out[key] = poly
-    return out
+    return {key: (v, low, nb, bound) for key, (v, low) in _mprod(factors, nb).items() if v}
 
 
 def c_from_polynomial(r: int) -> CoeffTable:
-    """Read the table off the expanded generating polynomial.
+    """Read the table off the expanded generating polynomial, packed as it is.
 
     The expansion must consist exactly of monomials rho^p x^(r-2p+1-k) y^k
     carrying sign (-1)^(k+p); anything else raises ShapeError, since it would
     falsify the claimed expansion shape.
     """
     admissible = set(cells(r))
-    entries: dict[tuple[int, int], LaurentScalar] = {}
-    for (dx, k, p), poly in expand_generating_polynomial(r).items():
+    packed, bounds, nb = {}, {}, 1
+    for (dx, k, p), value in expand_generating_polynomial(r).items():
         if dx + k + 2 * p != r + 1 or (p, k) not in admissible:
             raise ShapeError(
                 f"rank {r}: monomial rho^{p} x^{dx} y^{k} outside the expansion shape"
             )
-        entries[(p, k)] = LaurentScalar._raw(poly if (k + p) % 2 == 0 else _pneg(poly))
+        v, low, nb, bounds[(p, k)] = value
+        packed[(p, k)] = (v if (k + p) % 2 == 0 else -v, low)
     try:
-        return CoeffTable(r, entries, "polynomial")
+        return CoeffTable._from_packed(r, nb, packed, bounds, "polynomial")
     except ValueError as exc:
         raise ShapeError(f"rank {r}: expansion missing cells ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
-# pipeline 4: linear-system solve over the rewriting engine
+# pipeline 4: linear-system solve over the normal forms of the rewrite rule
 # ---------------------------------------------------------------------------
 
 

@@ -35,7 +35,10 @@ result from the l1 norms of its operands (|(ab)_e| <= ||a||_1 ||b||_1 for
 each exponent e), takes B from the largest bound (``_kwidth``), packs each
 operand once and decodes each result once; ``_kunpack`` raises
 OverflowError unless 2^(B-1) exceeds the bound it is given, so a width too
-narrow for its bound cannot alias silently.  A packed operand, and the
+narrow for its bound cannot alias silently.  The same uniqueness makes
+packed values comparable without a decode: ``_kstrip`` drops the zero low
+slots that a cancelled sum keeps, and ``_kwiden`` moves the digits of a
+value to wider slots as they are.  A packed operand, and the
 terms of one packed sum, must share one exponent parity (ValueError
 otherwise); ``coeffs._residual`` splits its operands by parity to meet it.
 
@@ -210,6 +213,60 @@ def _kpack(a: dict, nb: int) -> tuple[int, int]:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), low
 
 
+def _khalf(nb: int, bound: int) -> int:
+    """2^(B-1) for B = 8*nb, once it is checked to exceed bound: the least
+    that makes balanced base-2^B digits bounded by bound unique.  Raises
+    OverflowError otherwise."""
+    half = 1 << (8 * nb - 1)
+    if bound >= half:
+        raise OverflowError(f"a {8 * nb}-bit slot cannot hold a packed coefficient bound of {bound}")
+    return half
+
+
+def _kstrip(v: int, low: int, nb: int) -> tuple[int, int]:
+    """(v, low) at width 8*nb with its zero low slots dropped; zero is (0, 0).
+
+    A packed sum whose lowest slots cancelled keeps their low.  When every
+    coefficient is below 2^(B-1) in absolute value, a slot is zero exactly
+    when its balanced digit is, so the stripped pair is the one packed form
+    of its poly dict: two of them are equal exactly when their poly dicts are.
+    """
+    if not v:
+        return 0, 0
+    k = ((v & -v).bit_length() - 1) // (8 * nb)
+    return v >> (8 * nb * k), low + 2 * k
+
+
+def _kbiased(v: int, nb: int) -> bytes:
+    """The little-endian bytes of v at width 8*nb with 2^(B-1) added to every
+    slot, n*nb of them for n at least the number of digits: each balanced
+    digit d is the unsigned nb-byte field d + 2^(B-1)."""
+    n = abs(v).bit_length() // (8 * nb) + 1
+    return (v + int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")).to_bytes(n * nb, "little")
+
+
+def _kwiden(v: int, nb: int, wide: int, bound: int) -> int:
+    """The int at width 8*wide >= 8*nb of the value that v packs at width 8*nb.
+
+    The low is unchanged.  bound bounds the absolute value of every
+    coefficient, and 2^(8*nb-1) must exceed it (OverflowError otherwise), as
+    for _kunpack, since the digits are moved as they are: slice assignments
+    put each biased field of _kbiased into the low bytes of a wide-byte
+    field, and the bias at the new width is taken away again.  No
+    coefficient is decoded.
+    """
+    _khalf(nb, bound)
+    if not v or wide == nb:
+        return v
+    raw = _kbiased(v, nb)
+    n = len(raw) // nb
+    out = bytearray(n * wide)
+    for j in range(nb):
+        out[j::wide] = raw[j::nb]
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80" + bytes(wide - nb)) * n, "little")
+    return int.from_bytes(out, "little") - bias
+
+
 def _kunpack(v: int, low: int, nb: int, bound: int) -> dict:
     """The poly dict whose packed form at slot width B = 8*nb is (v, low).
 
@@ -220,13 +277,11 @@ def _kunpack(v: int, low: int, nb: int, bound: int) -> dict:
     an unsigned nb-byte field of one to_bytes: one array of them at the
     widths of _SLOTS, one int.from_bytes per slice at any other width.
     """
-    half = 1 << (8 * nb - 1)
-    if bound >= half:
-        raise OverflowError(f"a {8 * nb}-bit slot cannot hold a packed coefficient bound of {bound}")
-    if not v:
-        return {}
-    n = abs(v).bit_length() // (8 * nb) + 1  # at least the number of digits
-    raw = (v + int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")).to_bytes(n * nb, "little")
+    half = _khalf(nb, bound)
+    if -half <= v < half:  # one digit, so no slot to read
+        return {low: v} if v else {}
+    raw = _kbiased(v, nb)
+    n = len(raw) // nb
     slot = _SLOTS.get(nb)
     if slot is not None:
         digits = array(slot.typecode, raw)

@@ -37,8 +37,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeffs import CoeffTable, _factor_poly, c_recursive, delta_indices, generating_factors
-from .qcoeff import ZERO, LaurentScalar, _madd, _mmul, _padd, _pmul, exact_div, q_int
+from .coeffs import CoeffTable, _factor_poly, delta_indices, generating_factors
+from .qcoeff import ONE, ZERO, LaurentScalar, _madd, _mmul, _padd, _pmul, exact_div, q_int
 
 IMat = tuple[tuple[int, ...], ...]
 # A generator at one point: (L, B) with A = B / L, L > 0 and gcd(L, *B) = 1.
@@ -290,6 +290,12 @@ class CalibrationResult:
         }
 
 
+# The defining relation A_i^2 A_j - [2]_q A_i A_j A_i + A_j A_i^2 = rho A_j as
+# a rank-1 table, built once: every sample point calibrates against it.
+_DEFINING_RELATION = CoeffTable(1, {(0, 0): ONE, (0, 1): q_int(2), (0, 2): ONE, (1, 0): ONE},
+                                "defining")
+
+
 def calibrate_rho(
     matrices: tuple[Rep, Rep, Rep], params: RepParams, pair: tuple[int, int] = (0, 1)
 ) -> CalibrationResult:
@@ -308,7 +314,7 @@ def calibrate_rho(
         raise ValueError("calibration needs a linked pair of distinct nodes")
     lj, bj = matrices[j]
     total, denom = _relation_matrix(
-        1, c_recursive(1), matrices[i], matrices[j], params.q, Fraction(0)
+        1, _DEFINING_RELATION, matrices[i], matrices[j], params.q, Fraction(0)
     )
     entries = [(t, x) for t_row, b_row in zip(total, bj) for t, x in zip(t_row, b_row)]
     first = next(((t, x) for t, x in entries if x), None)

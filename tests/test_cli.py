@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -239,6 +240,36 @@ def test_repcheck_time_budget_runs_out_in_the_pool(capsys, monkeypatch):
     assert code == EXIT_RESOURCE
     assert json.loads(out) == {"error": "time budget exceeded"}
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cross-check", "--max-r", "4"], ["repcheck", "--r", "2", "--samples", "4"],
+], ids=["cross-check", "repcheck"])
+def test_a_budget_spent_in_the_pool_raises_in_no_thread(argv, capsys, monkeypatch):
+    # When the budget runs out, Executor.map has cancelled the two calls not
+    # yet started.  A pool manager thread that saw a terminated worker
+    # before the shutdown's wake-up would set an exception on one of those
+    # cancelled futures and die of InvalidStateError.  Each terminate here
+    # sleeps, so the manager thread has that chance at every run.
+    monkeypatch.setenv("QONSAGER_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(cli, "pipelines_agree", _spin)
+    monkeypatch.setattr(cli, "matrix_point", _spin)
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+    terminate = multiprocessing.process.BaseProcess.terminate
+
+    def terminate_and_yield(process):
+        terminate(process)
+        time.sleep(0.2)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate_and_yield)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv, "--time-budget", "0.3")
+        assert code == EXIT_RESOURCE
+        assert json.loads(out) == {"error": "time budget exceeded"}
+        assert multiprocessing.active_children() == []
+    assert errors == []
 
 
 def _die_at_rank_one(r, with_solve):

@@ -1,6 +1,7 @@
 """Tests for the four coefficient pipelines and their auxiliary tables."""
 
 import functools
+import itertools
 import math
 import random
 import subprocess
@@ -46,6 +47,7 @@ from qonsager.qcoeff import (
     q_int,
 )
 from qonsager.reducer import reduce
+from qonsager.verify import perturbed_table
 from qonsager.freealg import concat
 
 
@@ -236,11 +238,17 @@ def test_generating_factors():
     assert generating_factors(5) == [("quad", 1), ("quad", 3), ("quad", 5)]
 
 
-# Expansions are {(x_deg, y_deg, rho_deg): poly dict in q}.
+# Expansions are {(x_deg, y_deg, rho_deg): (v, low, nb, bound)}, packed;
+# _expansion decodes them to poly dicts in q.
+
+
+def _expansion(r):
+    return {key: _kunpack(v, low, nb, bound)
+            for key, (v, low, nb, bound) in expand_generating_polynomial(r).items()}
 
 
 def test_expand_rank_one():
-    poly = expand_generating_polynomial(1)
+    poly = _expansion(1)
     expected = {
         (2, 0, 0): ONE.num,
         (1, 1, 0): (-TWO).num,
@@ -264,7 +272,7 @@ def test_expand_rank_two_matches_manual_product():
         (1, 0, 1): (-rho_term).num,
         (0, 1, 1): rho_term.num,
     }
-    assert expand_generating_polynomial(2) == expected
+    assert _expansion(2) == expected
 
 
 def test_expand_rank_three_is_symmetric_degree_four():
@@ -274,7 +282,7 @@ def test_expand_rank_three_is_symmetric_degree_four():
 
 
 def test_expand_even_rank_antisymmetric():
-    poly = expand_generating_polynomial(4)
+    poly = _expansion(4)
     negated = {key: (-L(c)).num for key, c in poly.items()}
     assert {(y, x, p): c for (x, y, p), c in poly.items()} == negated
     assert {x + y + 2 * p for (x, y, p) in poly} == {5}
@@ -914,10 +922,27 @@ def test_recursive_chain_takes_one_step_per_rank(monkeypatch):
 def test_next_table_reads_strictly():
     # The step to rank 5 reads eta row 6; a table that stops at row 5 must
     # raise instead of reading the missing entries as zero.
+    prev = coeffs_mod._recursive_cells(4)
     with pytest.raises(KeyError) as caught:
-        coeffs_mod._next_table(5, c_recursive(4).entries, eta_table(5))
+        coeffs_mod._next_table(5, prev, eta_table(5))
     assert caught.value.args[0][0] == 6
-    assert coeffs_mod._next_table(5, c_recursive(4).entries, eta_table(6)) == c_recursive(5).entries
+    assert coeffs_mod._next_table(5, prev, eta_table(6)) == coeffs_mod._recursive_cells(5)
+
+
+def _step_entries(step):
+    """The entries of a step's (nb, packed, norms), each norm checked to be exact."""
+    nb, packed, norms = step
+    entries = {cell: LaurentScalar._raw(_kunpack(v, low, nb, norms[cell]))
+               for cell, (v, low) in packed.items()}
+    assert norms == {cell: _l1(v.num) for cell, v in entries.items()}
+    return entries
+
+
+def _step_cells(entries):
+    """The (nb, packed, norms) of entries, at the least width that holds them."""
+    norms = {cell: _l1(v.num) for cell, v in entries.items()}
+    nb = _kwidth(max(norms.values()))
+    return nb, {cell: _kpack(v.num, nb) for cell, v in entries.items()}, norms
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["genuine", "scaled"])
@@ -925,19 +950,22 @@ def test_next_table_reads_strictly():
 def test_next_table_matches_the_four_case_step(r, scaled):
     # Scaling each prev entry by a nonzero integer keeps its exponent parity
     # but leaves the fixed point, so the rule itself is compared.
-    prev = coeffs_mod._recursive_entries(r - 1)
+    prev = _step_entries(coeffs_mod._recursive_cells(r - 1))
     if scaled:
         rng = random.Random(r)
         prev = {cell: v * rng.choice((-3, -2, -1, 2, 3, 5)) for cell, v in prev.items()}
     eta = eta_table(r + 1)
-    assert coeffs_mod._next_table(r, prev, eta) == next_table_by_cases(r, prev, eta)
+    got = coeffs_mod._next_table(r, _step_cells(prev), eta)
+    assert _step_entries(got) == next_table_by_cases(r, prev, eta)
 
 
 def test_packed_bounds_hold_for_every_decode(monkeypatch):
     # Every packed decode in the four pipelines is given an l1 bound of the
     # sum it decodes; an under-estimate could alias silently once the
-    # byte-rounded width runs out of slack.  The solve's decodes are the
-    # pivots and the rest sums of its fixing rows.
+    # byte-rounded width runs out of slack.  A packed table decodes its
+    # cells only when its entries are read, so each table's are; the
+    # recursive chain also decodes each new cell for its exact norm.  The
+    # solve's decodes are the pivots and the rest sums of its fixing rows.
     unpack = coeffs_mod._kunpack
     decodes = []
 
@@ -953,7 +981,7 @@ def test_packed_bounds_hold_for_every_decode(monkeypatch):
         pipelines = (c_recursive, c_closed, c_from_polynomial) + ((c_solve,) if r <= 9 else ())
         for pipeline in pipelines:
             before = len(decodes)
-            pipeline(r)
+            pipeline(r).entries
             assert len(decodes) > before, (pipeline.__name__, r)
 
 
@@ -969,6 +997,101 @@ def test_closed_bound_scales_with_its_binomials(monkeypatch):
     for r, table in unscaled.items():
         expected = {cell: {e: c << 64 for e, c in v.num.items()} for cell, v in table.entries.items()}
         assert {cell: v.num for cell, v in c_closed(r).entries.items()} == expected, r
+
+
+# ---------------------------------------------------------------------------
+# packed tables: equality against the decoded entries
+# ---------------------------------------------------------------------------
+
+
+def _agrees(a, b):
+    """a == b, both ways, checked against the comparison of their decoded entries."""
+    got = a == b
+    assert (b == a) == got
+    # reading the entries hands them out, after which the tables compare by them
+    assert (a.entries == b.entries) == got
+    return got
+
+
+def test_packed_equality_agrees_with_the_entries_on_every_pipeline_pair():
+    # The widths differ at r = 3, 6, 11 and 18-20, and slots are wider than
+    # 8 bytes from r = 18 on, so every kind of widening is compared.
+    pipelines = (c_recursive, c_closed, c_from_polynomial)
+    widths = {}
+    for r in range(1, 21):
+        widths[r] = [pipeline(r).nb for pipeline in pipelines]
+        for first, second in itertools.combinations(pipelines, 2):
+            assert _agrees(first(r), second(r)), (r, first.__name__, second.__name__)
+    assert {r for r, w in widths.items() if len(set(w)) > 1} == {3, 6, 11, 18, 19, 20}
+    assert max(widths[17]) == 8 < max(widths[18])
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_packed_equality_agrees_with_the_entries_on_every_q_mutation(r):
+    # One cell times q has the other exponent parity.  Decoded
+    # (perturbed_table) that cell cannot be packed at the other table's
+    # width; packed (its low plus one) it differs in its low alone.
+    nb, packed, norms = coeffs_mod._recursive_cells(r)
+    for cell in cells(r):
+        shifted = {c: (v, low + (c == cell)) for c, (v, low) in packed.items()}
+        for genuine in (c_recursive, c_closed, c_from_polynomial):
+            assert not _agrees(genuine(r), perturbed_table(c_recursive(r), *cell))
+            assert not _agrees(genuine(r), CoeffTable._from_packed(r, nb, shifted, norms, "mutant"))
+
+
+def test_a_packed_cell_whose_lowest_slot_cancelled_equals_its_entry():
+    # [2] = q + q^-1 summed as (q^-3 + q^-1) - q^-3 + q: the packed sum keeps
+    # the low -3 of its cancelled products, one zero slot below q^-1.
+    one = _kpack({0: 1}, 1)
+    two = coeffs_mod._kdot([(1, _kpack({-3: 1, -1: 1}, 1), one), (-1, _kpack({-3: 1}, 1), one),
+                            (1, _kpack({1: 1}, 1), one)], 1)
+    assert two == (_kpack(TWO.num, 1)[0] << 8, -3)
+    packed = {(0, 0): one, (0, 1): two, (0, 2): one, (1, 0): one}
+
+    def cancelled():
+        return CoeffTable._from_packed(1, 1, packed, dict.fromkeys(packed, 2), "cancelled")
+
+    assert _agrees(cancelled(), c_recursive(1))
+    assert _agrees(cancelled(), fixture_table(1))
+    assert _agrees(cancelled(), c_closed(1))
+
+
+@pytest.mark.parametrize("value", [{0: 128}, {0: -128}, {0: 200, 2: -1}, {0: -56, 1: 1}],
+                         ids=["2^(B-1)", "-2^(B-1)", "alias", "both-parities"])
+def test_a_decoded_cell_that_does_not_pack_at_the_slot_compares_unequal(value):
+    # At nb = 1, 2^(B-1) = 128 is the least coefficient whose balanced digit
+    # is not itself, and 200 q^0 - q^2 packs as -56 q^0 would: the decoded
+    # table must compare unequal to the packed one, not alias it.  A cell
+    # with exponents of both parities does not pack at all.
+    packed = {cell: _kpack({0: 1}, 1) for cell in cells(1)}
+    packed[(1, 0)] = _kpack({0: -56}, 1)
+
+    def table():
+        return CoeffTable._from_packed(1, 1, packed, dict.fromkeys(packed, 56), "packed")
+
+    entries = {cell: ONE for cell in cells(1)}
+    assert _agrees(table(), CoeffTable(1, {**entries, (1, 0): L({0: -56})}))
+    assert not _agrees(table(), CoeffTable(1, {**entries, (1, 0): L(value)}))
+
+
+def test_a_table_whose_entries_were_handed_out_compares_by_them():
+    table, genuine = c_closed(4), c_recursive(4)
+    table.entries[(1, 1)] += ONE
+    assert not _agrees(table, genuine)
+    table.entries[(1, 1)] = genuine.entry(1, 1)
+    assert _agrees(table, genuine)
+    table.entries.pop((1, 1))
+    assert not _agrees(table, c_recursive(4))
+
+
+def test_a_packed_bound_at_or_past_its_slot_raises():
+    # As a decode against that bound would: its digits could alias.
+    packed = {cell: (1, 0) for cell in cells(1)}
+    for nb, top in ((1, 127), (2, 2**15 - 1)):
+        CoeffTable._from_packed(1, nb, packed, dict.fromkeys(packed, top), "fits")
+        with pytest.raises(OverflowError, match=f"{8 * nb}-bit slot"):
+            bounds = {**dict.fromkeys(packed, 1), (1, 0): top + 1}
+            CoeffTable._from_packed(1, nb, packed, bounds, "wide")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from qonsager.qcoeff import (
     LaurentScalar,
     _kdot,
     _kpack,
+    _kstrip,
     _kunpack,
+    _kwiden,
     _kwidth,
     _l1,
     _madd,
@@ -331,6 +333,19 @@ def test_pack_unpack_round_trip(a, extra_bytes):
         assert (v, low) == (0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(one_parity_dicts(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=3))
+def test_a_widened_or_stripped_pack_is_the_pack_itself(a, extra_bytes, wider, zero_slots):
+    bound = max(map(abs, a.values()), default=0)
+    nb = _kwidth(bound) + extra_bytes
+    v, low = _kpack(a, nb)
+    assert (_kwiden(v, nb, nb + wider, bound), low) == _kpack(a, nb + wider)
+    # zero slots below the least exponent, as a packed sum whose lowest
+    # products cancelled leaves them
+    assert _kstrip(v << 8 * nb * zero_slots, low - 2 * zero_slots, nb) == (v, low)
+
+
 @st.composite
 def packed_terms(draw):
     """(s, a, b) triples whose products share one exponent parity."""
@@ -425,6 +440,9 @@ def test_an_undersized_width_raises():
     # at 8 bits a bound of 200 does not fit either
     with pytest.raises(OverflowError):
         _kunpack(v, low, 1, 200)
+    # nor can the narrow slots be widened, which moves their digits as they are
+    with pytest.raises(OverflowError, match="16-bit slot"):
+        _kwiden(v, 2, 4, 2**15)
     # a coefficient that does not fit its slot does not pack at all
     with pytest.raises(OverflowError):
         _kpack({0: 2**16}, 2)

@@ -276,6 +276,12 @@ def test_c_zero_gives_triangular_matrix_and_zero_rho():
     assert a0[2][0] == 0  # raising entry of node 0 (e_0 lives at row 2, col 0)
 
 
+def test_calibration_reads_the_rank_one_table():
+    # calibrate_rho holds the defining relation itself, built once
+    assert repcheck._DEFINING_RELATION == c_recursive(1)
+    assert repcheck._DEFINING_RELATION.entries == c_closed(1).entries
+
+
 def test_calibration_generic_point_matches_product():
     params = generic_params()
     mats = build_evaluation_rep(params)
